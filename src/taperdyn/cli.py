@@ -69,7 +69,7 @@ _EXIT_BY_ERROR = (
     (ConfigError, EXIT_CONFIG),
     ((IngestError, FileNotFoundError), EXIT_DATA),
     ((DomainError, SizeError, ShapeError, DegenerateWeightError), EXIT_VALIDATION),
-    ((ConditioningError, NumericalError), EXIT_NUMERICAL),
+    ((ConditioningError, NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
 )
 
 

@@ -6,12 +6,14 @@ coordinates are reduced with floored modulo and stay inside [0, modulus).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, ShapeError, SizeError
 
 __all__ = [
     "Trajectory",
@@ -26,6 +28,7 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
+_NORMALS_PER_DRAW = 1 << 20     # ou_sample noise block: 8 MB of float64
 
 
 def _mod_tau(x: float) -> float:
@@ -33,12 +36,6 @@ def _mod_tau(x: float) -> float:
     # which would violate the [0, 2 pi) range contract
     r = x % TWO_PI
     return 0.0 if r >= TWO_PI else r
-
-
-def _mod_tau_arr(x: np.ndarray) -> np.ndarray:
-    r = x % TWO_PI
-    r[r >= TWO_PI] = 0.0
-    return r
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,14 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
-        object.__setattr__(self, "states", states)
         if states.shape[0] < 2:
             raise SizeError(f"trajectory needs at least 2 states, got {states.shape[0]}")
         if not np.all(np.isfinite(states)):
             raise ConfigError("trajectory contains non-finite states")
+        # a read-only view: the caller's array is neither copied nor frozen
+        states = states.view()
         states.setflags(write=False)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -112,14 +111,57 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
         raise ConfigError(f"eps must be >= 0, got {eps}")
     theta = (theta0 + SQRT2 * np.arange(N)) % 1.0
     drive = 3.5 * (1.0 + eps * np.cos(TWO_PI * theta))
-    x = np.empty(N)
+    x = array("d", [0.0]) * N
     x[0] = cur = x0
-    for n in range(N - 1):
-        cur = drive[n] * cur * (1.0 - cur)
-        x[n + 1] = cur
-    states = np.column_stack([x, theta])
+    for n, d in enumerate(memoryview(drive[:-1]), 1):
+        cur = d * cur * (1.0 - cur)
+        x[n] = cur
+    states = np.column_stack([np.frombuffer(x), theta])
     return Trajectory(states, dt=1.0, meta={
         "system": "driven_logistic", "eps": eps, "x0": x0, "theta0": theta0})
+
+
+def _kicks(lambda_mode, rng: RngStream | None, shape):
+    """Validate a lambda mode: the fixed kick as a float, or the drawn kicks."""
+    if isinstance(lambda_mode, str):
+        if lambda_mode != "uniform_resample":
+            raise ConfigError(f"unknown lambda mode: {lambda_mode!r}")
+        if rng is None:
+            raise ConfigError("uniform_resample mode requires an RngStream")
+        return rng.generator().uniform(0.0, 5.0, shape)
+    lam = float(lambda_mode)
+    if not math.isfinite(lam):
+        raise ConfigError(f"invalid lambda: {lambda_mode!r}")
+    return lam
+
+
+def _standard_map_orbit(kicks, p0: float, theta0: float, N: int):
+    """One standard-map orbit as (p, theta) float64 arrays of length N.
+
+    kicks is the fixed lambda (float) or the N - 1 per-step kicks.  The loop
+    runs on Python floats: numpy ufuncs on a handful of elements cost more
+    per step than the arithmetic itself.  `% TWO_PI` plus the inline guard
+    is _mod_tau without a function call per coordinate.
+    """
+    if isinstance(kicks, float):
+        kicks = itertools.repeat(kicks, N - 1)
+    else:
+        kicks = memoryview(np.ascontiguousarray(kicks))
+    sin = math.sin
+    p = array("d", [0.0]) * N
+    theta = array("d", [0.0]) * N
+    p[0] = cp = _mod_tau(p0)
+    theta[0] = cth = _mod_tau(theta0)
+    for n, lam in enumerate(kicks, 1):
+        cp = (cp + lam * sin(cth)) % TWO_PI
+        if cp >= TWO_PI:
+            cp = 0.0
+        cth = (cth + cp) % TWO_PI
+        if cth >= TWO_PI:
+            cth = 0.0
+        p[n] = cp
+        theta[n] = cth
+    return np.frombuffer(p), np.frombuffer(theta)
 
 
 def standard_map(
@@ -142,35 +184,17 @@ def standard_map(
         rng: RngStream for the stochastic mode.
 
     Raises:
-        ConfigError: unknown mode, or stochastic mode without rng.
+        ConfigError: unknown mode, stochastic mode without rng, or a
+            non-finite lambda or initial condition.
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
-    resample = False
-    if isinstance(lambda_mode, str):
-        if lambda_mode != "uniform_resample":
-            raise ConfigError(f"unknown lambda mode: {lambda_mode!r}")
-        if rng is None:
-            raise ConfigError("uniform_resample mode requires an RngStream")
-        resample = True
-        lams = rng.generator().uniform(0.0, 5.0, N - 1)
-    else:
-        lam = float(lambda_mode)
-        if not math.isfinite(lam):
-            raise ConfigError(f"invalid lambda: {lambda_mode!r}")
-    p = np.empty(N)
-    theta = np.empty(N)
-    p[0] = cp = _mod_tau(p0)
-    theta[0] = cth = _mod_tau(theta0)
-    sin = math.sin
-    for n in range(N - 1):
-        l = lams[n] if resample else lam
-        cp = _mod_tau(cp + l * sin(cth))
-        cth = _mod_tau(cth + cp)
-        p[n + 1] = cp
-        theta[n + 1] = cth
+    kicks = _kicks(lambda_mode, rng, N - 1)
+    if not (math.isfinite(p0) and math.isfinite(theta0)):
+        raise ConfigError(f"initial condition must be finite, got ({p0}, {theta0})")
+    p, theta = _standard_map_orbit(kicks, float(p0), float(theta0), N)
     meta = {"system": "standard_map",
-            "lambda": "uniform_resample" if resample else lam}
+            "lambda": "uniform_resample" if isinstance(lambda_mode, str) else kicks}
     return Trajectory(np.column_stack([p, theta]), dt=1.0,
                       seed=rng.seed if rng is not None else None, meta=meta)
 
@@ -182,40 +206,33 @@ def standard_map_batch(
     N: int,
     rng: RngStream | None = None,
 ) -> np.ndarray:
-    """Standard-map orbits for a batch of initial conditions at once.
+    """Standard-map orbits for a batch of initial conditions.
 
-    Returns an array of shape (N, n_ic, 2).  Same update rule and stochastic
-    convention as standard_map; each IC consumes its own uniform draw per
-    step in the resample mode.  Batching amortizes the per-step interpreter
-    cost for benchmark ensembles.
+    Returns an array of shape (N, n_ic, 2).  Same update rule, checks and
+    stochastic convention as standard_map.  The resample mode draws all
+    kicks in one (N - 1, n_ic) block, so IC i consumes column i; the batch
+    then runs the scalar kernel of standard_map once per IC, and a one-IC
+    batch equals standard_map on the same RngStream bit for bit.
+
+    Raises:
+        ShapeError: p0 and theta0 are not 1-D arrays of equal length.
+        ConfigError: as standard_map.
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if p0.shape != theta0.shape:
-        raise ConfigError("p0 and theta0 batches must have the same shape")
+    if p0.ndim != 1 or p0.shape != theta0.shape:
+        raise ShapeError("p0 and theta0 must be 1-D arrays of equal length, "
+                         f"got shapes {p0.shape} and {theta0.shape}")
     n_ic = p0.shape[0]
-    resample = isinstance(lambda_mode, str)
-    if resample:
-        if lambda_mode != "uniform_resample":
-            raise ConfigError(f"unknown lambda mode: {lambda_mode!r}")
-        if rng is None:
-            raise ConfigError("uniform_resample mode requires an RngStream")
-        lams = rng.generator().uniform(0.0, 5.0, (N - 1, n_ic))
-    else:
-        lam = float(lambda_mode)
+    kicks = _kicks(lambda_mode, rng, (N - 1, n_ic))
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(theta0))):
+        raise ConfigError("initial conditions must be finite")
     out = np.empty((N, n_ic, 2))
-    cp = _mod_tau_arr(p0.copy())
-    cth = _mod_tau_arr(theta0.copy())
-    out[0, :, 0] = cp
-    out[0, :, 1] = cth
-    for n in range(N - 1):
-        l = lams[n] if resample else lam
-        cp = _mod_tau_arr(cp + l * np.sin(cth))
-        cth = _mod_tau_arr(cth + cp)
-        out[n + 1, :, 0] = cp
-        out[n + 1, :, 1] = cth
+    for i, (p, theta) in enumerate(zip(p0.tolist(), theta0.tolist())):
+        column = kicks if isinstance(kicks, float) else kicks[:, i]
+        out[:, i, 0], out[:, i, 1] = _standard_map_orbit(column, p, theta, N)
     return out
 
 
@@ -308,15 +325,19 @@ def ou_sample(
         rng = RngStream(0, "ou")
     gen = rng.generator()
     noise_scale = diffusion * math.sqrt(h)
-    x = np.empty(N)
+    # normals come in draws of whole samples, `substeps` per sample: PCG64
+    # yields the same stream however the draws are split, so the block size
+    # only bounds the memory the draw takes
+    block = max(1, _NORMALS_PER_DRAW // substeps)
+    x = array("d", [0.0]) * N
     x[0] = cur = x0
-    # one contiguous block of normals per recorded sample keeps draws reproducible
-    for i in range(1, N):
-        steps = gen.standard_normal(substeps)
-        for j in range(substeps):
-            cur = cur * decay + noise_scale * steps[j]
-        x[i] = cur
-    return Trajectory(x[:, None], dt=dt, seed=rng.seed, meta={
+    for start in range(1, N, block):
+        noise = memoryview(gen.standard_normal(min(block, N - start) * substeps))
+        for i, k in enumerate(range(0, len(noise), substeps), start):
+            for z in noise[k:k + substeps]:
+                cur = cur * decay + noise_scale * z
+            x[i] = cur
+    return Trajectory(np.frombuffer(x)[:, None], dt=dt, seed=rng.seed, meta={
         "system": "ou", "theta_rate": theta_rate, "diffusion": diffusion,
         "x0": x0, "substeps": substeps})
 

@@ -42,10 +42,12 @@ def test_criterion_05_wtdmd_projected_sweep():
     _check("5")
 
 
+@pytest.mark.slow
 def test_criterion_06_wtedmd_quasiperiodic():
     _check("6")
 
 
+@pytest.mark.slow
 def test_criterion_07_wtedmd_chaotic_stochastic_parity():
     _check("7")
 
@@ -62,6 +64,7 @@ def test_criterion_10_mpedmd_structure():
     _check("10")
 
 
+@pytest.mark.slow
 def test_criterion_11_diffusion_forecast_ou():
     _check("11")
 

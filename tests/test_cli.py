@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import synth_monthly_csv
+from taperdyn import cli
 from taperdyn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     run,
@@ -189,3 +191,16 @@ class TestBenchCommand:
         assert "PASS 4 dmd-exact-recovery" in printed
         lines = read_lines(out / "bench_results.csv")
         assert lines[0].startswith("criterion,status")
+
+
+class TestExitCodes:
+    def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def failing_solver(cfg):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._RUNNERS, "dmd", failing_solver)
+        out = tmp_path / "run"
+        assert run(["dmd", "--outdir", str(out)]) == EXIT_NUMERICAL == 6
+        err = capsys.readouterr().err
+        assert "code=6 kind=LinAlgError" in err
+        assert not out.exists()

@@ -1,22 +1,88 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taperdyn import (
     ConfigError,
     RngStream,
+    ShapeError,
     SizeError,
+    Trajectory,
     driven_logistic,
     harmonic_series,
     ou_sample,
     quasiperiodic_field,
     standard_map,
 )
+from taperdyn import systems
 from taperdyn.systems import standard_map_batch
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# -1e-300 % 2 pi rounds up to 2 pi itself, so the third IC exercises the guard
+GOLDEN_P0 = [0.3, 1.0, -1e-300]
+GOLDEN_TH0 = [1.0, 4.0, 6.0]
+
+# SHA-256 of the float64 outputs, recorded from the vectorised batch loop and
+# the per-call _mod_tau scalar loops that the shared kernel replaced
+GOLDEN = {
+    "standard_map-fixed": (
+        lambda: standard_map(0.9, 1.2, 2.3, 2000).states,
+        "e335ef7e6e6a79b8e325237b779b00083c07f5c14499cc5c7440d70e9eb57126"),
+    "standard_map-resample": (
+        lambda: standard_map("uniform_resample", 1.0, 2.0, 2000,
+                             rng=RngStream(11, "golden")).states,
+        "e8a5e8d5b12771d70c6dd71ce05921339e4734c505817e9bbbbacfa128117090"),
+    "batch-0.25": (
+        lambda: standard_map_batch(0.25, GOLDEN_P0, GOLDEN_TH0, 2000),
+        "b79e85120cfcc8094478209f8183a5cf5430db333a3ec8180ffee8b40584e942"),
+    "batch-5.0": (
+        lambda: standard_map_batch(5.0, GOLDEN_P0, GOLDEN_TH0, 2000),
+        "1969fd9aae33258ab174a140612d7aaff45a231e792488f3da9734018b0e393b"),
+    "batch-resample": (
+        lambda: standard_map_batch("uniform_resample", GOLDEN_P0, GOLDEN_TH0, 2000,
+                                   rng=RngStream(12, "golden")),
+        "73e2023d8b382564256483137cada8035567e85925b00333457d0c48e57b6943"),
+    "logistic-0": (
+        lambda: driven_logistic(0.0, 0.25, 0.1, 2000).states,
+        "24bdb6b065ae254d9e91ad36946d36a50ff72ce62a17786fbb5f170575a82a1e"),
+    "logistic-0.01": (
+        lambda: driven_logistic(0.01, 0.25, 0.1, 2000).states,
+        "8534df027485e35abcd0610eed24a1156d81cd5c46f78e70e146cd5df097fbbf"),
+    "logistic-0.1": (
+        lambda: driven_logistic(0.1, 0.25, 0.1, 2000).states,
+        "0a2ee28ee29da7c0d225fd2b170ff775003de97f8e1a97c715331225ad7c9ec8"),
+    "ou-substeps-25": (
+        lambda: ou_sample(1.0, math.sqrt(2.0), 0.3, 0.1, 2000, substeps=25,
+                          rng=RngStream(8, "golden")).states,
+        "8460fd7abe5a49d196f7a3cdd89e8634e3face02535701f00a4955f7a4ecd892"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_digest(case):
+    generate, digest = GOLDEN[case]
+    assert sha256(generate()) == digest
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("shape", [(4, 2), (5,)])
+    def test_caller_array_stays_writeable(self, shape):
+        a = np.zeros(shape)
+        traj = Trajectory(a)
+        assert a.flags.writeable
+        assert not traj.states.flags.writeable
+        assert np.shares_memory(traj.states, a)
 
 
 class TestRngStream:
@@ -100,7 +166,45 @@ class TestStandardMap:
         batch = standard_map_batch(2.0, p0, th0, 200)
         for i in range(2):
             single = standard_map(2.0, p0[i], th0[i], 200)
-            np.testing.assert_allclose(batch[:, i, :], single.states, atol=1e-12)
+            np.testing.assert_array_equal(batch[:, i, :], single.states)
+
+    def test_one_ic_batch_matches_scalar_for_resample(self):
+        rng = RngStream(5, "one-ic")
+        batch = standard_map_batch("uniform_resample", [0.7], [2.5], 300, rng=rng)
+        single = standard_map("uniform_resample", 0.7, 2.5, 300, rng=rng)
+        np.testing.assert_array_equal(batch[:, 0, :], single.states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.one_of(st.floats(0.0, 10.0), st.just("uniform_resample")),
+        p0=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e-300, -0.0, TWO_PI])),
+        th0=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-1e-300, -5e-324])),
+    )
+    def test_outputs_in_half_open_torus(self, lam, p0, th0):
+        rng = RngStream(3, "torus")
+        single = standard_map(lam, p0, th0, 50, rng=rng).states
+        batch = standard_map_batch(lam, [p0, th0], [th0, p0], 50, rng=rng)
+        for states in (single, batch):
+            assert np.all((states >= 0.0) & (states < TWO_PI))
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_batch_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigError, match="invalid lambda"):
+            standard_map_batch(lam, [0.5], [1.0], 5)
+
+    @pytest.mark.parametrize("p0, th0", [([float("nan")], [1.0]),
+                                         ([0.5], [float("inf")])])
+    def test_rejects_non_finite_initial_conditions(self, p0, th0):
+        with pytest.raises(ConfigError, match="finite"):
+            standard_map_batch(1.0, p0, th0, 5)
+        with pytest.raises(ConfigError, match="finite"):
+            standard_map(1.0, p0[0], th0[0], 5)
+
+    @pytest.mark.parametrize("p0, th0", [(np.zeros((2, 2)), np.zeros((2, 2))),
+                                         (np.zeros(3), np.zeros(2))])
+    def test_batch_rejects_bad_ic_shapes(self, p0, th0):
+        with pytest.raises(ShapeError):
+            standard_map_batch(1.0, p0, th0, 5)
 
 
 class TestHarmonicSeries:
@@ -162,6 +266,24 @@ class TestOuSample:
         a = ou_sample(0.5, 1.0, 0.0, 0.05, 500, substeps=2, rng=RngStream(4, "z"))
         b = ou_sample(0.5, 1.0, 0.0, 0.05, 500, substeps=2, rng=RngStream(4, "z"))
         np.testing.assert_array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("N, substeps", [(300, 25), (40, 100)])
+    def test_matches_per_sample_draws(self, N, substeps, monkeypatch):
+        # reference: one draw of `substeps` normals per recorded sample; with
+        # 64-normal blocks the cases span many blocks, and a sample larger
+        # than a block
+        monkeypatch.setattr(systems, "_NORMALS_PER_DRAW", 64)
+        rng = RngStream(6, "blocks")
+        gen = rng.generator()
+        decay, scale = 1.0 - 0.5 * 0.1 / substeps, 0.7 * math.sqrt(0.1 / substeps)
+        ref = [0.2]
+        for _ in range(N - 1):
+            cur = ref[-1]
+            for z in gen.standard_normal(substeps):
+                cur = cur * decay + scale * z
+            ref.append(cur)
+        traj = ou_sample(0.5, 0.7, 0.2, 0.1, N, substeps=substeps, rng=rng)
+        np.testing.assert_array_equal(traj.states[:, 0], ref)
 
     def test_unstable_step_rejected(self):
         with pytest.raises(ConfigError):
