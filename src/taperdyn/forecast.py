@@ -11,14 +11,17 @@ climatology baseline.
 """
 from __future__ import annotations
 
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConfigError, IngestError, ShapeError, SizeError
+from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
 from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
 
 __all__ = [
@@ -40,7 +43,8 @@ __all__ = [
 LARGE_BASIS_WARN = 30
 
 _KERNEL_FLOOR = 1e-14
-_CHUNK = 2048
+_BANDWIDTH_SUBSAMPLE = 2048
+_KERNEL_BAND = 256
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,6 @@ class DiffusionBasis:
     bandwidth: float
     points: np.ndarray
     scaling: np.ndarray
-    normalization: str = "bistochastic"
 
     @property
     def n_train(self) -> int:
@@ -141,9 +144,9 @@ def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
     n = points.shape[0]
-    if n > _CHUNK:
+    if n > _BANDWIDTH_SUBSAMPLE:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
-        sub = points[gen.choice(n, size=_CHUNK, replace=False)]
+        sub = points[gen.choice(n, size=_BANDWIDTH_SUBSAMPLE, replace=False)]
     else:
         sub = points
     d2 = _pairwise_sq_dists_chunk(sub, sub)
@@ -151,6 +154,27 @@ def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
     if positive.size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
     return float(np.sqrt(np.median(positive)) * factor)
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _kernel_lower(pts: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel with only the part on and below the diagonal filled.
+
+    Each band of _KERNEL_BAND rows fills K[i:j, :j], with the same bits as
+    the full kernel there; nothing above the diagonal is ever read.
+    """
+    n = pts.shape[0]
+    K = np.zeros((n, n))
+    for i in range(0, n, _KERNEL_BAND):
+        j = min(i + _KERNEL_BAND, n)
+        band = K[i:j, :j]
+        band[...] = _pairwise_sq_dists_chunk(pts[i:j], pts[:j])
+        band /= -bandwidth**2
+        np.exp(band, out=band)
+    return K
 
 
 def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
@@ -183,6 +207,13 @@ def diffusion_basis(
     constant; scaling by sqrt(N) gives basis functions with
     (1/N) sum_n phi_i(X_n) phi_j(X_n) = delta_ij.
 
+    The kernel is symmetric, so only its lower triangle is built and stored
+    (one dense N x N float64 array, upper part left zero), and every
+    product with it reads that triangle alone (BLAS dsymv).  The leading
+    eigenpairs come from ARPACK (eigsh) on the balanced operator; only when
+    M >= N - 1, where ARPACK cannot run, is the balanced matrix
+    diagonalised densely.
+
     Args:
         points: (N, p) training data, or a DelayEmbedding.
         M: number of eigenfunctions to keep (M <= N).
@@ -191,45 +222,53 @@ def diffusion_basis(
         rng: generator used only for the bandwidth subsample on large data.
 
     Raises:
-        SizeError: M > N.
-        ConfigError: non-positive bandwidth, or degenerate data under auto
-            bandwidth.
+        DomainError: non-finite training points.
+        SizeError: M outside 1..N, or an N x N kernel larger than the
+            machine's physical memory.
+        ConfigError: non-finite or non-positive bandwidth, or degenerate
+            data under auto bandwidth.
     """
     pts = np.asarray(getattr(points, "points", points), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("training points contain non-finite values")
     n = pts.shape[0]
     if M < 1 or M > n:
         raise SizeError(f"need 1 <= M <= {n}, got M={M}")
+    kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
+    if kernel_bytes > memory:
+        raise SizeError(
+            f"the {n} x {n} kernel needs {kernel_bytes} bytes, more than the "
+            f"{memory} bytes of physical memory")
     if M > LARGE_BASIS_WARN:
         warnings.warn(
             f"M={M} basis functions: high-order eigenfunctions are often "
             "poorly resolved and can degrade tapered forecasts")
     if bandwidth is None:
         bandwidth = _auto_bandwidth(pts, rng, bandwidth_factor)
-    if bandwidth <= 0:
-        raise ConfigError(f"bandwidth must be > 0, got {bandwidth}")
+    bandwidth = float(bandwidth)
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ConfigError(f"bandwidth must be finite and > 0, got {bandwidth}")
 
-    if n <= 4096:
-        K = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / bandwidth**2)
-        s = _sinkhorn_scaling(lambda v: K @ v, n)
-        P = (s[:, None] * K) * s[None, :]
-        P = 0.5 * (P + P.T)
-        lam, vecs = scipy.linalg.eigh(P, subset_by_index=[n - M, n - 1])
-        lam, vecs = lam[::-1].copy(), vecs[:, ::-1].copy()
-    else:
-        K = np.empty((n, n))
-        for i in range(0, n, _CHUNK):
-            block = _pairwise_sq_dists_chunk(pts[i:i + _CHUNK], pts)
-            block /= -bandwidth**2
-            np.exp(block, out=block)
-            K[i:i + _CHUNK] = block
-        s = _sinkhorn_scaling(lambda v: K @ v, n)
-        op = LinearOperator((n, n), matvec=lambda v: s * (K @ (s * v)),
+    K = _kernel_lower(pts, bandwidth)
+    # K.T is Fortran-ordered with the filled triangle as its upper one, so
+    # dsymv reads it in place and touches only that triangle
+    KT = K.T
+    s = _sinkhorn_scaling(lambda v: dsymv(1.0, KT, v, lower=0), n)
+    if M < n - 1:
+        op = LinearOperator((n, n), matvec=lambda v: s * dsymv(1.0, KT, s * v, lower=0),
                             dtype=np.float64)
         lam, vecs = eigsh(op, k=M, which="LA", v0=np.ones(n))
         order = np.argsort(lam)[::-1]
         lam, vecs = lam[order], vecs[:, order]
+    else:
+        # ARPACK needs M < n - 1
+        K *= s[:, None]
+        K *= s[None, :]
+        lam, vecs = scipy.linalg.eigh(K, lower=True, check_finite=False,
+                                      subset_by_index=[n - M, n - 1])
+        lam, vecs = lam[::-1].copy(), vecs[:, ::-1].copy()
 
     phi = np.sqrt(n) * vecs
     # deterministic sign convention: largest-magnitude entry positive

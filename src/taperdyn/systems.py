@@ -107,8 +107,10 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
-    if eps < 0:
-        raise ConfigError(f"eps must be >= 0, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"eps must be finite and >= 0, got {eps}")
+    if not (math.isfinite(x0) and math.isfinite(theta0)):
+        raise ConfigError(f"non-finite initial condition: x0={x0}, theta0={theta0}")
     theta = (theta0 + SQRT2 * np.arange(N)) % 1.0
     drive = 3.5 * (1.0 + eps * np.cos(TWO_PI * theta))
     x = array("d", [0.0]) * N

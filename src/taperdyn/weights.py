@@ -106,8 +106,11 @@ class WeightVector:
     kind: str = "custom"
 
     def __post_init__(self):
-        self.raw.setflags(write=False)
-        self.normalized.setflags(write=False)
+        # read-only views: the caller's arrays are neither copied nor frozen
+        for name in ("raw", "normalized"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return self.raw.shape[0]

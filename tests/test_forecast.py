@@ -1,10 +1,13 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from taperdyn import (
     ConfigError,
+    DomainError,
     RngStream,
     ShapeError,
     SizeError,
@@ -19,7 +22,12 @@ from taperdyn import (
     skill,
     uniform_weight,
 )
-from taperdyn.forecast import ShiftMatrix, _pair_average
+from taperdyn.forecast import (
+    ShiftMatrix,
+    _pair_average,
+    _pairwise_sq_dists_chunk,
+    _sinkhorn_scaling,
+)
 
 
 class TestDelayEmbed:
@@ -42,6 +50,35 @@ class TestDelayEmbed:
             delay_embed([1.0, 2.0], 0)
         with pytest.raises(SizeError):
             delay_embed([1.0, 2.0], 3)
+
+
+# the package exports a function named forecast, which hides the module
+forecast_module = importlib.import_module("taperdyn.forecast")
+
+
+def _dense_basis(pts, M, bandwidth):
+    """Reference basis: full kernel, K @ v Sinkhorn, dense eigh on s K s."""
+    n = pts.shape[0]
+    K = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / bandwidth**2)
+    s = _sinkhorn_scaling(lambda v: K @ v, n)
+    lam, vecs = scipy.linalg.eigh(s[:, None] * K * s[None, :],
+                                  subset_by_index=[n - M, n - 1])
+    phi = np.sqrt(n) * vecs[:, ::-1]
+    rows = np.argmax(np.abs(phi), axis=0)
+    phi *= np.sign(phi[rows, np.arange(M)])
+    return phi, lam[::-1], s
+
+
+def _rel(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail the test if diffusion_basis gets as far as building a kernel."""
+    def refuse(*args):
+        raise AssertionError("kernel built before the inputs were checked")
+    monkeypatch.setattr(forecast_module, "_kernel_lower", refuse)
 
 
 class TestDiffusionBasis:
@@ -82,6 +119,63 @@ class TestDiffusionBasis:
         with pytest.raises(ConfigError):
             diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)),
                             M=2, bandwidth=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_bandwidth_rejected(self, bandwidth, no_kernel):
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)),
+                            M=2, bandwidth=bandwidth)
+
+    def test_non_finite_bandwidth_factor_rejected(self, no_kernel):
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)),
+                            M=2, bandwidth_factor=math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bandwidth", [None, 1.0])
+    def test_non_finite_points_rejected(self, bad, bandwidth, no_kernel):
+        pts = np.random.default_rng(0).standard_normal((10, 2))
+        pts[4, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            diffusion_basis(pts, M=2, bandwidth=bandwidth)
+
+    def test_kernel_larger_than_memory_refused(self, monkeypatch, no_kernel):
+        limit = 1000 * 1000 * 8 - 1
+        monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: limit)
+        pts = np.random.default_rng(0).standard_normal((1000, 1))
+        with pytest.raises(SizeError, match=f"8000000 bytes.*{limit} bytes"):
+            diffusion_basis(pts, M=2, bandwidth=1.0)
+
+    def test_matches_dense_reference(self):
+        traj = ou_sample(1.0, 1.0, 0.0, 0.2, 1500, substeps=4,
+                         rng=RngStream(3, "basis"))
+        basis = diffusion_basis(traj.states, M=6)
+        phi, lam, s = _dense_basis(basis.points, 6, basis.bandwidth)
+        assert _rel(basis.phi, phi) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues, lam, rtol=1e-12)
+        assert _rel(basis.scaling, s) < 1e-12
+
+    def test_circle_pair_spans_dense_reference_eigenspace(self):
+        # the cos/sin pair is degenerate, so only its span is determined
+        angles = np.linspace(0, 2 * np.pi, 400, endpoint=False)
+        pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        basis = diffusion_basis(pts, M=3, bandwidth=0.5)
+        phi, lam, _ = _dense_basis(pts, 3, 0.5)
+        proj = basis.phi[:, 1:] @ basis.phi[:, 1:].T / 400
+        proj_ref = phi[:, 1:] @ phi[:, 1:].T / 400
+        assert _rel(proj, proj_ref) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues, lam, rtol=1e-12)
+
+    @pytest.mark.parametrize("extra", [1, 0])
+    def test_dense_branch_for_m_near_n(self, extra):
+        n = 30
+        pts = np.random.default_rng(6).standard_normal((n, 2))
+        basis = diffusion_basis(pts, M=n - extra, bandwidth=1.0)
+        gram = basis.phi.T @ basis.phi / n
+        assert np.max(np.abs(gram - np.eye(n - extra))) < 1e-12
+        # constant up to the balancing tolerance (Sinkhorn residual 1e-10)
+        lead = basis.phi[:, 0]
+        assert np.std(lead) / abs(np.mean(lead)) < 1e-9
 
     def test_large_basis_warns(self):
         pts = np.random.default_rng(1).standard_normal((80, 1))

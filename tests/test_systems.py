@@ -128,6 +128,15 @@ class TestDrivenLogistic:
         with pytest.raises(ConfigError):
             driven_logistic(-0.5, 0.25, 0.0, 10)
 
+    @pytest.mark.parametrize("eps, x0, theta0", [(math.nan, 0.25, 0.0),
+                                                 (math.inf, 0.25, 0.0),
+                                                 (0.1, math.nan, 0.0),
+                                                 (0.1, 0.25, -math.inf)])
+    def test_rejects_non_finite_arguments(self, eps, x0, theta0):
+        # rejected up front, not by the trajectory's own check after the loop
+        with pytest.raises(ConfigError, match="eps|initial condition"):
+            driven_logistic(eps, x0, theta0, 10)
+
 
 class TestStandardMap:
     def test_integrable_limit(self):

@@ -9,6 +9,7 @@ from taperdyn import (
     DegenerateWeightError,
     DomainError,
     SizeError,
+    WeightVector,
     custom_taper,
     eval_bump,
     exponential_bump,
@@ -95,3 +96,10 @@ class TestMakeWeightVector:
         wv = make_weight_vector(8, exponential_bump())
         with pytest.raises(ValueError):
             wv.raw[0] = 1.0
+
+    def test_caller_arrays_stay_writeable(self):
+        a = np.ones(5)
+        wv = WeightVector(a, 1.0, a / 5)
+        assert a.flags.writeable
+        assert not wv.raw.flags.writeable and not wv.normalized.flags.writeable
+        assert np.shares_memory(wv.raw, a)
