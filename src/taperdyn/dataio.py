@@ -8,6 +8,7 @@ are rejected.
 """
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -86,7 +87,7 @@ def _parse_float(cell: str, path, lineno: int) -> float:
         value = float(cell)
     except ValueError as exc:
         raise IngestError(f"{path}:{lineno}: cannot parse {cell!r} as a number") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise IngestError(f"{path}:{lineno}: non-finite value {cell!r}")
     return value
 

@@ -116,11 +116,17 @@ class DiffusionBasis:
         (point far outside the data support) the constant-mode vector is
         returned as a climatological fallback, in_support is False, and a
         warning is emitted.
+
+        Raises:
+            ShapeError: the point has the wrong dimension.
+            DomainError: the point holds NaN or inf.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.points.shape[1],):
             raise ShapeError(
                 f"expected a point of dimension {self.points.shape[1]}, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise DomainError(f"extension point contains non-finite values: {x!r}")
         d2 = ((self.points - x[None, :]) ** 2).sum(axis=1)
         row = np.exp(-d2 / self.bandwidth**2)
         if row.max() < _KERNEL_FLOOR:

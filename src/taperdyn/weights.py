@@ -7,6 +7,7 @@ the raw values and their normalization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,27 +26,27 @@ __all__ = [
     "uniform_weight_vector",
 ]
 
-# Below this, 1/(x(1-x)) overflows past the double range; the bump is
-# indistinguishable from zero there anyway.
-_BUMP_GUARD = 1e-300
-
 
 def eval_bump(x):
     """Unnormalized exponential bump exp(-1/(x(1-x))) on [0, 1].
 
     Returns exactly 0 at the endpoints and never produces NaN or overflow
-    for arguments inside the domain.  Accepts scalars or arrays.
+    for arguments inside the domain: where x(1-x) is 0 or below 1e-300 the
+    exponent is -inf or below -1e300, and exp gives exactly 0.  Accepts
+    scalars or arrays.
 
     Raises:
-        DomainError: if any argument lies outside [0, 1].
+        DomainError: if any argument lies outside [0, 1] or is NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # comparisons with NaN are False, so NaN fails this check too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError(f"bump argument outside [0, 1]: {x!r}")
-    prod = arr * (1.0 - arr)
-    out = np.zeros_like(arr)
-    inside = prod > _BUMP_GUARD
-    out[inside] = np.exp(-1.0 / prod[inside])
+    out = np.subtract(1.0, arr, out=np.empty_like(arr))
+    out *= arr
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -121,17 +122,23 @@ def make_weight_vector(N: int, w: WeightFunction) -> WeightVector:
 
     Raises:
         SizeError: if N < 2.
-        DegenerateWeightError: if the sampled weights sum to zero.
+        DegenerateWeightError: if the sampled weights are negative or
+            non-finite, or their sum is zero or overflows.
     """
     if N < 2:
         raise SizeError(f"weight vector needs N >= 2, got {N}")
-    raw = np.asarray(w(np.arange(N) / N), dtype=float)
+    x = np.arange(N, dtype=float)
+    x /= N
+    raw = np.asarray(w(x), dtype=float)
     if raw.shape != (N,):
         raise DegenerateWeightError(
             f"weight profile returned shape {raw.shape}, expected ({N},)")
-    if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
-        raise DegenerateWeightError("weight profile produced negative or non-finite values")
     alpha = float(raw.sum())
+    # NaN fails the min check; +-inf, and finite values whose sum
+    # overflows, make the sum non-finite
+    if not (raw.min() >= 0.0 and math.isfinite(alpha)):
+        raise DegenerateWeightError(
+            f"weight profile produced negative or non-finite values (sum {alpha})")
     if alpha <= 0.0:
         raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
     return WeightVector(raw=raw, alpha=alpha, normalized=raw / alpha, kind=w.kind)

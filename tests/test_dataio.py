@@ -56,6 +56,13 @@ class TestScalarComplex:
         with pytest.raises(IngestError, match=":2"):
             read_scalar_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_complex_rejects_non_finite_with_line(self, tmp_path, cell):
+        path = tmp_path / "c.csv"
+        path.write_text(f"re,im\n1.0,2.0\n0.5,{cell}\n")
+        with pytest.raises(IngestError, match=f":3: non-finite value '{cell}'"):
+            read_complex_csv(path)
+
     def test_parse_error_line_number(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1.0\n2.0\npotato\n")

@@ -200,6 +200,16 @@ class TestDiffusionBasis:
         assert c[0] == pytest.approx(basis.phi[0, 0])
         np.testing.assert_array_equal(c[1:], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_extension_rejects_non_finite_point(self, bad):
+        pts = np.random.default_rng(0).standard_normal((100, 1))
+        basis = diffusion_basis(pts, M=3, bandwidth=1.0)
+        with pytest.raises(DomainError):
+            basis.extend(np.array([bad]))
+        with pytest.raises(DomainError):
+            forecast(basis, ShiftMatrix(np.eye(3), weighted=False),
+                     np.array([bad]), 2, pts[:, 0])
+
 
 @pytest.fixture(scope="module")
 def ou_basis():

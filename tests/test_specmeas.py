@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from taperdyn import (
     cosine_sharp_filter,
     density,
     peak_report,
+    standard_map,
 )
 from taperdyn.specmeas import SpectralDensity
 
@@ -21,6 +23,33 @@ ALPHA = (math.sqrt(2.0) * TWO_PI) % TWO_PI
 
 def rotation_series(n, theta0=0.0):
     return np.exp(1j * ((theta0 + ALPHA * np.arange(n)) % TWO_PI))
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<c16").tobytes()).hexdigest()
+
+
+# recorded before the lag product was scaled in place: N = 20000, M = 100
+# on a chaotic standard-map orbit packed as p + i theta
+ACS_DIGEST = {
+    True: "5dc119af14a41d65f2ff6c66276188e8f2501f3dabfd7c9d23cbdf692648dadf",
+    False: "b22d17c7a9ebfed6ddc191353bdc912054ac4b0fecef60c6bb994ef3a20a4780",
+}
+
+
+def direct_density(coefficients, M, grid):
+    """The dense sum_n c_n e^{i n theta} over a G x (2M+1) exponential
+    matrix: the reference for the Horner evaluation."""
+    ns = np.arange(-M, M + 1)
+    return (np.exp(1j * np.outer(grid, ns)) @ coefficients).real
+
+
+def hermitian_coefficients(M, seed):
+    # decaying, as filtered autocorrelations are
+    g = np.random.default_rng(seed)
+    a = (g.standard_normal(M + 1) + 1j * g.standard_normal(M + 1)) / (1.0 + np.arange(M + 1))
+    a[0] = a[0].real
+    return np.concatenate([np.conj(a[:0:-1]), a])
 
 
 class TestAutocorrelations:
@@ -55,6 +84,27 @@ class TestAutocorrelations:
         with pytest.raises(SizeError):
             autocorrelations(series, 9)
         autocorrelations(series, 8)  # N - M = 2 samples is still legal
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_golden_digest(self, weighted):
+        states = standard_map(5.0, 0.5, 1.0, 20_000).states
+        series = states[:, 0] + 1j * states[:, 1]
+        acs = autocorrelations(series, 100, weighted=weighted)
+        assert sha256(acs.values) == ACS_DIGEST[weighted]
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_series_rejected(self, weighted, bad):
+        series = np.ones(100, dtype=complex)
+        series[37] = bad
+        with pytest.raises(DomainError):
+            autocorrelations(series, 10, weighted=weighted)
+
+    def test_series_not_modified(self):
+        series = rotation_series(300)
+        before = series.copy()
+        autocorrelations(series, 20)
+        np.testing.assert_array_equal(series, before)
 
     def test_weighted_and_plain_agree_on_random_phases(self):
         g = np.random.default_rng(11)
@@ -147,6 +197,37 @@ class TestDensity:
         acs = autocorrelations(np.ones(100, dtype=complex), 10)
         dens = density(acs)
         assert dens.eval(0.0) == pytest.approx(dens.eval_grid([0.0])[0])
+
+    @pytest.mark.parametrize("M", [1, 20, 100])
+    @pytest.mark.parametrize("grid_kind", ["uniform", "random"])
+    def test_eval_grid_matches_direct_sum(self, M, grid_kind):
+        c = hermitian_coefficients(M, seed=M)
+        if grid_kind == "uniform":
+            grid = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+        else:
+            grid = np.sort(np.random.default_rng(5).uniform(-4.0, 4.0, 777))
+        dens = SpectralDensity(coefficients=c, M=M)
+        ref = direct_density(c, M, grid)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(dens.eval_grid(grid) - ref)) <= 1e-13 * scale
+        for theta in grid[::97]:
+            assert abs(dens.eval(float(theta)) - direct_density(c, M, [theta])[0]) <= 1e-13 * scale
+
+    def test_eval_grid_m_zero_is_constant(self):
+        dens = SpectralDensity(coefficients=np.array([0.25 + 0j]), M=0)
+        np.testing.assert_array_equal(dens.eval_grid(np.linspace(-3, 3, 7)), 0.25)
+
+    def test_eval_grid_empty(self):
+        dens = SpectralDensity(coefficients=hermitian_coefficients(5, seed=1), M=5)
+        assert dens.eval_grid(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        dens = SpectralDensity(coefficients=hermitian_coefficients(5, seed=1), M=5)
+        with pytest.raises(DomainError):
+            dens.eval_grid(np.array([0.0, bad]))
+        with pytest.raises(DomainError):
+            dens.eval(bad)
 
     def test_non_hermitian_coefficients_rejected(self):
         bad = SpectralDensity(coefficients=np.array([1j, 1.0, 1j]), M=1)
