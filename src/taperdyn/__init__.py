@@ -53,7 +53,7 @@ from .forecast import (
     shift_matrix,
     skill,
 )
-from .linalg import LstsqSolution, eig, pinv_lstsq, sym_sqrt_inv, weighted_pair
+from .linalg import LstsqSolution, eig, pinv_lstsq, sym_sqrt_inv
 from .sindy import (
     SindyModel,
     TargetData,

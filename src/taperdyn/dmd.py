@@ -74,7 +74,6 @@ def dmd(
     pair: SnapshotPair,
     weights: WeightVector | None = None,
     rel_tol: float = linalg.DEFAULT_REL_TOL,
-    fit_reversed: bool = False,
 ) -> DmdResult:
     """Fit A minimizing ||Y_w - A X_w||_F with tapered snapshot matrices.
 
@@ -83,23 +82,11 @@ def dmd(
     leaves any exactly consistent linear model unchanged but accelerates
     convergence of the fit on ergodic data.
 
-    Args:
-        fit_reversed: compatibility switch that instead fits X from Y,
-            i.e. returns (X W^(1/2)) pinv(Y W^(1/2)).  Not the default; the
-            default orientation is the one whose large-N limit is the
-            forward-in-time propagator.
+    Raises:
+        ShapeError: weight length differs from the number of snapshot pairs.
+        DomainError: the snapshots hold NaN or infinity.
     """
-    X, Y = pair.X, pair.Y
-    if weights is not None:
-        if len(weights) != pair.n_pairs:
-            raise ShapeError(
-                f"weight length {len(weights)} != snapshot pairs {pair.n_pairs}")
-        X = linalg.weighted_pair(X, weights, axis=1)
-        Y = linalg.weighted_pair(Y, weights, axis=1)
-    if fit_reversed:
-        sol = linalg.pinv_lstsq(Y, X, rel_tol=rel_tol, fit="left")
-    else:
-        sol = linalg.pinv_lstsq(X, Y, rel_tol=rel_tol, fit="left")
+    sol = linalg.pinv_lstsq(pair.X, pair.Y, rel_tol=rel_tol, fit="left", weights=weights)
     values, vectors = linalg.eig(sol.matrix)
     return DmdResult(matrix=sol.matrix, eigenvalues=values, modes=vectors,
                      weighted=weights is not None, n_used=pair.n_pairs)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, ShapeError, SizeError
+from .errors import ConfigError, DomainError, ShapeError, SizeError
 from .systems import Trajectory
 from .weights import WeightVector
 
@@ -214,16 +214,14 @@ def edmd(
     """Minimal-norm minimizer of ||W^(1/2)(Phi - Psi K)||_F.
 
     weights=None gives the plain fit K = pinv(Psi) Phi; a taper reweights the
-    transition rows before the same truncated-SVD solve.
+    transition rows inside the same truncated-SVD solve.
+
+    Raises:
+        ShapeError: weight length differs from the transition count.
+        DomainError: Psi or Phi holds NaN or infinity.
     """
-    Psi, Phi = mats.Psi, mats.Phi
-    if weights is not None:
-        if len(weights) != mats.n_pairs:
-            raise ShapeError(
-                f"weight length {len(weights)} != transition count {mats.n_pairs}")
-        Psi = linalg.weighted_pair(Psi, weights, axis=0)
-        Phi = linalg.weighted_pair(Phi, weights, axis=0)
-    sol = linalg.pinv_lstsq(Psi, Phi, rel_tol=rel_tol, fit="right")
+    sol = linalg.pinv_lstsq(mats.Psi, mats.Phi, rel_tol=rel_tol, fit="right",
+                            weights=weights)
     return KoopmanMatrix(matrix=sol.matrix, weighted=weights is not None,
                          n_used=mats.n_pairs, psi_label=mats.psi_label,
                          phi_label=mats.phi_label,
@@ -247,7 +245,6 @@ def mpedmd(
     mats: DictionaryMatrices,
     weights: WeightVector | None = None,
     rel_tol: float = linalg.DEFAULT_REL_TOL,
-    cross_matrix: str = "psi_phi",
 ) -> MpedmdResult:
     """Measure-preserving Koopman fit via an SVD polar construction.
 
@@ -259,19 +256,16 @@ def mpedmd(
     rather than silently truncating, because the unitary structure degrades
     silently under rank truncation.
 
-    Args:
-        cross_matrix: "psi_phi" (default) correlates current-state rows with
-            next-state rows.  "phi_phi" is a compatibility variant using
-            A = Phi* W Phi; it discards the pairing between rows and cannot
-            track the dynamics, so it is exposed only for comparison.
+    Raises:
+        ShapeError: weight length differs from the transition count.
+        DomainError: Psi or Phi holds NaN or infinity.
+        ConditioningError: G is indefinite or ill-conditioned at rel_tol.
     """
     if mats.Psi.shape[1] != mats.Phi.shape[1]:
         raise ShapeError("mpedmd requires matching dictionary sizes (phi = psi)")
     if mats.psi_label and mats.phi_label and mats.psi_label != mats.phi_label:
         raise ConfigError(
             f"mpedmd requires phi = psi, got {mats.psi_label!r} vs {mats.phi_label!r}")
-    if cross_matrix not in ("psi_phi", "phi_phi"):
-        raise ConfigError(f"unknown cross_matrix mode: {cross_matrix!r}")
     N = mats.n_pairs
     if weights is not None:
         if len(weights) != N:
@@ -279,18 +273,18 @@ def mpedmd(
         wn = weights.normalized
     else:
         wn = np.full(N, 1.0 / N)
-    Psi_w = mats.Psi * np.sqrt(wn)[:, None]
-    Phi_w = mats.Phi * np.sqrt(wn)[:, None]
-    G = Psi_w.conj().T @ Psi_w
-    if cross_matrix == "psi_phi":
+    with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight row
+        Psi_w = mats.Psi * np.sqrt(wn)[:, None]
+        Phi_w = mats.Phi * np.sqrt(wn)[:, None]
+        G = Psi_w.conj().T @ Psi_w
         A = Psi_w.conj().T @ Phi_w
-    else:
-        A = Phi_w.conj().T @ Phi_w
+    if not (np.isfinite(G).all() and np.isfinite(A).all()):
+        raise DomainError("mpedmd data hold NaN or infinity")
     G_half, G_inv_half = linalg.sym_sqrt_inv(G, rel_tol=rel_tol)
     U1, _, U2h = np.linalg.svd(G_inv_half @ A.conj().T @ G_inv_half)
     U21 = U2h.conj().T @ U1.conj().T
     lam, Vhat = np.linalg.eig(U21)
-    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+    order = linalg._eig_order(lam)
     lam, Vhat = lam[order], Vhat[:, order]
     K = G_inv_half @ U21 @ G_half
     V = G_inv_half @ Vhat

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the fitting modules.
 
-Thin, contract-checked wrappers over LAPACK (via numpy/scipy): truncated-SVD
-least squares in both orientation conventions, sorted eigendecomposition,
-diagonal weighting of snapshot axes, and Hermitian square roots.  All kernels
-are stateless and safe for concurrent use on distinct inputs.
+Thin, contract-checked wrappers over LAPACK (via numpy/scipy): weighted
+truncated-SVD least squares in both orientation conventions, reduced by a
+blocked QR on tall data, sorted eigendecomposition, and Hermitian square
+roots.  All kernels are stateless and safe for concurrent use on distinct
+inputs.
 """
 from __future__ import annotations
 
@@ -12,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, NumericalError, ShapeError
+from .errors import ConditioningError, DomainError, NumericalError, ShapeError
 from .weights import WeightVector
 
 __all__ = [
     "DEFAULT_REL_TOL",
     "LstsqSolution",
-    "weighted_pair",
     "pinv_lstsq",
     "eig",
     "sym_sqrt_inv",
@@ -27,6 +27,12 @@ __all__ = [
 # Aggressive truncation would mask machine-precision convergence studies,
 # so the default keeps everything above eps-level noise.
 DEFAULT_REL_TOL = 1e-12
+
+# Samples per block of the TSQR reduction in pinv_lstsq.  On a weighted
+# 1e5 x 9 complex EDMD fit (2 vCPU AMD EPYC, OpenBLAS) 4096-8192 rows ran
+# fastest, 14 ms against 33 ms for the thin SVD of the whole matrix; 256 rows
+# took 19 ms and 65536 rows 22 ms.
+_TSQR_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,38 +44,50 @@ class LstsqSolution:
     singular_values: np.ndarray
 
 
-def _weight_diag(weights) -> np.ndarray:
-    if isinstance(weights, WeightVector):
-        diag = weights.raw
-    else:
-        diag = np.asarray(weights, dtype=float)
-    if diag.ndim != 1:
-        raise ShapeError(f"weight diagonal must be 1-D, got shape {diag.shape}")
-    return diag
+def _sqrt_weights(weights, n: int) -> np.ndarray:
+    diag = weights.raw if isinstance(weights, WeightVector) else np.asarray(weights, float)
+    if diag.shape != (n,):
+        raise ShapeError(f"weights have shape {diag.shape}, data has {n} samples")
+    return np.sqrt(diag)
 
 
-def weighted_pair(M: np.ndarray, weights, axis: int = -1) -> np.ndarray:
-    """Scale the data axis of M by the square roots of diagonal weights.
+def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w, left: bool):
+    """A small (A_r, B_r) with the least-squares problem of (W^½A, W^½B).
 
-    Applying twice is the same as scaling by the weights themselves.
-
-    Args:
-        M: data matrix.
-        weights: WeightVector or 1-D array of nonnegative weights (raw, not
-            normalized; normalization cancels in every downstream fit).
-        axis: which axis of M indexes the samples.
-
-    Raises:
-        ShapeError: weight length does not match the data axis.
+    The result is in the right-fit orientation (samples are rows): for
+    fit="left" the data are conjugate-transposed on the way in.  Up to one
+    block of samples the weighted data are the reduced problem.  Longer data
+    are walked in blocks of _TSQR_ROWS samples: each block of [W^½A | W^½B]
+    is copied into one reused buffer and replaced by its R factor, and the
+    stacked R factors are factored once more (TSQR).  Since [W^½A | W^½B] =
+    Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| = ||R_B - R_A K|| for
+    every K, and R_A has the singular values of W^½A.
     """
-    M = np.asarray(M)
-    diag = _weight_diag(weights)
-    if M.shape[axis] != diag.shape[0]:
-        raise ShapeError(
-            f"data axis {axis} has length {M.shape[axis]}, weights {diag.shape[0]}")
-    shape = [1] * M.ndim
-    shape[axis] = diag.shape[0]
-    return M * np.sqrt(diag).reshape(shape)
+    if left:
+        A, B = A.T, B.T  # conjugated below
+    n, L = A.shape
+    if n <= _TSQR_ROWS:
+        if left:
+            A, B = A.conj(), B.conj()
+        if sqrt_w is not None:
+            A, B = A * sqrt_w[:, None], B * sqrt_w[:, None]
+        return A, B
+    # the buffer keeps the caller's layout, so the copy runs along samples
+    buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float),
+                   order="F" if left else "C")
+    factors = []
+    for start in range(0, n, _TSQR_ROWS):
+        block = buf[:min(_TSQR_ROWS, n - start)]
+        stop = start + block.shape[0]
+        block[:, :L] = A[start:stop]
+        block[:, L:] = B[start:stop]
+        if left and np.iscomplexobj(block):
+            np.conjugate(block, out=block)
+        if sqrt_w is not None:
+            block *= sqrt_w[start:stop, None]
+        factors.append(np.linalg.qr(block, mode="r"))
+    R = np.linalg.qr(np.vstack(factors), mode="r")
+    return R[:, :L], R[:, L:]
 
 
 def _truncated_pinv_parts(A: np.ndarray, rel_tol: float):
@@ -93,16 +111,30 @@ def pinv_lstsq(
     B: np.ndarray,
     rel_tol: float = DEFAULT_REL_TOL,
     fit: str = "left",
+    weights=None,
 ) -> LstsqSolution:
-    """Truncated-SVD minimal-norm least squares in either orientation.
+    """Weighted truncated-SVD minimal-norm least squares in either orientation.
 
-    fit="left" minimizes ||B - K A||_F over K (solution K = B pinv(A));
-    fit="right" minimizes ||B - A K||_F (solution K = pinv(A) B).  Singular
-    values of A below rel_tol * sigma_max are treated as zero.  An all-zero
-    A yields the zero solution with effective_rank 0, not an error.
+    fit="left" minimizes ||(B - K A) W^(1/2)||_F over K (solution
+    K = B pinv(A) when unweighted); fit="right" minimizes
+    ||W^(1/2)(B - A K)||_F (solution K = pinv(A) B).  The diagonal taper W
+    runs over the sample axis: the columns of A and B for fit="left", their
+    rows for fit="right".  Data with more than _TSQR_ROWS samples are first
+    reduced by a blocked QR (TSQR) to a problem whose size does not grow with
+    the sample count; the truncated SVD then runs on the reduced A, whose
+    singular values are those of the weighted A.  Singular values below
+    rel_tol * sigma_max are treated as zero.  An all-zero A yields the zero
+    solution with effective_rank 0, not an error.  The caller's arrays are
+    only read.
+
+    Args:
+        weights: WeightVector (its raw values are used; normalization
+            cancels in the fit) or 1-D array of nonnegative weights, one per
+            sample; None for the unweighted fit.
 
     Raises:
         ShapeError: incompatible shapes or rel_tol outside (0, 1).
+        DomainError: the weighted data hold NaN or infinity.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -110,17 +142,26 @@ def pinv_lstsq(
         raise ShapeError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if fit not in ("left", "right"):
         raise ShapeError(f"fit must be 'left' or 'right', got {fit!r}")
-    if fit == "left":
-        # ||B - K A|| = ||B* - A* K*||: solve the transposed problem
-        if B.shape[1] != A.shape[1]:
-            raise ShapeError(f"||B - K A||: B is {B.shape}, A is {A.shape}")
-        sol = _pinv_right(A.conj().T, B.conj().T, rel_tol)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
+    left = fit == "left"
+    n = A.shape[1] if left else A.shape[0]
+    if (B.shape[1] if left else B.shape[0]) != n:
+        law = "||B - K A||" if left else "||B - A K||"
+        raise ShapeError(f"{law}: B is {B.shape}, A is {A.shape}")
+    sqrt_w = None if weights is None else _sqrt_weights(weights, n)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
+        A_r, B_r = _reduce(A, B, sqrt_w, left)
+    # NaN and inf survive the reduction, so the small factor shows them
+    if not (np.isfinite(A_r).all() and np.isfinite(B_r).all()):
+        raise DomainError("least-squares data hold NaN or infinity")
+    sol = _pinv_right(A_r, B_r, rel_tol)
+    if left:
+        # ||B - K A|| = ||B* - A* K*||: K is the conjugate transpose
         return LstsqSolution(matrix=sol.matrix.conj().T,
                              effective_rank=sol.effective_rank,
                              singular_values=sol.singular_values)
-    if B.shape[0] != A.shape[0]:
-        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
-    return _pinv_right(A, B, rel_tol)
+    return sol
 
 
 def _eig_order(values: np.ndarray) -> np.ndarray:

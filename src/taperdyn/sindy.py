@@ -66,14 +66,6 @@ class SindyModel:
     zeroed_rows: tuple = field(default=())
 
 
-def _weighted_design(Psi: np.ndarray, targets: np.ndarray, weights):
-    if weights is None:
-        return Psi, targets
-    sqrt_w = np.sqrt(weights.raw if isinstance(weights, WeightVector)
-                     else np.asarray(weights, dtype=float))
-    return Psi * sqrt_w[:, None], targets * sqrt_w[None, :]
-
-
 def stlsq(
     Psi: np.ndarray,
     targets: TargetData | np.ndarray,
@@ -99,6 +91,7 @@ def stlsq(
 
     Raises:
         ShapeError: sample-count mismatch between Psi, targets, or weights.
+        DomainError: Psi or the targets hold NaN or infinity.
     """
     Psi = np.asarray(Psi)
     if isinstance(targets, TargetData):
@@ -113,18 +106,16 @@ def stlsq(
     d = T.shape[0]
     if T.shape[1] != N:
         raise ShapeError(f"targets have {T.shape[1]} samples, Psi has {N} rows")
-    if weights is not None and len(weights) != N:
-        raise ShapeError(f"weight length {len(weights)} != sample count {N}")
     if max_iter is None:
         max_iter = L + 1
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
-    Psi_w, T_w = _weighted_design(Psi, T, weights)
-    dtype = np.result_type(Psi_w.dtype, T_w.dtype, float)
+    dtype = np.result_type(Psi.dtype, T.dtype, float)
     Xi = np.zeros((d, L), dtype=dtype)
-    # initial unrestricted solve: Xi = T_w pinv(Psi_w^T)
-    Xi[:] = linalg.pinv_lstsq(Psi_w.T, T_w, rel_tol=rel_tol, fit="left").matrix
+    # initial unrestricted solve: Xi = T pinv(Psi^T) in the weighted norm
+    Xi[:] = linalg.pinv_lstsq(Psi.T, T, rel_tol=rel_tol, fit="left",
+                              weights=weights).matrix
     active = np.ones((d, L), dtype=bool)
     if eta == 0.0:
         return SindyModel(Xi, active, eta, 1, True, mode, dictionary_label, ())
@@ -143,8 +134,8 @@ def stlsq(
             cols = np.flatnonzero(active[j])
             if cols.size == 0:
                 continue
-            sol = linalg.pinv_lstsq(Psi_w[:, cols].T, T_w[j:j + 1],
-                                    rel_tol=rel_tol, fit="left")
+            sol = linalg.pinv_lstsq(Psi[:, cols].T, T[j:j + 1], rel_tol=rel_tol,
+                                    fit="left", weights=weights)
             Xi[j, cols] = sol.matrix[0]
     else:
         converged = not (active & (np.abs(Xi) < eta)).any()

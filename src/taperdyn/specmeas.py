@@ -102,10 +102,11 @@ def cosine_filter(x):
     """Sharp cosine taper 1/2 + cos(pi x)/2 on [-1, 1].
 
     Raises:
-        DomainError: |x| > 1.
+        DomainError: |x| > 1 or x is NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
+    # comparisons with NaN are False, so NaN fails this check too
+    if not np.all(np.abs(arr) <= 1.0):
         raise DomainError(f"filter argument outside [-1, 1]: {x!r}")
     out = 0.5 + 0.5 * np.cos(np.pi * arr)
     if np.isscalar(x) or arr.ndim == 0:
@@ -120,7 +121,7 @@ def _smoothstep_quartic(t):
 
 def _bump_smoothstep(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
+    if not np.all(np.abs(arr) <= 1.0):  # NaN fails too
         raise DomainError(f"filter argument outside [-1, 1]: {x!r}")
     out = 1.0 - _smoothstep_quartic(np.abs(arr))
     if np.isscalar(x) or arr.ndim == 0:

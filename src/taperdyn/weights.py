@@ -70,7 +70,7 @@ class WeightFunction:
 
 def _uniform_profile(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise DomainError(f"weight argument outside [0, 1]: {x!r}")
     out = np.ones_like(arr)
     if np.isscalar(x) or arr.ndim == 0:

@@ -6,6 +6,11 @@ data/nino34.csv) and is skipped with a message when absent.  Everything
 else runs on built-in generators.  Run with `pytest -s tests/test_acceptance.py`
 to see the lines as they complete, or via `taperdyn bench`.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from taperdyn import bench
@@ -75,3 +80,17 @@ def test_criterion_12_nino34_forecast():
 
 def test_criterion_13_property_suite():
     _check("13")
+
+
+def test_criterion_13_with_package_only_on_sys_path(tmp_path):
+    # taperdyn reached through sys.path alone (no PYTHONPATH, no install, cwd
+    # elsewhere): the criterion's `python -m taperdyn.cli` children must
+    # still import it
+    src = Path(bench.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from taperdyn.bench import run_criterion; "
+            "r = run_criterion('13'); print(r.line()); sys.exit(0 if r.passed else 1)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -74,13 +74,6 @@ class TestDmd:
         diff = np.linalg.norm(uniform.matrix - classical.matrix)
         assert diff <= 1e-13 * np.linalg.norm(classical.matrix)
 
-    def test_fit_reversed_compatibility_flag(self, gen):
-        states = gen.standard_normal((40, 3))
-        pair = snapshot_pair(states)
-        fwd = dmd(pair)
-        rev = dmd(pair, fit_reversed=True)
-        assert not np.allclose(fwd.matrix, rev.matrix)
-
     def test_weight_length_mismatch(self, gen):
         pair = snapshot_pair(gen.standard_normal((10, 2)))
         with pytest.raises(ShapeError):

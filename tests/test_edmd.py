@@ -176,15 +176,6 @@ class TestMpedmd:
             atol=1e-9)
         np.testing.assert_allclose(b.matrix, Q.conj().T @ a.matrix @ Q, atol=1e-9)
 
-    def test_printed_cross_matrix_variant_differs(self):
-        orbit = rotation_orbit(1000)
-        mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=1))
-        default = mpedmd(mats)
-        printed = mpedmd(mats, cross_matrix="phi_phi")
-        assert not np.allclose(default.matrix, printed.matrix)
-        with pytest.raises(ConfigError):
-            mpedmd(mats, cross_matrix="nope")
-
     def test_requires_square(self, gen):
         states = gen.standard_normal((20, 2))
         mats = build_dictionary_matrices(states, identity_dictionary(2),

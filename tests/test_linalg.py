@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,17 @@ from taperdyn import (
     ConditioningError,
     RngStream,
     ShapeError,
+    build_dictionary_matrices,
+    edmd,
     eig,
+    fourier_dictionary,
     make_weight_vector,
     pinv_lstsq,
+    standard_map,
     sym_sqrt_inv,
     uniform_weight_vector,
-    weighted_pair,
 )
+from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.weights import exponential_bump
 
 
@@ -24,33 +29,156 @@ def gen():
     return RngStream(77, "linalg").generator()
 
 
-class TestWeightedPair:
+def _svd_reference(A, B, rel_tol=1e-12, fit="left", weights=None):
+    """The solve before the TSQR reduction: weight, then thin SVD of the full A."""
+    A, B = np.asarray(A), np.asarray(B)
+    if fit == "left":
+        A, B = A.conj().T, B.conj().T
+    if weights is not None:
+        sw = np.sqrt(np.asarray(getattr(weights, "raw", weights), dtype=float))
+        A, B = A * sw[:, None], B * sw[:, None]
+    U, S, Vh = np.linalg.svd(A, full_matrices=False)
+    if S.size == 0 or S[0] == 0.0:
+        inv, rank = np.zeros_like(S), 0
+    else:
+        keep = S > rel_tol * S[0]
+        inv, rank = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0), int(keep.sum())
+    K = (Vh.conj().T * inv) @ (U.conj().T @ B)
+    return (K.conj().T if fit == "left" else K), rank, S
+
+
+def _tall_problem(seed, N, L, m, complex_data):
+    # columns scaled over three decades, so the fit is not trivially conditioned
+    g = np.random.default_rng(seed)
+    A = g.standard_normal((N, L)) * np.logspace(0, -3, L)
+    B = A @ g.standard_normal((L, m)) + 0.1 * g.standard_normal((N, m))
+    if complex_data:
+        A = A + 1j * g.standard_normal((N, L)) * np.logspace(0, -3, L)
+        B = B + 1j * g.standard_normal((N, m))
+    return A, B
+
+
+class TestPinvWeights:
     def test_identity_weights_change_nothing(self, gen):
         M = gen.standard_normal((3, 6))
-        out = weighted_pair(M, np.ones(6), axis=1)
-        np.testing.assert_array_equal(out, M)
+        B = gen.standard_normal((2, 6))
+        out = pinv_lstsq(M, B, weights=np.ones(6))
+        np.testing.assert_array_equal(out.matrix, pinv_lstsq(M, B).matrix)
 
     def test_last_sample_only(self, gen):
         M = gen.standard_normal((3, 5))
-        out = weighted_pair(M, np.array([0.0, 0, 0, 0, 1.0]), axis=1)
-        np.testing.assert_array_equal(out[:, :4], 0.0)
-        np.testing.assert_array_equal(out[:, 4], M[:, 4])
+        B = gen.standard_normal((2, 5))
+        out = pinv_lstsq(M, B, weights=np.array([0.0, 0, 0, 0, 1.0]))
+        alone = pinv_lstsq(M[:, 4:], B[:, 4:])
+        np.testing.assert_allclose(out.matrix, alone.matrix, rtol=1e-13)
+        assert out.effective_rank == alone.effective_rank == 1
 
     def test_twice_equals_diag_scaling(self, gen):
+        # weighting by diag is the unweighted fit of the sqrt(diag)-scaled data
         M = gen.standard_normal((4, 7))
+        B = gen.standard_normal((2, 7))
         diag = gen.uniform(0.1, 2.0, 7)
-        twice = weighted_pair(weighted_pair(M, diag, axis=1), diag, axis=1)
-        np.testing.assert_allclose(twice, M * diag[None, :], rtol=1e-14)
+        out = pinv_lstsq(M, B, weights=diag)
+        sw = np.sqrt(diag)
+        scaled = pinv_lstsq(M * sw, B * sw)
+        np.testing.assert_allclose(out.matrix, scaled.matrix, rtol=1e-14)
 
     def test_accepts_weight_vector(self, gen):
         M = gen.standard_normal((8, 3))
+        B = gen.standard_normal((8, 2))
         wv = make_weight_vector(8, exponential_bump())
-        out = weighted_pair(M, wv, axis=0)
-        np.testing.assert_allclose(out, M * np.sqrt(wv.raw)[:, None], rtol=1e-15)
+        out = pinv_lstsq(M, B, fit="right", weights=wv)
+        raw = pinv_lstsq(M, B, fit="right", weights=wv.raw.copy())
+        np.testing.assert_array_equal(out.matrix, raw.matrix)
 
     def test_shape_error(self, gen):
         with pytest.raises(ShapeError):
-            weighted_pair(gen.standard_normal((3, 5)), np.ones(4), axis=1)
+            pinv_lstsq(gen.standard_normal((3, 5)), np.ones((2, 5)), weights=np.ones(4))
+        with pytest.raises(ShapeError):
+            pinv_lstsq(gen.standard_normal((3, 5)), np.ones((2, 5)),
+                       weights=np.ones((5, 1)))
+
+
+class TestTsqrAgainstSvd:
+    """The blocked-QR reduction against the full thin-SVD solve it replaced."""
+
+    @pytest.mark.parametrize("N", [1, 6, _TSQR_ROWS - 1, _TSQR_ROWS, _TSQR_ROWS + 1,
+                                   3 * _TSQR_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("fit", ["left", "right"])
+    def test_matches_reference(self, N, complex_data, weighted, fit):
+        L, m = 6, 4
+        A, B = _tall_problem(N, N, L, m, complex_data)
+        weights = None
+        if weighted:  # a weight vector needs N >= 2
+            weights = make_weight_vector(N, exponential_bump()) if N > 1 else [0.5]
+        if fit == "left":
+            A, B = A.T, B.T
+        sol = pinv_lstsq(A, B, fit=fit, weights=weights)
+        K_ref, rank_ref, S_ref = _svd_reference(A, B, fit=fit, weights=weights)
+        assert sol.effective_rank == rank_ref
+        err = np.linalg.norm(sol.matrix - K_ref) / np.linalg.norm(K_ref)
+        assert err <= 1e-12
+        np.testing.assert_allclose(sol.singular_values, S_ref, rtol=0,
+                                   atol=1e-13 * S_ref[0])
+
+    @pytest.mark.parametrize("N", [500, 3 * _TSQR_ROWS + 1])
+    def test_truncation(self, gen, N):
+        Q, _ = np.linalg.qr(gen.standard_normal((N, 6)))
+        V, _ = np.linalg.qr(gen.standard_normal((6, 6)))
+        A = Q @ np.diag([1.0, 0.5, 0.1, 1e-14, 1e-15, 0.0]) @ V.T
+        B = gen.standard_normal((N, 2))
+        sol = pinv_lstsq(A, B, rel_tol=1e-10, fit="right")
+        K_ref, rank_ref, _ = _svd_reference(A, B, rel_tol=1e-10, fit="right")
+        assert sol.effective_rank == rank_ref == 3
+        np.testing.assert_allclose(sol.matrix, K_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("N", [5, 3 * _TSQR_ROWS + 1])
+    def test_zero_matrix(self, N):
+        sol = pinv_lstsq(np.zeros((3, N)), np.ones((2, N)), fit="left",
+                         weights=np.ones(N))
+        assert sol.effective_rank == 0
+        np.testing.assert_array_equal(sol.matrix, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("N", [50, 2 * _TSQR_ROWS + 3])
+    @pytest.mark.parametrize("fit", ["left", "right"])
+    def test_inputs_neither_changed_nor_frozen(self, N, fit):
+        A, B = _tall_problem(1, N, 4, 2, complex_data=True)
+        if fit == "left":
+            A, B = A.T, B.T
+        w = make_weight_vector(N, exponential_bump()).raw.copy()
+        before = [a.copy() for a in (A, B, w)]
+        pinv_lstsq(A, B, fit=fit, weights=w)
+        for arr, old in zip((A, B, w), before):
+            np.testing.assert_array_equal(arr, old)
+            assert arr.flags.writeable
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edmd_on_a_quasiperiodic_orbit(self, weighted):
+        # the koopman-long fit: 3x3 Fourier dictionary on a libration of
+        # the lambda = 0.25 standard map, 1e5 transitions
+        orbit = standard_map(0.25, 0.5, math.pi, 100_001)
+        mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
+        wv = make_weight_vector(mats.n_pairs, exponential_bump()) if weighted else None
+        fit = edmd(mats, wv)
+        K_ref, rank_ref, _ = _svd_reference(mats.Psi, mats.Phi, fit="right", weights=wv)
+        assert fit.effective_rank == rank_ref == 9
+        assert np.linalg.norm(fit.matrix - K_ref) <= 1e-12 * np.linalg.norm(K_ref)
+
+    def test_edmd_peak_allocation_is_small(self):
+        # 1e5 x 9 complex: Psi and Phi hold 14.4 MB each; the fit allocates
+        # O(block) memory, where a weighted copy of either would not fit
+        orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (100_001, 2))
+        mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
+        wv = make_weight_vector(mats.n_pairs, exponential_bump())
+        tracemalloc.start()
+        try:
+            edmd(mats, wv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestPinvLstsq:

@@ -147,6 +147,13 @@ class TestFilters:
         with pytest.raises(DomainError):
             cosine_filter(1.01)
 
+    @pytest.mark.parametrize("make", [lambda: cosine_filter, bump_smoothstep_filter])
+    @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan]),
+                                   np.array([np.inf, 0.0])])
+    def test_non_finite_rejected(self, make, x):
+        with pytest.raises(DomainError):
+            make()(x)
+
     def test_cosine_even(self):
         x = np.linspace(0, 1, 21)
         np.testing.assert_allclose(cosine_filter(x), cosine_filter(-x), rtol=1e-15)

@@ -151,6 +151,11 @@ class TestMakeWeightVector:
         assert wv.alpha > 0.0
         assert len(wv) == N
 
+    @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan]), np.array([-0.1])])
+    def test_uniform_profile_domain(self, x):
+        with pytest.raises(DomainError):
+            uniform_weight()(x)
+
     def test_uniform_helper(self):
         assert np.array_equal(uniform_weight_vector(4).normalized, np.full(4, 0.25))
 
