@@ -49,7 +49,6 @@ from .forecast import (
     diffusion_basis,
     forecast,
     nino34_compare,
-    nino34_pipeline,
     shift_matrix,
     skill,
 )

@@ -34,7 +34,6 @@ __all__ = [
     "shift_matrix",
     "forecast",
     "skill",
-    "nino34_pipeline",
     "nino34_compare",
 ]
 
@@ -45,6 +44,8 @@ LARGE_BASIS_WARN = 30
 _KERNEL_FLOOR = 1e-14
 _BANDWIDTH_SUBSAMPLE = 2048
 _KERNEL_BAND = 256
+_LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
+_LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,32 @@ def _kernel_lower(pts: np.ndarray, bandwidth: float) -> np.ndarray:
     return K
 
 
+def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray | None:
+    """Greedy pivoted Cholesky factor L (n x r, r <= cap) of the Gaussian kernel.
+
+    Each step pivots on the largest residual diagonal entry and computes that
+    one kernel column.  K - L L^T is positive semidefinite, so the residual
+    trace sum(d) bounds ||K - L L^T||_2: L is returned once that is at most
+    _LOWRANK_TOL * n, None when cap columns do not get there.
+    """
+    n = pts.shape[0]
+    rows = np.empty((min(cap, 64), n))  # rows of L^T, doubled when full
+    d = np.ones(n)
+    for r in range(cap):
+        if d.sum() <= _LOWRANK_TOL * n:
+            return rows[:r].T
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(r, cap - r), n))])
+        i = int(np.argmax(d))
+        col = np.exp(((pts - pts[i]) ** 2).sum(axis=1) / -bandwidth**2)
+        col -= rows[:r, i] @ rows[:r]
+        col /= math.sqrt(d[i])
+        rows[r] = col
+        d -= col * col
+        np.maximum(d, 0.0, out=d)  # rounding must not shrink the certificate
+    return rows.T if d.sum() <= _LOWRANK_TOL * n else None
+
+
 def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
     """Diagonal s with s_i (K s)_i = 1, balancing a positive kernel."""
     s = np.full(n, 1.0)
@@ -196,6 +223,32 @@ def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
     raise ConfigError(
         f"kernel balancing did not converge (residual {err:.3e}); "
         "the kernel may contain exact zero blocks (bandwidth too small)")
+
+
+def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
+    """(s, lam, vecs) of the balanced kernel from its dense lower triangle."""
+    n = pts.shape[0]
+    kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
+    if kernel_bytes > memory:
+        raise SizeError(f"the {n} x {n} kernel needs {kernel_bytes} bytes, more "
+                        f"than the {memory} bytes of physical memory")
+    K = _kernel_lower(pts, bandwidth)
+    # K.T is Fortran-ordered with the filled triangle as its upper one, so
+    # dsymv reads it in place and touches only that triangle
+    KT = K.T
+    s = _sinkhorn_scaling(lambda v: dsymv(1.0, KT, v, lower=0), n)
+    if M < n - 1:
+        op = LinearOperator((n, n), matvec=lambda v: s * dsymv(1.0, KT, s * v, lower=0),
+                            dtype=np.float64)
+        lam, vecs = eigsh(op, k=M, which="LA", v0=np.ones(n))
+        order = np.argsort(lam)[::-1]
+        return s, lam[order], vecs[:, order]
+    # ARPACK needs M < n - 1
+    K *= s[:, None]
+    K *= s[None, :]
+    lam, vecs = scipy.linalg.eigh(K, lower=True, check_finite=False,
+                                  subset_by_index=[n - M, n - 1])
+    return s, lam[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def diffusion_basis(
@@ -213,12 +266,14 @@ def diffusion_basis(
     constant; scaling by sqrt(N) gives basis functions with
     (1/N) sum_n phi_i(X_n) phi_j(X_n) = delta_ij.
 
-    The kernel is symmetric, so only its lower triangle is built and stored
-    (one dense N x N float64 array, upper part left zero), and every
-    product with it reads that triangle alone (BLAS dsymv).  The leading
-    eigenpairs come from ARPACK (eigsh) on the balanced operator; only when
-    M >= N - 1, where ARPACK cannot run, is the balanced matrix
-    diagonalised densely.
+    A greedy pivoted Cholesky factor K ~ L L^T (N x r, r <= N // 32) is
+    tried first.  Its residual is positive semidefinite, so the residual
+    trace bounds ||K - L L^T||_2.  When that bound is at most 1e-16 N (about
+    the rounding error of a dense float64 kernel) and M <= r, balancing uses
+    the products L (L^T v) and the eigenpairs come from one thin SVD of
+    diag(s) L.  Otherwise only the kernel's lower triangle is built (one
+    N x N array) and read (BLAS dsymv), and ARPACK (eigsh) finds the leading
+    eigenpairs, or a dense eigensolver when M >= N - 1.
 
     Args:
         points: (N, p) training data, or a DelayEmbedding.
@@ -229,8 +284,8 @@ def diffusion_basis(
 
     Raises:
         DomainError: non-finite training points.
-        SizeError: M outside 1..N, or an N x N kernel larger than the
-            machine's physical memory.
+        SizeError: M outside 1..N, or, on the dense path, an N x N kernel
+            larger than the machine's physical memory.
         ConfigError: non-finite or non-positive bandwidth, or degenerate
             data under auto bandwidth.
     """
@@ -242,11 +297,6 @@ def diffusion_basis(
     n = pts.shape[0]
     if M < 1 or M > n:
         raise SizeError(f"need 1 <= M <= {n}, got M={M}")
-    kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
-    if kernel_bytes > memory:
-        raise SizeError(
-            f"the {n} x {n} kernel needs {kernel_bytes} bytes, more than the "
-            f"{memory} bytes of physical memory")
     if M > LARGE_BASIS_WARN:
         warnings.warn(
             f"M={M} basis functions: high-order eigenfunctions are often "
@@ -257,24 +307,14 @@ def diffusion_basis(
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ConfigError(f"bandwidth must be finite and > 0, got {bandwidth}")
 
-    K = _kernel_lower(pts, bandwidth)
-    # K.T is Fortran-ordered with the filled triangle as its upper one, so
-    # dsymv reads it in place and touches only that triangle
-    KT = K.T
-    s = _sinkhorn_scaling(lambda v: dsymv(1.0, KT, v, lower=0), n)
-    if M < n - 1:
-        op = LinearOperator((n, n), matvec=lambda v: s * dsymv(1.0, KT, s * v, lower=0),
-                            dtype=np.float64)
-        lam, vecs = eigsh(op, k=M, which="LA", v0=np.ones(n))
-        order = np.argsort(lam)[::-1]
-        lam, vecs = lam[order], vecs[:, order]
+    L = _pivoted_cholesky(pts, bandwidth, max(n // _LOWRANK_CAP_DIV, 1))
+    if L is not None and M <= L.shape[1]:
+        s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), n)
+        U, sigma, _ = np.linalg.svd(s[:, None] * L, full_matrices=False)
+        # column-major like eigsh's vectors: forecasts read phi by columns
+        lam, vecs = sigma[:M] ** 2, np.asfortranarray(U[:, :M])
     else:
-        # ARPACK needs M < n - 1
-        K *= s[:, None]
-        K *= s[None, :]
-        lam, vecs = scipy.linalg.eigh(K, lower=True, check_finite=False,
-                                      subset_by_index=[n - M, n - 1])
-        lam, vecs = lam[::-1].copy(), vecs[:, ::-1].copy()
+        s, lam, vecs = _dense_eigenpairs(pts, M, bandwidth)
 
     phi = np.sqrt(n) * vecs
     # deterministic sign convention: largest-magnitude entry positive
@@ -536,20 +576,3 @@ def nino34_compare(
     }
     return res_u, res_w, details
 
-
-def nino34_pipeline(
-    csv_path,
-    train_range: tuple[str, str] = ("1920-01", "1999-12"),
-    valid_range: tuple[str, str] = ("2000-01", "2013-12"),
-    lags: int = 6,
-    M: int = 14,
-    weighted: bool = False,
-    k_max: int = 16,
-    bandwidth: float | None = None,
-    w: WeightFunction | None = None,
-) -> ForecastResult:
-    """End-to-end skill of one forecast mode on a monthly index CSV."""
-    res_u, res_w, _ = nino34_compare(csv_path, train_range, valid_range,
-                                     lags=lags, M=M, k_max=k_max,
-                                     bandwidth=bandwidth, w=w)
-    return res_w if weighted else res_u

@@ -48,6 +48,8 @@ def _sqrt_weights(weights, n: int) -> np.ndarray:
     diag = weights.raw if isinstance(weights, WeightVector) else np.asarray(weights, float)
     if diag.shape != (n,):
         raise ShapeError(f"weights have shape {diag.shape}, data has {n} samples")
+    if not (np.isfinite(diag).all() and (diag >= 0).all()):
+        raise DomainError("weights must be finite and non-negative")
     return np.sqrt(diag)
 
 
@@ -134,7 +136,8 @@ def pinv_lstsq(
 
     Raises:
         ShapeError: incompatible shapes or rel_tol outside (0, 1).
-        DomainError: the weighted data hold NaN or infinity.
+        DomainError: the weighted data hold NaN or infinity, or raw-array
+            weights are negative or not finite.
     """
     A = np.asarray(A)
     B = np.asarray(B)

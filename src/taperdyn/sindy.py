@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .edmd import monomial_dictionary
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .systems import RngStream, harmonic_series
 from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
 
@@ -43,7 +43,7 @@ class TargetData:
         if self.mode not in ("discrete", "continuous"):
             raise ConfigError(f"mode must be 'discrete' or 'continuous', got {self.mode!r}")
         if not np.all(np.isfinite(values)):
-            raise ConfigError("targets contain non-finite values")
+            raise DomainError("targets contain non-finite values")
 
 
 @dataclass(frozen=True)

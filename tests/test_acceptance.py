@@ -69,7 +69,6 @@ def test_criterion_10_mpedmd_structure():
     _check("10")
 
 
-@pytest.mark.slow
 def test_criterion_11_diffusion_forecast_ou():
     _check("11")
 

@@ -73,18 +73,37 @@ def _rel(a, ref):
     return np.linalg.norm(a - ref) / np.linalg.norm(ref)
 
 
+def _refuse(*args):
+    raise AssertionError("kernel work this test does not allow")
+
+
 @pytest.fixture
-def no_kernel(monkeypatch):
-    """Fail the test if diffusion_basis gets as far as building a kernel."""
-    def refuse(*args):
-        raise AssertionError("kernel built before the inputs were checked")
-    monkeypatch.setattr(forecast_module, "_kernel_lower", refuse)
+def no_dense_kernel(monkeypatch):
+    """Fail the test if diffusion_basis builds the dense n x n kernel."""
+    monkeypatch.setattr(forecast_module, "_kernel_lower", _refuse)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch, no_dense_kernel):
+    """Fail the test if diffusion_basis starts any kernel work, dense or low-rank."""
+    monkeypatch.setattr(forecast_module, "_pivoted_cholesky", _refuse)
+
+
+def _ou_training(n):
+    return ou_sample(1.0, 1.0, 0.0, 0.2, n, substeps=4, rng=RngStream(3, "basis")).states
 
 
 class TestDiffusionBasis:
-    def test_identical_points_keep_only_constant_mode(self):
+    def test_identical_points_keep_only_constant_mode(self, monkeypatch):
+        # the kernel is certified at rank 1 < M, so the dense path must run
         pts = np.ones((40, 1))
+        assert forecast_module._pivoted_cholesky(pts, 1.0, 1).shape == (40, 1)
+        dense_builds = []
+        kernel_lower = forecast_module._kernel_lower
+        monkeypatch.setattr(forecast_module, "_kernel_lower",
+                            lambda *a: dense_builds.append(a) or kernel_lower(*a))
         basis = diffusion_basis(pts, M=3, bandwidth=1.0)
+        assert len(dense_builds) == 1
         np.testing.assert_allclose(basis.kernel_eigenvalues[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(basis.kernel_eigenvalues[1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(np.abs(basis.phi[:, 0]), 1.0, atol=1e-12)
@@ -139,21 +158,59 @@ class TestDiffusionBasis:
         with pytest.raises(DomainError, match="non-finite"):
             diffusion_basis(pts, M=2, bandwidth=bandwidth)
 
-    def test_kernel_larger_than_memory_refused(self, monkeypatch, no_kernel):
+    def test_kernel_larger_than_memory_refused(self, monkeypatch, no_dense_kernel):
+        # 3-dimensional data: no certified low-rank factor within the cap,
+        # so the dense path and its memory check run
         limit = 1000 * 1000 * 8 - 1
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: limit)
-        pts = np.random.default_rng(0).standard_normal((1000, 1))
+        pts = np.random.default_rng(0).standard_normal((1000, 3))
         with pytest.raises(SizeError, match=f"8000000 bytes.*{limit} bytes"):
             diffusion_basis(pts, M=2, bandwidth=1.0)
 
-    def test_matches_dense_reference(self):
-        traj = ou_sample(1.0, 1.0, 0.0, 0.2, 1500, substeps=4,
-                         rng=RngStream(3, "basis"))
-        basis = diffusion_basis(traj.states, M=6)
-        phi, lam, s = _dense_basis(basis.points, 6, basis.bandwidth)
-        assert _rel(basis.phi, phi) < 1e-12
-        np.testing.assert_allclose(basis.kernel_eigenvalues, lam, rtol=1e-12)
-        assert _rel(basis.scaling, s) < 1e-12
+    def test_low_rank_route_needs_no_kernel_memory(self, monkeypatch, no_dense_kernel):
+        monkeypatch.setattr(forecast_module, "_physical_memory_bytes",
+                            lambda: 1500 * 1500 * 8 - 1)
+        basis = diffusion_basis(_ou_training(1500), M=6)
+        gram = basis.phi.T @ basis.phi / basis.n_train
+        assert np.max(np.abs(gram - np.eye(6))) < 1e-12
+
+    def test_pivoted_cholesky_certificate(self):
+        # the trace of K - L L^T, recomputed from a kernel built with direct
+        # differences, meets the certificate; the second case certifies at
+        # rank 91 of cap 93, past the 64-row buffer's first doubling
+        for pts, bandwidth, rank in ((_ou_training(1500), 1.0, 26),
+                                     (np.linspace(0.0, 1.0, 3000)[:, None], 0.05, 91)):
+            n = pts.shape[0]
+            L = forecast_module._pivoted_cholesky(pts, bandwidth, n // 32)
+            assert L.shape == (n, rank)
+            K = np.exp(-((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) / bandwidth**2)
+            assert np.trace(K - L @ L.T) <= 1e-16 * n
+        wide = np.random.default_rng(0).standard_normal((1000, 3))
+        assert forecast_module._pivoted_cholesky(wide, 1.0, 1000 // 32) is None
+
+    def test_matches_dense_reference(self, no_dense_kernel):
+        for n in (1500, 4000):
+            basis = diffusion_basis(_ou_training(n), M=6)
+            phi, lam, s = _dense_basis(basis.points, 6, basis.bandwidth)
+            assert _rel(basis.phi, phi) < 1e-12
+            np.testing.assert_allclose(basis.kernel_eigenvalues, lam, rtol=1e-12)
+            assert _rel(basis.scaling, s) < 1e-12
+
+    def test_low_rank_route_matches_dense_route_at_benchmark_size(self, monkeypatch):
+        # n = 8000, M = 10 as in the diffusion-ou benchmark; the reference
+        # is the package's own dense path, since _dense_basis's full eigh
+        # takes about 11 s and 1.6 GB at this size on a 2-CPU machine
+        traj = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
+                         rng=RngStream(1, "perfbench/ou"))
+        with monkeypatch.context() as m:
+            m.setattr(forecast_module, "_kernel_lower", _refuse)
+            basis = diffusion_basis(traj.states, M=10, rng=np.random.default_rng([1, 3]))
+        monkeypatch.setattr(forecast_module, "_pivoted_cholesky", lambda *a: None)
+        dense = diffusion_basis(traj.states, M=10, bandwidth=basis.bandwidth)
+        assert _rel(basis.phi, dense.phi) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues, dense.kernel_eigenvalues,
+                                   rtol=1e-12)
+        assert _rel(basis.scaling, dense.scaling) < 1e-12
 
     def test_circle_pair_spans_dense_reference_eigenspace(self):
         # the cos/sin pair is degenerate, so only its span is determined

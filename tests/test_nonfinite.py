@@ -16,11 +16,13 @@ from taperdyn import (
     DictionaryMatrices,
     DomainError,
     SnapshotPair,
+    TargetData,
     dmd,
     edmd,
     exponential_bump,
     make_weight_vector,
     mpedmd,
+    pinv_lstsq,
     stlsq,
 )
 from taperdyn.linalg import _TSQR_ROWS
@@ -77,3 +79,22 @@ def test_finite_data_fit_without_warnings(fitter):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _fit(fitter, first, second, make_weight_vector(N, exponential_bump()))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("everywhere", [False, True])
+def test_bad_raw_weights_are_named(bad, everywhere):
+    weights = np.full(10, bad) if everywhere else np.ones(10)
+    weights[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="weights must be finite and non-negative"):
+            pinv_lstsq(np.ones((2, 10)), np.ones((1, 10)), weights=weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_target_data_raise_domain_error(bad):
+    targets = np.ones((1, 5))
+    targets[0, 2] = bad
+    with pytest.raises(DomainError, match="targets contain non-finite values"):
+        TargetData(targets)
