@@ -202,29 +202,19 @@ def criterion_7() -> BenchResult:
 def criterion_8() -> BenchResult:
     """Harmonic surrogate: sparse recovery of x'' = -x, with and without noise."""
     t0 = time.perf_counter()
-    dictionary = monomial_dictionary(5, dim=1)
-    exact = sindy.harmonic_oscillator_exact(6)
-    amplitude, phase, k = 2.0, 0.7, 0.01
+    amplitude, k = 2.0, 0.01
 
-    def fit_errors(N, sigma, rng, eta):
-        data = harmonic_series(amplitude, phase, k, N, noise_sigma=sigma, rng=rng)
-        Psi = dictionary(data.interior_positions[:, None]).real
-        T = data.second_derivative[None, :]
-        wv = make_weight_vector(N, exponential_bump())
-        out = {}
-        out["LS"] = sindy.stlsq(Psi, T, eta=0.0, weights=None)
-        out["wtLS"] = sindy.stlsq(Psi, T, eta=0.0, weights=wv)
-        out["SINDy"] = sindy.stlsq(Psi, T, eta=eta, weights=None)
-        out["wtSINDy"] = sindy.stlsq(Psi, T, eta=eta, weights=wv)
-        return {name: float(np.linalg.norm(m.coefficients.real - exact))
-                for name, m in out.items()}
+    def fit_errors(N, sigma, rng):
+        rows = sindy.sindy_error_sweep([N], [1e-2], amplitude=amplitude, dt=k,
+                                       noise_sigma=sigma, rng=rng)
+        return {row.method: row.coeff_error for row in rows}
 
-    clean = fit_errors(10_000, 0.0, None, eta=1e-2)
+    clean = fit_errors(10_000, 0.0, None)
     ok_clean = clean["wtSINDy"] < 1e-3 and clean["SINDy"] < 1e-3
     # noise level set so the finite-difference derivative has amplitude SNR 10:
     # FD noise std = sqrt(6) sigma / k^2 against signal std A / sqrt(2)
     sigma = amplitude * k**2 / (10.0 * math.sqrt(12.0))
-    noisy = fit_errors(5_000, sigma, RngStream(17, "bench/sindy"), eta=1e-2)
+    noisy = fit_errors(5_000, sigma, RngStream(17, "bench/sindy"))
     ok_order = (noisy["wtSINDy"] <= noisy["SINDy"]
                 and noisy["LS"] >= 5.0 * noisy["SINDy"]
                 and noisy["LS"] >= 5.0 * noisy["wtSINDy"])

@@ -60,26 +60,34 @@ def write_complex_matrix_csv(path, matrix: np.ndarray) -> None:
     """Complex matrix as CSV with two columns per entry (re_j, im_j)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     header = ",".join(f"re_{j},im_{j}" for j in range(matrix.shape[1]))
-    expanded = []
-    for row in matrix:
-        cells = []
-        for v in row:
-            cells.append(fmt(v.real))
-            cells.append(fmt(v.imag))
-        expanded.append(cells)
-    write_csv_atomic(path, header, expanded)
+    write_csv_atomic(path, header, ([part for v in row for part in (v.real, v.imag)]
+                                    for row in matrix))
 
 
-def _open_rows(path):
+def _data_rows(path, comments: list | None = None):
+    """(lineno, cells) for each data row of a CSV file.
+
+    Blank lines and '#' comments are skipped; comment texts are appended to
+    `comments` when given.  The first data row is an optional header: it is
+    skipped when its first cell is not a number.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"file not found: {path}")
+    first = True
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
+                if text and comments is not None:
+                    comments.append(text)
                 continue
-            yield lineno, text
+            cells = text.split(",")
+            if first:
+                first = False
+                if not _is_number(cells[0]):
+                    continue
+            yield lineno, cells
 
 
 def _parse_float(cell: str, path, lineno: int) -> float:
@@ -93,13 +101,10 @@ def _parse_float(cell: str, path, lineno: int) -> float:
 
 
 def read_scalar_csv(path) -> np.ndarray:
-    """One real value per row (an optional non-numeric header row is skipped)."""
+    """One real value per row (an optional header row is skipped)."""
     values = []
-    for lineno, text in _open_rows(path):
-        cell = text.split(",")[0]
-        if lineno == 1 and not _is_number(cell):
-            continue
-        values.append(_parse_float(cell, path, lineno))
+    for lineno, cells in _data_rows(path):
+        values.append(_parse_float(cells[0], path, lineno))
     if not values:
         raise IngestError(f"{path}: no data rows")
     return np.array(values)
@@ -108,10 +113,7 @@ def read_scalar_csv(path) -> np.ndarray:
 def read_complex_csv(path) -> np.ndarray:
     """Two columns re,im per row (optional header row skipped)."""
     values = []
-    for lineno, text in _open_rows(path):
-        cells = text.split(",")
-        if lineno == 1 and not _is_number(cells[0]):
-            continue
+    for lineno, cells in _data_rows(path):
         if len(cells) < 2:
             raise IngestError(f"{path}:{lineno}: expected two columns re,im")
         re = _parse_float(cells[0], path, lineno)
@@ -138,12 +140,8 @@ def read_nino34_csv(path):
     """
     months: list[tuple[int, int]] = []
     values: list[float] = []
-    saw_header = False
-    for lineno, text in _open_rows(path):
-        cells = [c.strip() for c in text.split(",")]
-        if not saw_header and not _is_number(cells[0]):
-            saw_header = True
-            continue
+    for lineno, cells in _data_rows(path):
+        cells = [c.strip() for c in cells]
         if len(cells) < 3:
             raise IngestError(f"{path}:{lineno}: expected year,month,value")
         try:
@@ -171,31 +169,20 @@ def read_nino34_csv(path):
 def read_trajectory_csv(path) -> Trajectory:
     """State rows, one time step per row; optional '# system=... dt=... seed=...'
     comment header restores metadata."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"file not found: {path}")
+    comments: list[str] = []
+    rows = [[_parse_float(c, path, lineno) for c in cells]
+            for lineno, cells in _data_rows(path, comments)]
     dt, seed, meta = 1.0, None, {}
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                for token in text[1:].split():
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        if key == "dt":
-                            dt = float(val)
-                        elif key == "seed":
-                            seed = None if val == "none" else int(val)
-                        else:
-                            meta[key] = val
-                continue
-            cells = text.split(",")
-            if lineno == 1 and not _is_number(cells[0]):
-                continue
-            rows.append([_parse_float(c, path, lineno) for c in cells])
+    for text in comments:
+        for token in text[1:].split():
+            if "=" in token:
+                key, _, val = token.partition("=")
+                if key == "dt":
+                    dt = float(val)
+                elif key == "seed":
+                    seed = None if val == "none" else int(val)
+                else:
+                    meta[key] = val
     if not rows:
         raise IngestError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -206,21 +193,9 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Inverse of read_trajectory_csv."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            name = traj.meta.get("system", "unknown")
-            seed = "none" if traj.seed is None else traj.seed
-            fh.write(f"# system={name} dt={fmt(traj.dt)} seed={seed}\n")
-            for row in traj.states:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    seed = "none" if traj.seed is None else traj.seed
+    write_csv_atomic(path, f"# system={traj.meta.get('system', 'unknown')} "
+                     f"dt={fmt(traj.dt)} seed={seed}", traj.states)
 
 
 _FORMATS = {

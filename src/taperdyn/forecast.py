@@ -149,18 +149,43 @@ def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _lower_bands(pts: np.ndarray):
+    """(i, j, d2) per band of _KERNEL_BAND rows: d2 = squared distances of
+    rows i..j-1 to rows 0..j-1, the band's part on and below the diagonal."""
+    n = pts.shape[0]
+    for i in range(0, n, _KERNEL_BAND):
+        j = min(i + _KERNEL_BAND, n)
+        yield i, j, _pairwise_sq_dists_chunk(pts[i:j], pts[:j])
+
+
 def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
+    """factor times the median positive distance over distinct pairs i < j.
+
+    Each pair is visited once and self-pairs never enter: for p > 1 the
+    diagonal of the distance formula holds rounding residues, not zeros.
+    """
     n = points.shape[0]
     if n > _BANDWIDTH_SUBSAMPLE:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
         sub = points[gen.choice(n, size=_BANDWIDTH_SUBSAMPLE, replace=False)]
     else:
         sub = points
-    d2 = _pairwise_sq_dists_chunk(sub, sub)
-    positive = d2[d2 > 0]
+    # np.tri(.., i - 1) keeps band row r's columns c < i + r: pairs i < j once
+    positive = np.concatenate([d2[np.tri(j - i, j, i - 1, dtype=bool) & (d2 > 0)]
+                               for i, j, d2 in _lower_bands(sub)])
     if positive.size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
-    return float(np.sqrt(np.median(positive)) * factor)
+    return float(np.sqrt(_median(positive)) * factor)
+
+
+def _median(values: np.ndarray):
+    """np.median of a 1-D array, bit for bit, partitioning `values` in place:
+    numpy's two-kth partition, used by np.median on even sizes, is slower."""
+    k = values.size // 2
+    values.partition(k)
+    if values.size % 2:
+        return values[k]
+    return (values[:k].max() + values[k]) / 2
 
 
 def _physical_memory_bytes() -> int:
@@ -175,10 +200,9 @@ def _kernel_lower(pts: np.ndarray, bandwidth: float) -> np.ndarray:
     """
     n = pts.shape[0]
     K = np.zeros((n, n))
-    for i in range(0, n, _KERNEL_BAND):
-        j = min(i + _KERNEL_BAND, n)
+    for i, j, d2 in _lower_bands(pts):
         band = K[i:j, :j]
-        band[...] = _pairwise_sq_dists_chunk(pts[i:j], pts[:j])
+        band[...] = d2
         band /= -bandwidth**2
         np.exp(band, out=band)
     return K
@@ -278,8 +302,9 @@ def diffusion_basis(
     Args:
         points: (N, p) training data, or a DelayEmbedding.
         M: number of eigenfunctions to keep (M <= N).
-        bandwidth: kernel width eps; None selects the median pairwise
-            distance of (a subsample of) the data times bandwidth_factor.
+        bandwidth: kernel width eps; None selects bandwidth_factor times
+            the median positive distance over the distinct pairs i < j of
+            (a subsample of) the data.
         rng: generator used only for the bandwidth subsample on large data.
 
     Raises:

@@ -48,12 +48,11 @@ class RngStream:
 
     seed: int
     label: str = ""
-    algorithm: str = "pcg64"
 
     def split(self, label: str) -> "RngStream":
         """Derive an independent child stream for the given label."""
         path = f"{self.label}/{label}" if self.label else label
-        return RngStream(seed=self.seed, label=path, algorithm=self.algorithm)
+        return RngStream(seed=self.seed, label=path)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator; identical (seed, label) gives identical draws."""
@@ -103,10 +102,12 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
     theta_{n+1} = theta_n + sqrt(2) mod 1.
 
     eps = 0 gives the plain period-4 logistic regime, eps = 0.01 a
-    quasiperiodic response, eps = 0.1 chaos.
+    quasiperiodic response, eps = 0.1 chaos.  The loop runs on Python
+    floats: a numpy-scalar x0 would make every step numpy scalar arithmetic.
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
+    x0 = float(x0)
     if not (math.isfinite(eps) and eps >= 0):
         raise ConfigError(f"eps must be finite and >= 0, got {eps}")
     if not (math.isfinite(x0) and math.isfinite(theta0)):
@@ -310,12 +311,18 @@ def ou_sample(
 
     Each recorded sample advances `substeps` internal Euler steps of size
     dt/substeps.  The stationary variance approaches diffusion^2/(2 theta_rate).
+    The scalar arguments become Python floats once, so the loop runs on them.
 
     Raises:
-        ConfigError: if 1 - theta_rate*dt/substeps <= 0 (unstable step).
+        ConfigError: a non-finite argument, theta_rate, diffusion or dt <= 0,
+            substeps < 1, or 1 - theta_rate*dt/substeps <= 0 (unstable step).
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
+    theta_rate, diffusion, x0, dt = float(theta_rate), float(diffusion), float(x0), float(dt)
+    if not all(map(math.isfinite, (theta_rate, diffusion, x0, dt))):
+        raise ConfigError("theta_rate, diffusion, x0 and dt must be finite, got "
+                          f"{theta_rate}, {diffusion}, {x0}, {dt}")
     if theta_rate <= 0 or diffusion <= 0 or dt <= 0 or substeps < 1:
         raise ConfigError("theta_rate, diffusion, dt must be > 0 and substeps >= 1")
     h = dt / substeps

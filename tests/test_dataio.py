@@ -121,6 +121,60 @@ class TestTrajectoryRoundTrip:
             read_trajectory_csv(path)
 
 
+class TestHeaderAfterComments:
+    """The first data row is the optional header, wherever it sits."""
+
+    @pytest.mark.parametrize("prefix", ["", "# note\n", "\n", "# a\n\n# b\n"])
+    def test_complex(self, tmp_path, prefix):
+        path = tmp_path / "c.csv"
+        path.write_text(prefix + "re,im\n1,0\n0.5,-2\n")
+        np.testing.assert_array_equal(read_complex_csv(path), [1.0, 0.5 - 2.0j])
+
+    @pytest.mark.parametrize("prefix", ["", "# note\n", "\n"])
+    def test_scalar(self, tmp_path, prefix):
+        path = tmp_path / "s.csv"
+        path.write_text(prefix + "value\n1.5\n2.5\n")
+        np.testing.assert_array_equal(read_scalar_csv(path), [1.5, 2.5])
+
+    def test_nino34(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("# source\n\nyear,month,value\n1999,12,0.5\n2000,1,0.7\n")
+        months, values = read_nino34_csv(path)
+        assert months == [(1999, 12), (2000, 1)]
+        np.testing.assert_array_equal(values, [0.5, 0.7])
+
+    def test_trajectory_header_under_metadata_line(self, tmp_path):
+        traj = Trajectory(np.arange(6.0).reshape(3, 2), dt=0.5, seed=3,
+                          meta={"system": "demo"})
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, traj)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "p,theta", *lines[1:]]) + "\n")
+        back = read_trajectory_csv(path)
+        np.testing.assert_array_equal(back.states, traj.states)
+        assert (back.dt, back.seed, back.meta["system"]) == (0.5, 3, "demo")
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_scalar_csv, "# note\nvalue\n1.0\nvalue\n"),
+        (read_complex_csv, "\nre,im\n1,0\nre,im\n"),
+        (read_nino34_csv, "\nyear,month,value\n1999,12,0.5\nyear,month,value\n"),
+        (read_trajectory_csv, "# dt=1\np,theta\n1,2\np,theta\n"),
+    ])
+    def test_only_the_first_data_row_may_be_a_header(self, tmp_path, reader, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=":4:"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_scalar_csv, read_complex_csv,
+                                        read_nino34_csv, read_trajectory_csv])
+    def test_header_alone_has_no_data_rows(self, tmp_path, reader):
+        path = tmp_path / "x.csv"
+        path.write_text("# note\nheader,b,c\n")
+        with pytest.raises(IngestError, match="no data rows"):
+            reader(path)
+
+
 class TestIngestDispatch:
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.csv"

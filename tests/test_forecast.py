@@ -93,6 +93,82 @@ def _ou_training(n):
     return ou_sample(1.0, 1.0, 0.0, 0.2, n, substeps=4, rng=RngStream(3, "basis")).states
 
 
+def _bandwidth_subsample(points, seed):
+    """The subsample _auto_bandwidth draws with default_rng(seed)."""
+    n = points.shape[0]
+    if n <= forecast_module._BANDWIDTH_SUBSAMPLE:
+        return points
+    gen = np.random.default_rng(seed)
+    return points[gen.choice(n, size=forecast_module._BANDWIDTH_SUBSAMPLE, replace=False)]
+
+
+def _full_matrix_bandwidth(points, seed):
+    """The former rule: the median over every positive entry of the full
+    distance matrix, so each pair counts twice and diagonal residues enter."""
+    sub = _bandwidth_subsample(points, seed)
+    d2 = _pairwise_sq_dists_chunk(sub, sub)
+    return float(np.sqrt(np.median(d2[d2 > 0])))
+
+
+def _distinct_pairs_bandwidth(points, seed):
+    """The median positive distance over pairs i < j, same distance formula."""
+    sub = _bandwidth_subsample(points, seed)
+    d2 = _pairwise_sq_dists_chunk(sub, sub)[np.tril_indices(sub.shape[0], -1)]
+    return float(np.sqrt(np.median(d2[d2 > 0])))
+
+
+def _auto_bandwidth(points, seed):
+    return forecast_module._auto_bandwidth(points, np.random.default_rng(seed), 1.0)
+
+
+class TestAutoBandwidth:
+    @pytest.mark.parametrize("n", [8000, 1500])
+    def test_one_dimensional_matches_full_matrix_median(self, n):
+        # for p = 1 the full matrix is exactly symmetric with a zero diagonal,
+        # and doubling every value of a multiset keeps its median
+        pts = _ou_training(n)
+        assert _auto_bandwidth(pts, 5) == _full_matrix_bandwidth(pts, 5)
+
+    @pytest.mark.parametrize("lags, n", [(2, 1500), (3, 2000), (3, 6000)])
+    def test_embedded_data_drop_diagonal_residues(self, lags, n):
+        pts = delay_embed(_ou_training(n + lags - 1)[:, 0], lags).points
+        sub = _bandwidth_subsample(pts, 5)
+        assert (np.diag(_pairwise_sq_dists_chunk(sub, sub)) > 0).any()
+        got = _auto_bandwidth(pts, 5)
+        assert got == _distinct_pairs_bandwidth(pts, 5)
+        assert got != _full_matrix_bandwidth(pts, 5)
+        assert got == pytest.approx(_full_matrix_bandwidth(pts, 5), rel=1e-3)
+
+    @pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 513])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_band_edges(self, m, p):
+        pts = np.random.default_rng(m).standard_normal((m, p))
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+        if p == 1:
+            assert _auto_bandwidth(pts, 0) == _full_matrix_bandwidth(pts, 0)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_duplicate_points_are_left_out(self, p):
+        pts = np.random.default_rng(9).integers(0, 4, (300, p)).astype(float)
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (300, 2), (3000, 1)])
+    def test_identical_points_rejected(self, shape):
+        with pytest.raises(ConfigError, match="all pairwise distances are zero"):
+            _auto_bandwidth(np.full(shape, 0.7), 0)
+
+    def test_factor_scales(self):
+        pts = _ou_training(500)
+        assert (forecast_module._auto_bandwidth(pts, None, 2.5)
+                == 2.5 * _distinct_pairs_bandwidth(pts, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 4096, 4097])
+    def test_median_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.random(n), rng.integers(0, 3, n).astype(float)):
+            assert forecast_module._median(values.copy()) == np.median(values)
+
+
 class TestDiffusionBasis:
     def test_identical_points_keep_only_constant_mode(self, monkeypatch):
         # the kernel is certified at rank 1 < M, so the dense path must run

@@ -67,6 +67,18 @@ GOLDEN = {
                           rng=RngStream(8, "golden")).states,
         "8460fd7abe5a49d196f7a3cdd89e8634e3face02535701f00a4955f7a4ecd892"),
 }
+# numpy-scalar arguments (as rng.uniform draws are) give the same bits
+F64 = np.float64
+GOLDEN["logistic-0.01-numpy-scalars"] = (
+    lambda: driven_logistic(F64(0.01), F64(0.25), F64(0.1), 2000).states,
+    GOLDEN["logistic-0.01"][1])
+GOLDEN["logistic-0.1-numpy-scalars"] = (
+    lambda: driven_logistic(F64(0.1), F64(0.25), F64(0.1), 2000).states,
+    GOLDEN["logistic-0.1"][1])
+GOLDEN["ou-substeps-25-numpy-scalars"] = (
+    lambda: ou_sample(F64(1.0), F64(math.sqrt(2.0)), F64(0.3), F64(0.1), 2000,
+                      substeps=25, rng=RngStream(8, "golden")).states,
+    GOLDEN["ou-substeps-25"][1])
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -297,6 +309,21 @@ class TestOuSample:
     def test_unstable_step_rejected(self):
         with pytest.raises(ConfigError):
             ou_sample(100.0, 1.0, 0.0, 0.1, 10, substeps=1)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.0, 0.1),
+                                      (1.0, math.nan, 0.0, 0.1),
+                                      (1.0, math.inf, 0.0, 0.1),
+                                      (1.0, 1.0, math.nan, 0.1),
+                                      (1.0, 1.0, math.inf, 0.1),
+                                      (1.0, 1.0, 0.0, math.nan)])
+    def test_rejects_non_finite_arguments(self, args, monkeypatch):
+        # rejected up front: no noise is drawn, and the message names the
+        # arguments rather than the trajectory
+        def no_generator(self):
+            raise AssertionError("the Euler loop ran")
+        monkeypatch.setattr(RngStream, "generator", no_generator)
+        with pytest.raises(ConfigError, match="must be finite"):
+            ou_sample(*args, 20000, substeps=25)
 
 
 class TestQuasiperiodicField:
