@@ -60,8 +60,14 @@ def write_complex_matrix_csv(path, matrix: np.ndarray) -> None:
     """Complex matrix as CSV with two columns per entry (re_j, im_j)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     header = ",".join(f"re_{j},im_{j}" for j in range(matrix.shape[1]))
-    write_csv_atomic(path, header, ([part for v in row for part in (v.real, v.imag)]
-                                    for row in matrix))
+    expanded = []
+    for row in matrix:
+        cells = []
+        for v in row:
+            cells.append(fmt(v.real))
+            cells.append(fmt(v.imag))
+        expanded.append(cells)
+    write_csv_atomic(path, header, expanded)
 
 
 def _data_rows(path, comments: list | None = None):

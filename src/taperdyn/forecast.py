@@ -175,17 +175,7 @@ def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
                                for i, j, d2 in _lower_bands(sub)])
     if positive.size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
-    return float(np.sqrt(_median(positive)) * factor)
-
-
-def _median(values: np.ndarray):
-    """np.median of a 1-D array, bit for bit, partitioning `values` in place:
-    numpy's two-kth partition, used by np.median on even sizes, is slower."""
-    k = values.size // 2
-    values.partition(k)
-    if values.size % 2:
-        return values[k]
-    return (values[:k].max() + values[k]) / 2
+    return float(np.sqrt(np.median(positive)) * factor)
 
 
 def _physical_memory_bytes() -> int:

@@ -311,7 +311,6 @@ def ou_sample(
 
     Each recorded sample advances `substeps` internal Euler steps of size
     dt/substeps.  The stationary variance approaches diffusion^2/(2 theta_rate).
-    The scalar arguments become Python floats once, so the loop runs on them.
 
     Raises:
         ConfigError: a non-finite argument, theta_rate, diffusion or dt <= 0,
@@ -319,7 +318,6 @@ def ou_sample(
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
-    theta_rate, diffusion, x0, dt = float(theta_rate), float(diffusion), float(x0), float(dt)
     if not all(map(math.isfinite, (theta_rate, diffusion, x0, dt))):
         raise ConfigError("theta_rate, diffusion, x0 and dt must be finite, got "
                           f"{theta_rate}, {diffusion}, {x0}, {dt}")

@@ -162,12 +162,6 @@ class TestAutoBandwidth:
         assert (forecast_module._auto_bandwidth(pts, None, 2.5)
                 == 2.5 * _distinct_pairs_bandwidth(pts, 0))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 4096, 4097])
-    def test_median_matches_numpy(self, n):
-        rng = np.random.default_rng(n)
-        for values in (rng.random(n), rng.integers(0, 3, n).astype(float)):
-            assert forecast_module._median(values.copy()) == np.median(values)
-
 
 class TestDiffusionBasis:
     def test_identical_points_keep_only_constant_mode(self, monkeypatch):

@@ -75,10 +75,6 @@ GOLDEN["logistic-0.01-numpy-scalars"] = (
 GOLDEN["logistic-0.1-numpy-scalars"] = (
     lambda: driven_logistic(F64(0.1), F64(0.25), F64(0.1), 2000).states,
     GOLDEN["logistic-0.1"][1])
-GOLDEN["ou-substeps-25-numpy-scalars"] = (
-    lambda: ou_sample(F64(1.0), F64(math.sqrt(2.0)), F64(0.3), F64(0.1), 2000,
-                      substeps=25, rng=RngStream(8, "golden")).states,
-    GOLDEN["ou-substeps-25"][1])
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
