@@ -62,7 +62,6 @@ from .sindy import (
 )
 from .specmeas import (
     AutocorrelationSet,
-    FilterFunction,
     SpectralDensity,
     autocorrelations,
     bump_smoothstep_filter,
@@ -82,14 +81,11 @@ from .systems import (
     standard_map,
 )
 from .weights import (
-    WeightFunction,
     WeightVector,
-    custom_taper,
     eval_bump,
     exponential_bump,
     make_weight_vector,
     uniform_weight,
-    uniform_weight_vector,
 )
 
 __version__ = "0.1.0"

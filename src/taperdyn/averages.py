@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, exponential_bump, make_weight_vector
 
 __all__ = ["AverageResult", "SweepRow", "birkhoff_average", "convergence_sweep"]
 
@@ -80,7 +80,7 @@ def convergence_sweep(
     observable: Callable,
     N_values: Sequence[int],
     benchmark_N: int,
-    w: WeightFunction | None = None,
+    w: Callable | None = None,
 ) -> list[SweepRow]:
     """Absolute errors of plain and tapered averages against a long benchmark.
 
@@ -96,12 +96,15 @@ def convergence_sweep(
         w: taper profile; defaults to the exponential bump.
 
     Raises:
-        SizeError: if the orbit is shorter than benchmark_N or any N exceeds it.
+        SizeError: no window lengths, the orbit is shorter than benchmark_N,
+            or some N exceeds it.
     """
     states = getattr(orbit, "states", orbit)
     states = np.asarray(states)
     if w is None:
         w = exponential_bump()
+    if len(N_values) == 0:
+        raise SizeError("convergence sweep needs at least one window length")
     if benchmark_N > states.shape[0]:
         raise SizeError(
             f"benchmark_N={benchmark_N} exceeds orbit length {states.shape[0]}")

@@ -38,7 +38,7 @@ from .edmd import (
 from .edmd import edmd as edmd_fit
 from .edmd import mpedmd as mpedmd_fit
 from .forecast import nino34_compare
-from .dataio import fmt, ingest_series, write_csv_atomic
+from .dataio import ingest_series, matrix_csv, write_csv_atomic, write_lines_atomic
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -81,23 +81,20 @@ class Option:
     help: str
 
 
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    if str(text).lower() in ("1", "true", "yes", "on"):
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
         return True
-    if str(text).lower() in ("0", "false", "no", "off"):
+    if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
-def _parse_int_list(text) -> tuple:
-    if isinstance(text, tuple):
-        return text
-    try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+def _parse_int_list(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_kick(text: str):
+    return text if text == "resample" else float(text)
 
 
 _COMMON = [
@@ -127,7 +124,7 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "edmd": _COMMON + [
         Option("input", str, "", "trajectory CSV; empty = built-in standard map"),
-        Option("lam", str, "0.25", "kick strength, or 'resample' for uniform [0,5]"),
+        Option("lam", _parse_kick, 0.25, "kick strength, or 'resample' for uniform [0,5]"),
         Option("p0", float, 1.0, "initial momentum"),
         Option("theta0", float, 0.5, "initial angle"),
         Option("N", int, 10_000, "number of transitions"),
@@ -137,7 +134,7 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "mpedmd": _COMMON + [
         Option("input", str, "", "trajectory CSV; empty = built-in standard map"),
-        Option("lam", str, "0.25", "kick strength, or 'resample'"),
+        Option("lam", _parse_kick, 0.25, "kick strength, or 'resample'"),
         Option("p0", float, 1.0, "initial momentum"),
         Option("theta0", float, 0.5, "initial angle"),
         Option("N", int, 10_000, "number of transitions"),
@@ -203,23 +200,27 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
+    """Each option's text from its flag, else the config file, else (outdir
+    only) TAPERDYN_OUTDIR, parsed here and only here; else its default."""
     specs = OPTIONS[subcommand]
     file_values = _read_config_file(args.config) if args.config else {}
     known = {spec.name for spec in specs}
     for key in file_values:
         if key not in known:
             raise ConfigError(f"config key {key!r} is not an option of {subcommand!r}")
+    env_values = {"outdir": os.environ.get("TAPERDYN_OUTDIR")}
     resolved = {}
     for spec in specs:
-        flag_value = getattr(args, spec.name, None)
-        if flag_value is not None:
-            resolved[spec.name] = flag_value
-        elif spec.name in file_values:
-            resolved[spec.name] = spec.type(file_values[spec.name])
-        elif spec.name == "outdir":
-            resolved[spec.name] = os.environ.get("TAPERDYN_OUTDIR", spec.default)
-        else:
+        text = getattr(args, spec.name, None)
+        if text is None:
+            text = file_values.get(spec.name, env_values.get(spec.name))
+        if text is None:
             resolved[spec.name] = spec.default
+            continue
+        try:
+            resolved[spec.name] = spec.type(text)
+        except ValueError as exc:
+            raise ConfigError(f"option {spec.name}: cannot parse {text!r}") from exc
     return resolved
 
 
@@ -243,7 +244,7 @@ def _weight_fn(cfg):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns {filename: (header, rows)}
+# subcommand runners: each returns {filename: (header, rows) or [lines]}
 
 
 def _run_average(cfg) -> dict:
@@ -294,26 +295,15 @@ def _run_dmd(cfg) -> dict:
               r.relerr_eigs_unw, r.relerr_eigs_w) for r in rows])
     fit = dmd_fit(snapshot_pair(traj), make_weight_vector(n_pairs, w))
     outputs["dmd_eigs.csv"] = ("re,im", [(v.real, v.imag) for v in fit.eigenvalues])
-    outputs["dmd_matrix.csv"] = _matrix_output(fit.matrix)
+    outputs["dmd_matrix.csv"] = matrix_csv(fit.matrix)
     return outputs
-
-
-def _matrix_output(matrix) -> tuple:
-    matrix = np.atleast_2d(matrix)
-    if np.iscomplexobj(matrix):
-        header = ",".join(f"re_{j},im_{j}" for j in range(matrix.shape[1]))
-        rows = [[c for v in row for c in (v.real, v.imag)] for row in matrix]
-    else:
-        header = ",".join(f"c_{j}" for j in range(matrix.shape[1]))
-        rows = [list(row) for row in matrix]
-    return header, rows
 
 
 def _edmd_matrices(cfg):
     if cfg["input"]:
         traj = ingest_series(cfg["input"], "trajectory_csv")
     else:
-        lam = "uniform_resample" if cfg["lam"] == "resample" else float(cfg["lam"])
+        lam = "uniform_resample" if cfg["lam"] == "resample" else cfg["lam"]
         traj = standard_map(lam, cfg["p0"], cfg["theta0"], cfg["N"] + 1,
                             rng=RngStream(cfg["seed"], "cli/standard-map"))
     dim = traj.dim
@@ -333,7 +323,7 @@ def _run_edmd(cfg) -> dict:
     w = _weight_fn(cfg)
     weights = make_weight_vector(mats.n_pairs, w)
     K = edmd_fit(mats, weights)
-    outputs = {"edmd_matrix.csv": _matrix_output(K.matrix)}
+    outputs = {"edmd_matrix.csv": matrix_csv(K.matrix)}
     if K.matrix.shape[0] == K.matrix.shape[1]:
         from .linalg import eig
         values, _ = eig(K.matrix)
@@ -346,7 +336,7 @@ def _run_mpedmd(cfg) -> dict:
     w = _weight_fn(cfg)
     res = mpedmd_fit(mats, make_weight_vector(mats.n_pairs, w))
     return {
-        "mpedmd_matrix.csv": _matrix_output(res.matrix),
+        "mpedmd_matrix.csv": matrix_csv(res.matrix),
         "mpedmd_eigs.csv": ("re,im",
                             [(v.real, v.imag) for v in res.eigenvalues]),
     }
@@ -381,8 +371,7 @@ def _run_sindy(cfg) -> dict:
         targets = sindy_mod.TargetData(xdd[None, :], mode="continuous")
         n = Psi.shape[0]
     model = sindy_mod.stlsq(Psi, targets, eta=cfg["eta"],
-                            weights=make_weight_vector(n, w),
-                            dictionary_label=dictionary.label)
+                            weights=make_weight_vector(n, w))
     diag = [json.dumps({
         "row": j,
         "iterations": model.iterations,
@@ -390,12 +379,8 @@ def _run_sindy(cfg) -> dict:
         "active": int(model.active_mask[j].sum()),
         "zeroed": j in model.zeroed_rows,
     }) for j in range(model.coefficients.shape[0])]
-    return {
-        "sindy_xi.csv": _matrix_output(model.coefficients.real
-                                       if not np.iscomplexobj(model.coefficients)
-                                       else model.coefficients),
-        "sindy_diagnostics.jsonl": ("__raw__", diag),
-    }
+    return {"sindy_xi.csv": matrix_csv(model.coefficients),
+            "sindy_diagnostics.jsonl": diag}
 
 
 def _run_specmeas(cfg) -> dict:
@@ -432,7 +417,7 @@ def _run_forecast(cfg) -> dict:
         train_range=(cfg["train_start"], cfg["train_end"]),
         valid_range=(cfg["valid_start"], cfg["valid_end"]),
         lags=cfg["lags"], M=cfg["M"], k_max=cfg["k_max"],
-        bandwidth=cfg["bandwidth"] or None)
+        bandwidth=cfg["bandwidth"] or None, w=_weight_fn(cfg))
     skill_rows = [
         (int(lead), res_u.rmse[i], res_w.rmse[i],
          res_u.correlation[i], res_w.correlation[i], res_u.climatology)
@@ -484,21 +469,16 @@ _RUNNERS = {
 }
 
 
-def _write_raw_atomic(path: Path, lines: list[str]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
-    tmp.replace(path)
-
-
 def _write_outputs(outdir: Path, outputs: dict, config_text: str) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write each output, a CSV (header, rows) tuple or a list of text lines,
+    then manifest.json with every file's SHA-256."""
     checksums = {}
-    for name, (header, rows) in outputs.items():
+    for name, content in outputs.items():
         path = outdir / name
-        if header == "__raw__":
-            _write_raw_atomic(path, rows)
+        if isinstance(content, tuple):
+            write_csv_atomic(path, *content)
         else:
-            write_csv_atomic(path, header, rows)
+            write_lines_atomic(path, content)
         checksums[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest = {
         "tool": "taperdyn",
@@ -507,9 +487,8 @@ def _write_outputs(outdir: Path, outputs: dict, config_text: str) -> None:
         "created_unix": time.time(),
         "outputs": checksums,
     }
-    tmp = outdir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(outdir / "manifest.json")
+    write_lines_atomic(outdir / "manifest.json",
+                       [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,14 +516,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg_raw = _resolve_options(args.subcommand, args)
-        cfg = {}
-        for spec in OPTIONS[args.subcommand]:
-            value = cfg_raw[spec.name]
-            cfg[spec.name] = spec.type(value) if isinstance(value, str) else value
+        cfg = _resolve_options(args.subcommand, args)
         text = _config_text(args.subcommand, cfg)
         if args.dump_config:
-            Path(args.dump_config).write_text(text)
+            write_lines_atomic(args.dump_config, text.splitlines())
         outputs = _RUNNERS[args.subcommand](cfg)
         outdir = Path(cfg.get("outdir", "taperdyn-out"))
         _write_outputs(outdir, outputs, text)

@@ -1,13 +1,14 @@
 """CSV ingestion and emission.
 
 All numeric output is written with 17 significant digits (lossless for
-doubles) through an atomic temp-file-and-rename, so a failed run never
-leaves a partial file behind.  Ingestion validates eagerly: parse errors
-carry line numbers, monthly series must be gap-free, and non-finite values
-are rejected.
+doubles).  Every file goes through one atomic temp-file-and-rename, so a
+failed write never leaves a partial or stray temp file behind.  Ingestion
+validates eagerly: parse errors carry line numbers, monthly series must be
+gap-free, and non-finite values are rejected.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -21,8 +22,9 @@ from .systems import Trajectory
 
 __all__ = [
     "fmt",
+    "write_lines_atomic",
     "write_csv_atomic",
-    "write_complex_matrix_csv",
+    "matrix_csv",
     "read_scalar_csv",
     "read_complex_csv",
     "read_nino34_csv",
@@ -37,18 +39,16 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv_atomic(path, header: str, rows: Iterable[Sequence]) -> None:
-    """Write a CSV with header atomically (temp file + rename)."""
+def write_lines_atomic(path, lines: Iterable[str]) -> None:
+    """Write text lines, each ending in a newline, atomically: into a unique
+    temp file beside path, renamed over it once complete, removed on failure."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(header.rstrip("\n") + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    cell if isinstance(cell, str) else fmt(cell)
-                    for cell in row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,26 +56,30 @@ def write_csv_atomic(path, header: str, rows: Iterable[Sequence]) -> None:
         raise
 
 
-def write_complex_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Complex matrix as CSV with two columns per entry (re_j, im_j)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    header = ",".join(f"re_{j},im_{j}" for j in range(matrix.shape[1]))
-    expanded = []
-    for row in matrix:
-        cells = []
-        for v in row:
-            cells.append(fmt(v.real))
-            cells.append(fmt(v.imag))
-        expanded.append(cells)
-    write_csv_atomic(path, header, expanded)
+def write_csv_atomic(path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write a CSV with header atomically (see write_lines_atomic)."""
+    write_lines_atomic(path, itertools.chain([header.rstrip("\n")], (
+        ",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row)
+        for row in rows)))
+
+
+def matrix_csv(matrix) -> tuple[str, list]:
+    """(header, rows) of a matrix: columns c_j for a real matrix, two
+    columns re_j,im_j per entry for a complex one."""
+    matrix = np.atleast_2d(matrix)
+    if np.iscomplexobj(matrix):
+        header = ",".join(f"re_{j},im_{j}" for j in range(matrix.shape[1]))
+        return header, [[c for v in row for c in (v.real, v.imag)] for row in matrix]
+    header = ",".join(f"c_{j}" for j in range(matrix.shape[1]))
+    return header, [list(row) for row in matrix]
 
 
 def _data_rows(path, comments: list | None = None):
     """(lineno, cells) for each data row of a CSV file.
 
-    Blank lines and '#' comments are skipped; comment texts are appended to
-    `comments` when given.  The first data row is an optional header: it is
-    skipped when its first cell is not a number.
+    Blank lines and '#' comments are skipped; (lineno, text) of each comment
+    is appended to `comments` when given.  The first data row is an optional
+    header: it is skipped when its first cell is not a number.
     """
     path = Path(path)
     if not path.exists():
@@ -86,7 +90,7 @@ def _data_rows(path, comments: list | None = None):
             text = line.strip()
             if not text or text.startswith("#"):
                 if text and comments is not None:
-                    comments.append(text)
+                    comments.append((lineno, text))
                 continue
             cells = text.split(",")
             if first:
@@ -174,19 +178,26 @@ def read_nino34_csv(path):
 
 def read_trajectory_csv(path) -> Trajectory:
     """State rows, one time step per row; optional '# system=... dt=... seed=...'
-    comment header restores metadata."""
-    comments: list[str] = []
+    comment header restores metadata.  dt must be finite and > 0, and seed an
+    integer or 'none'; otherwise IngestError names the line."""
+    comments: list[tuple[int, str]] = []
     rows = [[_parse_float(c, path, lineno) for c in cells]
             for lineno, cells in _data_rows(path, comments)]
     dt, seed, meta = 1.0, None, {}
-    for text in comments:
+    for lineno, text in comments:
         for token in text[1:].split():
             if "=" in token:
                 key, _, val = token.partition("=")
                 if key == "dt":
-                    dt = float(val)
+                    dt = _parse_float(val, path, lineno)
+                    if dt <= 0:
+                        raise IngestError(f"{path}:{lineno}: dt must be > 0, got {val!r}")
                 elif key == "seed":
-                    seed = None if val == "none" else int(val)
+                    try:
+                        seed = None if val == "none" else int(val)
+                    except ValueError as exc:
+                        raise IngestError(f"{path}:{lineno}: seed must be an integer "
+                                          f"or 'none', got {val!r}") from exc
                 else:
                     meta[key] = val
     if not rows:

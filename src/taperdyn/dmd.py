@@ -5,7 +5,7 @@ the window-length error sweep used for convergence benchmarking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -13,7 +13,7 @@ import scipy.optimize
 from . import linalg
 from .errors import ShapeError, SizeError
 from .systems import RngStream, Trajectory
-from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, exponential_bump, make_weight_vector
 
 __all__ = [
     "SnapshotPair",
@@ -164,7 +164,7 @@ def dmd_error_sweep(
     traj: Trajectory,
     N_values: Sequence[int],
     benchmark_N: int,
-    w: WeightFunction | None = None,
+    w: Callable | None = None,
     rel_tol: float = linalg.DEFAULT_REL_TOL,
 ) -> list[DmdSweepRow]:
     """Relative errors of plain and tapered fits against a long tapered benchmark.
@@ -174,11 +174,13 @@ def dmd_error_sweep(
     Frobenius norm (and spectrum distance) to the weighted fit at benchmark_N.
 
     Raises:
-        SizeError: benchmark shorter than the largest requested window, or
-            the trajectory shorter than benchmark_N + 1 states.
+        SizeError: no window lengths, a benchmark shorter than the largest
+            requested window, or a trajectory shorter than benchmark_N + 1 states.
     """
     if w is None:
         w = exponential_bump()
+    if len(N_values) == 0:
+        raise SizeError("DMD error sweep needs at least one window length")
     if max(N_values) > benchmark_N:
         raise SizeError(
             f"max(N_values)={max(N_values)} exceeds benchmark_N={benchmark_N}")

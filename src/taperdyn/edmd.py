@@ -31,23 +31,17 @@ __all__ = [
     "mpedmd",
 ]
 
-TWO_PI = 2.0 * np.pi
-
-
 @dataclass(frozen=True)
 class Dictionary:
     """A finite dictionary of observables.
 
     evaluate maps an (N, d) block of states to an (N, size) complex matrix,
-    one column per dictionary element.  label identifies the dictionary in
-    fitted-result metadata.
+    one column per dictionary element.
     """
 
-    kind: str
     size: int
     dim: int
     evaluate: Callable
-    label: str
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -62,17 +56,14 @@ class Dictionary:
         return out
 
 
-def fourier_dictionary(max_index: int, dim: int = 2, period: float = TWO_PI) -> Dictionary:
-    """Complex exponentials exp(i k . x * (2 pi / period)) on a torus.
+def fourier_dictionary(max_index: int, dim: int = 2) -> Dictionary:
+    """Complex exponentials x -> exp(i (k_1 x_1 + ... + k_d x_d)) on a 2 pi torus.
 
     Index tuples k run over {-max_index..max_index}^dim in lexicographic
-    order, so the matrix layout is reproducible.  With period = 2 pi the
-    element for k is x -> exp(i (k_1 x_1 + ... + k_d x_d)).
+    order, so the matrix layout is reproducible.
     """
     if max_index < 0 or dim < 1:
         raise ConfigError("max_index >= 0 and dim >= 1 required")
-    ks = list(itertools.product(range(-max_index, max_index + 1), repeat=dim))
-    scale = TWO_PI / period
 
     def evaluate(states):
         # one exponential per coordinate and a kron-style expansion of the
@@ -81,7 +72,7 @@ def fourier_dictionary(max_index: int, dim: int = 2, period: float = TWO_PI) -> 
         n = states.shape[0]
         per_axis = []
         for axis in range(states.shape[1]):
-            z = np.exp(1j * scale * states[:, axis])
+            z = np.exp(1j * states[:, axis])
             block = np.empty((n, 2 * max_index + 1), dtype=complex)
             block[:, max_index] = 1.0
             for p in range(1, max_index + 1):
@@ -93,9 +84,7 @@ def fourier_dictionary(max_index: int, dim: int = 2, period: float = TWO_PI) -> 
             out = (out[:, :, None] * block[:, None, :]).reshape(n, -1)
         return out
 
-    return Dictionary(kind="fourier", size=len(ks), dim=dim,
-                      evaluate=evaluate,
-                      label=f"fourier(kmax={max_index},dim={dim},period={period:g})")
+    return Dictionary(size=(2 * max_index + 1) ** dim, dim=dim, evaluate=evaluate)
 
 
 def _monomial_exponents(max_degree: int, dim: int) -> list[tuple[int, ...]]:
@@ -125,9 +114,7 @@ def monomial_dictionary(max_degree: int, dim: int = 1) -> Dictionary:
                     out[:, j] *= states[:, axis] ** p
         return out
 
-    return Dictionary(kind="monomials", size=exps.shape[0], dim=dim,
-                      evaluate=evaluate,
-                      label=f"monomials(deg={max_degree},dim={dim})")
+    return Dictionary(size=exps.shape[0], dim=dim, evaluate=evaluate)
 
 
 def identity_dictionary(dim: int) -> Dictionary:
@@ -138,8 +125,7 @@ def identity_dictionary(dim: int) -> Dictionary:
     def evaluate(states):
         return states.astype(complex)
 
-    return Dictionary(kind="identity", size=dim, dim=dim,
-                      evaluate=evaluate, label=f"identity(dim={dim})")
+    return Dictionary(size=dim, dim=dim, evaluate=evaluate)
 
 
 @dataclass(frozen=True)
@@ -152,8 +138,6 @@ class DictionaryMatrices:
 
     Psi: np.ndarray
     Phi: np.ndarray
-    psi_label: str = ""
-    phi_label: str = ""
 
     def __post_init__(self):
         if self.Psi.shape[0] != self.Phi.shape[0]:
@@ -168,30 +152,21 @@ class DictionaryMatrices:
         """First N transitions; used by window sweeps."""
         if N > self.n_pairs:
             raise SizeError(f"prefix {N} exceeds {self.n_pairs} rows")
-        return DictionaryMatrices(self.Psi[:N], self.Phi[:N],
-                                  self.psi_label, self.phi_label)
+        return DictionaryMatrices(self.Psi[:N], self.Phi[:N])
 
 
 def build_dictionary_matrices(
     traj: Trajectory | np.ndarray,
     psi: Dictionary,
-    phi: Dictionary | None = None,
 ) -> DictionaryMatrices:
-    """Evaluate dictionaries along a trajectory of at least 3 states.
-
-    phi defaults to psi (the square case used for spectral analysis).
-    """
+    """Evaluate a dictionary along a trajectory of at least 3 states."""
     states = np.asarray(getattr(traj, "states", traj))
     if states.ndim == 1:
         states = states[:, None]
     if states.shape[0] < 3:
         raise SizeError(f"need at least 3 states, got {states.shape[0]}")
-    if phi is None or phi is psi:
-        full = psi(states)  # one evaluation, two overlapping row windows
-        return DictionaryMatrices(Psi=full[:-1], Phi=full[1:],
-                                  psi_label=psi.label, phi_label=psi.label)
-    return DictionaryMatrices(Psi=psi(states[:-1]), Phi=phi(states[1:]),
-                              psi_label=psi.label, phi_label=phi.label)
+    full = psi(states)  # one evaluation, two overlapping row windows
+    return DictionaryMatrices(Psi=full[:-1], Phi=full[1:])
 
 
 @dataclass(frozen=True)
@@ -201,8 +176,6 @@ class KoopmanMatrix:
     matrix: np.ndarray
     weighted: bool
     n_used: int
-    psi_label: str = ""
-    phi_label: str = ""
     effective_rank: int = 0
 
 
@@ -223,9 +196,7 @@ def edmd(
     sol = linalg.pinv_lstsq(mats.Psi, mats.Phi, rel_tol=rel_tol, fit="right",
                             weights=weights)
     return KoopmanMatrix(matrix=sol.matrix, weighted=weights is not None,
-                         n_used=mats.n_pairs, psi_label=mats.psi_label,
-                         phi_label=mats.phi_label,
-                         effective_rank=sol.effective_rank)
+                         n_used=mats.n_pairs, effective_rank=sol.effective_rank)
 
 
 @dataclass(frozen=True)
@@ -263,9 +234,6 @@ def mpedmd(
     """
     if mats.Psi.shape[1] != mats.Phi.shape[1]:
         raise ShapeError("mpedmd requires matching dictionary sizes (phi = psi)")
-    if mats.psi_label and mats.phi_label and mats.psi_label != mats.phi_label:
-        raise ConfigError(
-            f"mpedmd requires phi = psi, got {mats.psi_label!r} vs {mats.phi_label!r}")
     N = mats.n_pairs
     if weights is not None:
         if len(weights) != N:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +23,7 @@ from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
-from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, exponential_bump, make_weight_vector
 
 __all__ = [
     "DelayEmbedding",
@@ -158,8 +159,8 @@ def _lower_bands(pts: np.ndarray):
         yield i, j, _pairwise_sq_dists_chunk(pts[i:j], pts[:j])
 
 
-def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
-    """factor times the median positive distance over distinct pairs i < j.
+def _auto_bandwidth(points: np.ndarray, rng) -> float:
+    """The median positive distance over distinct pairs i < j.
 
     Each pair is visited once and self-pairs never enter: for p > 1 the
     diagonal of the distance formula holds rounding residues, not zeros.
@@ -175,7 +176,7 @@ def _auto_bandwidth(points: np.ndarray, rng, factor: float) -> float:
                                for i, j, d2 in _lower_bands(sub)])
     if positive.size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
-    return float(np.sqrt(np.median(positive)) * factor)
+    return float(np.sqrt(np.median(positive)))
 
 
 def _physical_memory_bytes() -> int:
@@ -270,7 +271,6 @@ def diffusion_basis(
     M: int,
     bandwidth: float | None = None,
     rng: np.random.Generator | None = None,
-    bandwidth_factor: float = 1.0,
 ) -> DiffusionBasis:
     """Leading eigenfunctions of a balanced Gaussian kernel on training data.
 
@@ -292,9 +292,9 @@ def diffusion_basis(
     Args:
         points: (N, p) training data, or a DelayEmbedding.
         M: number of eigenfunctions to keep (M <= N).
-        bandwidth: kernel width eps; None selects bandwidth_factor times
-            the median positive distance over the distinct pairs i < j of
-            (a subsample of) the data.
+        bandwidth: kernel width eps; None selects the median positive
+            distance over the distinct pairs i < j of (a subsample of) the
+            data.
         rng: generator used only for the bandwidth subsample on large data.
 
     Raises:
@@ -317,7 +317,7 @@ def diffusion_basis(
             f"M={M} basis functions: high-order eigenfunctions are often "
             "poorly resolved and can degrade tapered forecasts")
     if bandwidth is None:
-        bandwidth = _auto_bandwidth(pts, rng, bandwidth_factor)
+        bandwidth = _auto_bandwidth(pts, rng)
     bandwidth = float(bandwidth)
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ConfigError(f"bandwidth must be finite and > 0, got {bandwidth}")
@@ -358,11 +358,11 @@ def _pair_average(phi_curr: np.ndarray, phi_next: np.ndarray,
 
 
 def shift_matrix(basis: DiffusionBasis,
-                 weights: WeightVector | WeightFunction | None = None) -> ShiftMatrix:
+                 weights: WeightVector | Callable | None = None) -> ShiftMatrix:
     """A_ij = <phi_j(X_n) phi_i(X_{n+1})> over consecutive training pairs.
 
     weights=None computes the plain average over the N - 1 pairs; a taper
-    (WeightVector of length N - 1, or a WeightFunction to sample one)
+    (WeightVector of length N - 1, or a taper function to sample one)
     replaces it by the normalized weighted average.  With the constant
     eigenfunction first, A[0, 0] = 1 exactly in both modes.
     """
@@ -372,7 +372,7 @@ def shift_matrix(basis: DiffusionBasis,
     if weights is None:
         wn = None
     else:
-        if isinstance(weights, WeightFunction):
+        if callable(weights):
             weights = make_weight_vector(n_pairs, weights)
         if len(weights) != n_pairs:
             raise ShapeError(
@@ -398,18 +398,14 @@ def forecast(
     reconstruction of the observable at x_init and does not involve A.
 
     Args:
-        target_observable: vectorized callable mapping (N, p) training
-            points to N values, or a precomputed length-N array.
+        target_observable: the observable's N values at the training points.
 
     Returns:
         (predictions of shape (k_max + 1,), in_support flag from extension).
     """
     if k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {k_max}")
-    if callable(target_observable):
-        g = np.asarray(target_observable(basis.points), dtype=float).ravel()
-    else:
-        g = np.asarray(target_observable, dtype=float).ravel()
+    g = np.asarray(target_observable, dtype=float).ravel()
     if g.shape[0] != basis.n_train:
         raise ShapeError(
             f"observable values have length {g.shape[0]}, expected {basis.n_train}")
@@ -438,16 +434,12 @@ class ForecastResult:
     correlation: np.ndarray
     climatology: float
     n_pairs: np.ndarray
-    weighted: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def skill(
     predictions: np.ndarray,
     truth: np.ndarray,
-    train_stats: dict | None = None,
     climatology: float | None = None,
-    weighted: bool = False,
 ) -> ForecastResult:
     """Per-lead RMSE and Pearson correlation over validation starts.
 
@@ -482,10 +474,9 @@ def skill(
     if climatology is None:
         finite = T[np.isfinite(T)]
         climatology = float(np.std(finite)) if finite.size else float("nan")
-    meta = {"train_stats": train_stats} if train_stats else {}
     return ForecastResult(leads=np.arange(1, k_max + 1), rmse=rmse,
                           correlation=corr, climatology=float(climatology),
-                          n_pairs=n_pairs, weighted=weighted, meta=meta)
+                          n_pairs=n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,7 @@ def nino34_compare(
     M: int = 14,
     k_max: int = 16,
     bandwidth: float | None = None,
-    w: WeightFunction | None = None,
+    w: Callable | None = None,
 ) -> tuple[ForecastResult, ForecastResult, dict]:
     """Plain and taper-weighted forecast skill on a monthly index series.
 
@@ -575,12 +566,8 @@ def nino34_compare(
                 truth[si, k - 1] = values[pos(s_key + k)]
     valid_series = values[pos(v0): pos(v1) + 1]
     climatology = float(np.std(valid_series))
-    stats = {"train_mean": float(np.mean(train_series)),
-             "train_std": float(np.std(train_series))}
-    res_u = skill(preds_u, truth, train_stats=stats,
-                  climatology=climatology, weighted=False)
-    res_w = skill(preds_w, truth, train_stats=stats,
-                  climatology=climatology, weighted=True)
+    res_u = skill(preds_u, truth, climatology=climatology)
+    res_w = skill(preds_w, truth, climatology=climatology)
     details = {
         "start_months": [(k // 12, k % 12 + 1) for k in starts],
         "predictions_unweighted": preds_u,

@@ -9,7 +9,7 @@ which guarantees termination in at most L passes per output row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import linalg
 from .edmd import monomial_dictionary
 from .errors import ConfigError, DomainError, ShapeError
 from .systems import RngStream, harmonic_series
-from .weights import WeightFunction, WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, exponential_bump, make_weight_vector
 
 __all__ = [
     "TargetData",
@@ -62,7 +62,6 @@ class SindyModel:
     iterations: int
     converged: bool
     mode: str
-    dictionary_label: str = ""
     zeroed_rows: tuple = field(default=())
 
 
@@ -73,7 +72,6 @@ def stlsq(
     weights: WeightVector | None = None,
     max_iter: int | None = None,
     rel_tol: float = linalg.DEFAULT_REL_TOL,
-    dictionary_label: str = "",
 ) -> SindyModel:
     """Sequentially thresholded (optionally taper-weighted) least squares.
 
@@ -118,7 +116,7 @@ def stlsq(
                               weights=weights).matrix
     active = np.ones((d, L), dtype=bool)
     if eta == 0.0:
-        return SindyModel(Xi, active, eta, 1, True, mode, dictionary_label, ())
+        return SindyModel(Xi, active, eta, 1, True, mode, ())
 
     iterations = 0
     converged = False
@@ -140,8 +138,7 @@ def stlsq(
     else:
         converged = not (active & (np.abs(Xi) < eta)).any()
     zeroed = tuple(int(j) for j in range(d) if not active[j].any())
-    return SindyModel(Xi, active, eta, iterations, converged, mode,
-                      dictionary_label, zeroed)
+    return SindyModel(Xi, active, eta, iterations, converged, mode, zeroed)
 
 
 def harmonic_oscillator_exact(L: int = 6) -> np.ndarray:
@@ -170,7 +167,7 @@ def sindy_error_sweep(
     noise_sigma: float = 0.0,
     rng: RngStream | None = None,
     degree: int = 5,
-    w: WeightFunction | None = None,
+    w: Callable | None = None,
 ) -> list[SindySweepRow]:
     """Coefficient errors of four identification methods on the harmonic surrogate.
 
@@ -198,8 +195,7 @@ def sindy_error_sweep(
             ("wtSINDy", wv, etas),
         ):
             for eta in eta_list:
-                model = stlsq(Psi, targets, eta=eta, weights=weight_vec,
-                              dictionary_label=dictionary.label)
+                model = stlsq(Psi, targets, eta=eta, weights=weight_vec)
                 err = float(np.linalg.norm(model.coefficients.real - exact))
                 rows.append(SindySweepRow(N=N, method=method, eta=float(eta),
                                           coeff_error=err))

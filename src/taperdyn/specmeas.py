@@ -17,11 +17,10 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import DomainError, ShapeError, SizeError
-from .weights import WeightFunction, exponential_bump, make_weight_vector
+from .weights import exponential_bump, make_weight_vector
 
 __all__ = [
     "AutocorrelationSet",
-    "FilterFunction",
     "SpectralDensity",
     "cosine_filter",
     "cosine_sharp_filter",
@@ -56,7 +55,7 @@ class AutocorrelationSet:
 def autocorrelations(
     series,
     M: int,
-    w: WeightFunction | None = None,
+    w: Callable | None = None,
     weighted: bool = True,
 ) -> AutocorrelationSet:
     """Estimate a_n = <series_j conj(series_{j+n})> / (2 pi) for 0 <= n <= M.
@@ -129,29 +128,18 @@ def _bump_smoothstep(x):
     return out
 
 
-@dataclass(frozen=True)
-class FilterFunction:
-    """Even taper on [-1, 1] with value 1 at 0 and 0 at the ends."""
-
-    kind: str
-    func: Callable
-
-    def __call__(self, x):
-        return self.func(x)
-
-
-def cosine_sharp_filter() -> FilterFunction:
+def cosine_sharp_filter() -> Callable:
     """The default reconstruction filter (cosine taper)."""
-    return FilterFunction("cosine_sharp", cosine_filter)
+    return cosine_filter
 
 
-def bump_smoothstep_filter() -> FilterFunction:
+def bump_smoothstep_filter() -> Callable:
     """Polynomial taper 1 - smoothstep(|x|) with the quartic C^3 smoothstep.
 
     Non-default alternative to the cosine taper; decays with higher-order
     flatness at the origin.
     """
-    return FilterFunction("bump_smoothstep", _bump_smoothstep)
+    return _bump_smoothstep
 
 
 @dataclass(frozen=True)
@@ -164,7 +152,6 @@ class SpectralDensity:
 
     coefficients: np.ndarray
     M: int
-    filter_kind: str = ""
 
     def eval(self, theta: float) -> float:
         return float(self.eval_grid(np.array([theta]))[0])
@@ -209,14 +196,17 @@ class SpectralDensity:
         return float(TWO_PI * self.coefficients[self.M].real)
 
 
-def density(acs: AutocorrelationSet, filt: FilterFunction | None = None) -> SpectralDensity:
-    """Apply a reconstruction filter to an autocorrelation set."""
+def density(acs: AutocorrelationSet, filt: Callable | None = None) -> SpectralDensity:
+    """Apply a reconstruction filter to an autocorrelation set.
+
+    A filter is any vectorised even function on [-1, 1] with value 1 at 0
+    and 0 at the ends.
+    """
     if filt is None:
         filt = cosine_sharp_filter()
     ns = np.arange(-acs.M, acs.M + 1)
     taper = np.asarray(filt(ns / max(acs.M, 1)), dtype=float)
-    return SpectralDensity(coefficients=taper * acs.values, M=acs.M,
-                           filter_kind=filt.kind)
+    return SpectralDensity(coefficients=taper * acs.values, M=acs.M)
 
 
 def peak_report(

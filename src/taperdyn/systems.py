@@ -353,11 +353,10 @@ def quasiperiodic_field(
     D: int,
     N: int,
     seed: int,
-    n_harmonics: int = 6,
 ) -> Trajectory:
     """Smooth quasiperiodic field in R^D driven by an irrational 2-torus rotation.
 
-    Each coordinate is a random cosine combination of a fixed set of integer
+    Each coordinate is a random cosine combination of six fixed integer
     harmonics of the torus angle, so the time series is analytic in the
     rotation and a best-fit linear propagator converges as the window grows.
     Used as the bundled stand-in for near-periodic high-dimensional snapshot
@@ -365,20 +364,16 @@ def quasiperiodic_field(
     """
     if N < 2:
         raise SizeError(f"N >= 2 required, got {N}")
-    if D < 1 or n_harmonics < 1:
-        raise ConfigError("D and n_harmonics must be >= 1")
-    base = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [2, 0], [0, 2],
-                     [2, 1], [1, 2], [2, -1], [2, 2]])
-    if n_harmonics > base.shape[0]:
-        raise ConfigError(f"n_harmonics <= {base.shape[0]} supported")
-    harmonics = base[:n_harmonics]
+    if D < 1:
+        raise ConfigError("D must be >= 1")
+    harmonics = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [2, 0], [0, 2]])
     gen = RngStream(seed, "quasiperiodic_field").generator()
-    coef = gen.standard_normal((D, n_harmonics))
-    phases = gen.uniform(0.0, TWO_PI, (D, n_harmonics))
+    coef = gen.standard_normal((D, len(harmonics)))
+    phases = gen.uniform(0.0, TWO_PI, (D, len(harmonics)))
     omega = np.array([SQRT2 - 1.0, math.sqrt(3.0) - 1.0])
     theta = (np.arange(N)[:, None] * omega[None, :]) % 1.0
-    ang = TWO_PI * theta @ harmonics.T                       # (N, n_harmonics)
+    ang = TWO_PI * theta @ harmonics.T                       # (N, harmonics)
     # states[n, d] = sum_h coef[d, h] cos(ang[n, h] + phases[d, h])
     states = (np.cos(ang[:, None, :] + phases[None, :, :]) * coef[None, :, :]).sum(axis=2)
     return Trajectory(states, dt=1.0, seed=seed, meta={
-        "system": "quasiperiodic_field", "D": D, "n_harmonics": n_harmonics})
+        "system": "quasiperiodic_field", "D": D})

@@ -1,14 +1,15 @@
 """Taper weight functions on [0, 1] and normalized weight vectors.
 
-The exponential bump vanishes with all derivatives at 0 and 1, which is what
-drives the fast convergence of tapered time averages on regular dynamics.
-Weight vectors sample a profile at the points n/N, n = 0..N-1, and carry both
-the raw values and their normalization.
+A taper is any vectorised nonnegative function on [0, 1].  The exponential
+bump vanishes with all derivatives at 0 and 1, which is what drives the fast
+convergence of tapered time averages on regular dynamics.  Weight vectors
+sample a taper at the points n/N, n = 0..N-1, and carry both the raw values
+and their normalization.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,14 +17,11 @@ import numpy as np
 from .errors import DegenerateWeightError, DomainError, SizeError
 
 __all__ = [
-    "WeightFunction",
     "WeightVector",
     "eval_bump",
     "exponential_bump",
     "uniform_weight",
-    "custom_taper",
     "make_weight_vector",
-    "uniform_weight_vector",
 ]
 
 
@@ -52,22 +50,6 @@ def eval_bump(x):
     return out
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """A taper profile on [0, 1].
-
-    kind is one of "exponential_bump", "uniform", or "custom"; custom
-    profiles carry their own callable, which must be vectorized over
-    numpy arrays.
-    """
-
-    kind: str
-    func: Callable = field(compare=False)
-
-    def __call__(self, x):
-        return self.func(x)
-
-
 def _uniform_profile(x):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
@@ -78,19 +60,14 @@ def _uniform_profile(x):
     return out
 
 
-def exponential_bump() -> WeightFunction:
+def exponential_bump() -> Callable:
     """The canonical smooth taper: all derivatives vanish at 0 and 1."""
-    return WeightFunction("exponential_bump", eval_bump)
+    return eval_bump
 
 
-def uniform_weight() -> WeightFunction:
+def uniform_weight() -> Callable:
     """Constant profile; reproduces plain arithmetic averaging."""
-    return WeightFunction("uniform", _uniform_profile)
-
-
-def custom_taper(func: Callable, name: str = "custom") -> WeightFunction:
-    """Wrap a user-supplied nonnegative profile on [0, 1]."""
-    return WeightFunction(name if name != "custom" else "custom", func)
+    return _uniform_profile
 
 
 @dataclass(frozen=True)
@@ -104,7 +81,6 @@ class WeightVector:
     raw: np.ndarray
     alpha: float
     normalized: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         # read-only views: the caller's arrays are neither copied nor frozen
@@ -117,8 +93,8 @@ class WeightVector:
         return self.raw.shape[0]
 
 
-def make_weight_vector(N: int, w: WeightFunction) -> WeightVector:
-    """Sample a weight profile at the points n/N, n = 0..N-1, and normalize.
+def make_weight_vector(N: int, w: Callable) -> WeightVector:
+    """Sample a taper w (vectorised over arrays) at n/N, n = 0..N-1, and normalize.
 
     Raises:
         SizeError: if N < 2.
@@ -141,9 +117,4 @@ def make_weight_vector(N: int, w: WeightFunction) -> WeightVector:
             f"weight profile produced negative or non-finite values (sum {alpha})")
     if alpha <= 0.0:
         raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
-    return WeightVector(raw=raw, alpha=alpha, normalized=raw / alpha, kind=w.kind)
-
-
-def uniform_weight_vector(N: int) -> WeightVector:
-    """Weight vector of N equal weights (the arithmetic-mean weights)."""
-    return make_weight_vector(N, uniform_weight())
+    return WeightVector(raw=raw, alpha=alpha, normalized=raw / alpha)

@@ -11,7 +11,7 @@ from taperdyn import (
     driven_logistic,
     exponential_bump,
     make_weight_vector,
-    uniform_weight_vector,
+    uniform_weight,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -20,7 +20,7 @@ SQRT2 = math.sqrt(2.0)
 def test_constant_series_any_weights():
     series = np.full(100, 3.25)
     for weights in (None, make_weight_vector(100, exponential_bump()),
-                    uniform_weight_vector(100)):
+                    make_weight_vector(100, uniform_weight())):
         res = birkhoff_average(series, weights)
         assert res.value == pytest.approx(3.25, abs=1e-14)
         assert res.n_samples == 100
@@ -29,10 +29,10 @@ def test_constant_series_any_weights():
 def test_uniform_weights_equal_arithmetic_mean(gen):
     series = gen.standard_normal(4097)
     mean = birkhoff_average(series).value
-    wmean = birkhoff_average(series, uniform_weight_vector(4097)).value
+    wmean = birkhoff_average(series, make_weight_vector(4097, uniform_weight())).value
     assert wmean == pytest.approx(mean, rel=1e-13)
     assert not birkhoff_average(series).weighted
-    assert birkhoff_average(series, uniform_weight_vector(4097)).weighted
+    assert birkhoff_average(series, make_weight_vector(4097, uniform_weight())).weighted
 
 
 def test_vector_series():
@@ -67,7 +67,7 @@ def test_errors():
     with pytest.raises(SizeError):
         birkhoff_average(np.array([]))
     with pytest.raises(ShapeError):
-        birkhoff_average(np.arange(5.0), uniform_weight_vector(4))
+        birkhoff_average(np.arange(5.0), make_weight_vector(4, uniform_weight()))
 
 
 class TestConvergenceSweep:
@@ -98,6 +98,12 @@ class TestConvergenceSweep:
             convergence_sweep(orbit, lambda s: s[:, 0], [10], 1000)
         with pytest.raises(SizeError):
             convergence_sweep(orbit, lambda s: s[:, 0], [200], 100)
+
+    @pytest.mark.parametrize("windows", [[], (), np.array([], dtype=int)])
+    def test_no_windows(self, windows):
+        orbit = driven_logistic(0.0, 0.25, 0.0, 100)
+        with pytest.raises(SizeError, match="at least one window"):
+            convergence_sweep(orbit, lambda s: s[:, 0], windows, 100)
 
 
 @pytest.fixture

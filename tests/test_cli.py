@@ -204,3 +204,114 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "code=6 kind=LinAlgError" in err
         assert not out.exists()
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("argv, config", [
+        (["average", "--N", "abc"], None),
+        (["average", "--eps", "x"], None),
+        (["edmd", "--lam", "abc"], None),
+        (["average", "--sweep", "maybe"], None),
+        (["dmd", "--sweep-n", "10,x"], None),
+        (["average"], "N = 1e4\n"),
+        (["average"], "eps =\n"),
+    ], ids=["N", "eps", "lam", "bool", "int-list", "config-N", "config-empty"])
+    def test_unparseable_value_is_config_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "out"
+        assert run(argv + ["--outdir", str(out)]) == EXIT_CONFIG
+        assert "code=3 kind=ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBoundaryErrors:
+    def test_dmd_with_no_default_windows_is_validation_error(self, tmp_path, capsys):
+        # the default window list range(10, min(501, N), 10) is empty for N = 8
+        out = tmp_path / "out"
+        assert run(["dmd", "--N", "8", "--outdir", str(out)]) == EXIT_VALIDATION
+        assert "code=5 kind=SizeError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta", ["dt=abc seed=3", "dt=1 seed=3.5", "dt=-1", "dt=nan"])
+    def test_bad_trajectory_metadata_is_data_error(self, tmp_path, capsys, meta):
+        path = tmp_path / "traj.csv"
+        rows = "\n".join(f"{np.cos(0.3 * n)},{np.sin(0.3 * n)}" for n in range(40))
+        path.write_text(f"# system=x {meta}\n{rows}\n")
+        assert run(["dmd", "--input", str(path), "--project-r", "0", "--N", "30",
+                    "--sweep", "false", "--outdir", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"{path}:1: " in capsys.readouterr().err
+
+
+class TestForecastWeight:
+    def _skill(self, tmp_path, csv, weight):
+        out = tmp_path / weight
+        assert run(["forecast", "--input", str(csv), "--valid-end", "2008-12",
+                    "--k-max", "6", "--M", "8", "--series-lead", "3",
+                    "--weight", weight, "--outdir", str(out)]) == EXIT_OK
+        return out / "forecast_skill.csv"
+
+    def test_uniform_taper_reproduces_plain_skill(self, tmp_path):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        uniform = np.loadtxt(self._skill(tmp_path, csv, "uniform"), delimiter=",",
+                             skiprows=1)
+        np.testing.assert_allclose(uniform[:, 2], uniform[:, 1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(uniform[:, 4], uniform[:, 3], rtol=1e-12, atol=0)
+        bump = self._skill(tmp_path, csv, "bump").read_bytes()
+        assert bump != self._skill(tmp_path, csv, "uniform").read_bytes()
+
+
+def _series_csv(path):
+    path.write_text("".join(f"{np.cos(2.0 * n):.12f}\n" for n in range(600)))
+
+
+# SHA-256 of every output of one small run per subcommand; any change to the
+# numerics or to the CSV, JSONL or matrix formatting moves one of them
+GOLDEN = {
+    ("average", "--eps", "0.01", "--N", "3000", "--sweep", "--sweep-n", "100,1000",
+     "--seed", "3"): {
+        "average.csv": "f8e2430ae22c0f25b6de476964d3ff47b23efdfd070cfacfdd1ce1e78333d534",
+        "average_sweep.csv": "c815cbee4513c7cf8c4c6c2f63dee42eb4c5ce20ca3390390d8bff9c10a1114e",
+    },
+    ("dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5", "--D", "8"): {
+        "dmd_eigs.csv": "f6fc7c2be0caf6958357a7bb5e1e4d2067df46414f9c300c184f162c0b614dd4",
+        "dmd_matrix.csv": "739ec9cd02f9cfc500e6b65e18b8e7be5cc8f7736c8984275faecc3a1f985de2",
+        "dmd_sweep.csv": "48836f4a45cba84adcea795c44cad296143f503d5e98404de562c396147a5b5e",
+    },
+    ("edmd", "--lam", "0.25", "--N", "2000"): {
+        "edmd_eigs.csv": "a3b62ecb3552a412fcb99996564847e28e7dd32e81ac8f747bee7da776c869ce",
+        "edmd_matrix.csv": "e9b516e381865031b03a082da5f1d7acc547ef52099d4bf542659acb8e1f0bc2",
+    },
+    ("mpedmd", "--lam", "0.25", "--N", "2000"): {
+        "mpedmd_eigs.csv": "4273c4fd5319646bb09307157a9194633c8526c53152300491aeed1494f5e593",
+        "mpedmd_matrix.csv": "92bf73b33a46a598c64306e71f008b50c70d35eca9a7818682bc485556fc8661",
+    },
+    ("sindy", "--N", "2000", "--eta", "1e-2"): {
+        "sindy_diagnostics.jsonl":
+            "458b103734cb1400bc68434a3a2cdeb1a156b3bc555b13a113476fd6b7f52eb9",
+        "sindy_xi.csv": "51b15619b0d5faa8887d803c6b2515228ce6e234583453277c620d4942c91d62",
+    },
+    ("specmeas", "--M", "20", "--grid", "256"): {
+        "autocorr.csv": "a31304984aa6b47aa219c1694f148e5f264cf467f0b7ecef57d9f751c5ca5439",
+        "density.csv": "53304f418380357ce656e11d0413df19f843f62c0f9da4e052af42ccb4d5e53c",
+        "peaks.csv": "530f697feb3dd3e6fce1501f92cf7076ff25af14395b342dbd0da88d0f6b796d",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=[a[0] for a in GOLDEN])
+def test_golden_output_digests(tmp_path, argv):
+    extra = []
+    if argv[0] == "specmeas":
+        _series_csv(tmp_path / "series.csv")
+        extra = ["--input", str(tmp_path / "series.csv")]
+    out = tmp_path / "out"
+    assert run([*argv, *extra, "--outdir", str(out)]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    manifest = json.loads((out / "manifest.json").read_text())
+    del digests["manifest.json"]
+    assert digests == GOLDEN[argv]
+    assert manifest["outputs"] == digests

@@ -5,12 +5,13 @@ from taperdyn import ConfigError, IngestError, Trajectory
 from taperdyn.dataio import (
     fmt,
     ingest_series,
+    matrix_csv,
     read_complex_csv,
     read_nino34_csv,
     read_scalar_csv,
     read_trajectory_csv,
-    write_complex_matrix_csv,
     write_csv_atomic,
+    write_lines_atomic,
     write_trajectory_csv,
 )
 
@@ -38,10 +39,28 @@ class TestWriteCsv:
 
     def test_complex_matrix(self, tmp_path):
         path = tmp_path / "k.csv"
-        write_complex_matrix_csv(path, np.array([[1 + 2j, 3 - 4j]]))
+        write_csv_atomic(path, *matrix_csv(np.array([[1 + 2j, 3 - 4j]])))
         lines = path.read_text().splitlines()
         assert lines[0] == "re_0,im_0,re_1,im_1"
         assert [float(v) for v in lines[1].split(",")] == [1.0, 2.0, 3.0, -4.0]
+
+    def test_real_matrix(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_csv_atomic(path, *matrix_csv(np.array([[0.5, -2.0], [1.0, 3.0]])))
+        assert path.read_text() == "c_0,c_1\n0.5,-2\n1,3\n"
+
+    def test_lines_and_failure_leave_no_temp_file(self, tmp_path):
+        write_lines_atomic(tmp_path / "a.jsonl", ['{"x": 1}', "{}"])
+        assert (tmp_path / "a.jsonl").read_text() == '{"x": 1}\n{}\n'
+
+        def rows():
+            yield (1.0,)
+            raise RuntimeError("interrupted")
+        write_csv_atomic(tmp_path / "b.csv", "h", [(0.0,)])
+        with pytest.raises(RuntimeError):
+            write_csv_atomic(tmp_path / "b.csv", "h", rows())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.csv"]
+        assert (tmp_path / "b.csv").read_text() == "h\n0\n"
 
 
 class TestScalarComplex:
@@ -119,6 +138,23 @@ class TestTrajectoryRoundTrip:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(IngestError, match="column"):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        "dt=abc seed=3", "dt=1 seed=3.5", "dt=1 seed=x", "dt=-1", "dt=0",
+        "dt=nan", "dt=inf", "dt= seed=3"])
+    def test_bad_metadata_names_the_line(self, tmp_path, header):
+        path = tmp_path / "meta.csv"
+        path.write_text(f"# note\n# system=x {header}\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(IngestError, match=r"meta\.csv:2: "):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("header, dt, seed", [
+        ("dt=0.5 seed=none", 0.5, None), ("seed=-7", 1.0, -7), ("dt=1e-3", 1e-3, None)])
+    def test_good_metadata(self, tmp_path, header, dt, seed):
+        path = tmp_path / "meta.csv"
+        path.write_text(f"# system=x {header}\n1.0\n2.0\n")
+        back = read_trajectory_csv(path)
+        assert (back.dt, back.seed) == (dt, seed)
 
 
 class TestHeaderAfterComments:

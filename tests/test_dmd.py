@@ -6,6 +6,7 @@ import pytest
 from taperdyn import (
     RngStream,
     ShapeError,
+    SizeError,
     dmd,
     dmd_error_sweep,
     exponential_bump,
@@ -15,7 +16,7 @@ from taperdyn import (
     random_projection,
     snapshot_pair,
     spectrum_distance,
-    uniform_weight_vector,
+    uniform_weight,
 )
 from taperdyn.systems import Trajectory
 
@@ -70,14 +71,14 @@ class TestDmd:
         states = gen.standard_normal((30, 4))
         pair = snapshot_pair(states)
         classical = dmd(pair, None)
-        uniform = dmd(pair, uniform_weight_vector(29))
+        uniform = dmd(pair, make_weight_vector(29, uniform_weight()))
         diff = np.linalg.norm(uniform.matrix - classical.matrix)
         assert diff <= 1e-13 * np.linalg.norm(classical.matrix)
 
     def test_weight_length_mismatch(self, gen):
         pair = snapshot_pair(gen.standard_normal((10, 2)))
         with pytest.raises(ShapeError):
-            dmd(pair, uniform_weight_vector(5))
+            dmd(pair, make_weight_vector(5, uniform_weight()))
 
 
 class TestRandomProjection:
@@ -132,7 +133,7 @@ class TestErrorSweep:
         # harmonics of two incommensurate frequencies folded into R^4: the
         # fit is a genuine projection, so the window error is an ergodic
         # average and tapering accelerates it by orders of magnitude
-        traj = quasiperiodic_field(4, 1101, seed=2, n_harmonics=6)
+        traj = quasiperiodic_field(4, 1101, seed=2)
         rows = dmd_error_sweep(traj, [500], 1000)
         assert rows[0].relerr_matrix_w * 100 <= rows[0].relerr_matrix_unw
 
@@ -146,3 +147,9 @@ class TestErrorSweep:
         traj = quasiperiodic_field(5, 401, seed=4)
         rows = dmd_error_sweep(traj, [200, 50, 100], 400)
         assert [r.N for r in rows] == [50, 100, 200]
+
+    @pytest.mark.parametrize("windows", [[], (), np.array([], dtype=int)])
+    def test_no_windows(self, windows):
+        traj = quasiperiodic_field(5, 101, seed=4)
+        with pytest.raises(SizeError, match="at least one window"):
+            dmd_error_sweep(traj, windows, 100)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from taperdyn import (
-    ConfigError,
     DictionaryMatrices,
     RngStream,
     ShapeError,
@@ -19,7 +18,7 @@ from taperdyn import (
     mpedmd,
     snapshot_pair,
     standard_map,
-    uniform_weight_vector,
+    uniform_weight,
 )
 from taperdyn.systems import Trajectory
 
@@ -47,12 +46,6 @@ class TestDictionaries:
         np.testing.assert_allclose(
             vals[:, 0], np.exp(-1j * (states[:, 0] + states[:, 1])), atol=1e-12)
         np.testing.assert_allclose(vals[:, 4], 1.0, atol=1e-15)
-
-    def test_fourier_period_scaling(self):
-        d = fourier_dictionary(1, dim=1, period=1.0)
-        states = np.array([[0.25]])
-        np.testing.assert_allclose(d(states)[0, 2], np.exp(2j * np.pi * 0.25),
-                                   atol=1e-14)
 
     def test_monomials_1d(self):
         d = monomial_dictionary(5, dim=1)
@@ -115,14 +108,14 @@ class TestEdmd:
         states = gen.standard_normal((25, 2))
         mats = build_dictionary_matrices(states, monomial_dictionary(2, dim=2))
         K0 = edmd(mats, None).matrix
-        K1 = edmd(mats, uniform_weight_vector(mats.n_pairs)).matrix
+        K1 = edmd(mats, make_weight_vector(mats.n_pairs, uniform_weight())).matrix
         np.testing.assert_allclose(K0, K1, atol=1e-13)
 
     def test_weight_mismatch(self, gen):
         states = gen.standard_normal((25, 2))
         mats = build_dictionary_matrices(states, identity_dictionary(2))
         with pytest.raises(ShapeError):
-            edmd(mats, uniform_weight_vector(7))
+            edmd(mats, make_weight_vector(7, uniform_weight()))
 
 
 class TestMpedmd:
@@ -178,9 +171,9 @@ class TestMpedmd:
 
     def test_requires_square(self, gen):
         states = gen.standard_normal((20, 2))
-        mats = build_dictionary_matrices(states, identity_dictionary(2),
-                                         monomial_dictionary(2, dim=2))
-        with pytest.raises((ShapeError, ConfigError)):
+        mats = DictionaryMatrices(identity_dictionary(2)(states[:-1]),
+                                  monomial_dictionary(2, dim=2)(states[1:]))
+        with pytest.raises(ShapeError):
             mpedmd(mats)
 
 

@@ -118,7 +118,7 @@ def _distinct_pairs_bandwidth(points, seed):
 
 
 def _auto_bandwidth(points, seed):
-    return forecast_module._auto_bandwidth(points, np.random.default_rng(seed), 1.0)
+    return forecast_module._auto_bandwidth(points, np.random.default_rng(seed))
 
 
 class TestAutoBandwidth:
@@ -156,11 +156,6 @@ class TestAutoBandwidth:
     def test_identical_points_rejected(self, shape):
         with pytest.raises(ConfigError, match="all pairwise distances are zero"):
             _auto_bandwidth(np.full(shape, 0.7), 0)
-
-    def test_factor_scales(self):
-        pts = _ou_training(500)
-        assert (forecast_module._auto_bandwidth(pts, None, 2.5)
-                == 2.5 * _distinct_pairs_bandwidth(pts, 0))
 
 
 class TestDiffusionBasis:
@@ -214,11 +209,6 @@ class TestDiffusionBasis:
         with pytest.raises(ConfigError, match="finite and > 0"):
             diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)),
                             M=2, bandwidth=bandwidth)
-
-    def test_non_finite_bandwidth_factor_rejected(self, no_kernel):
-        with pytest.raises(ConfigError, match="finite and > 0"):
-            diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)),
-                            M=2, bandwidth_factor=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("bandwidth", [None, 1.0])
@@ -362,10 +352,9 @@ class TestShiftMatrix:
         assert radii.max() <= 1.0 + 5e-2
 
     def test_uniform_matches_plain_average_exactly(self, ou_basis):
-        from taperdyn import uniform_weight_vector
         A_u = shift_matrix(ou_basis, None).matrix
         A_1 = shift_matrix(ou_basis,
-                           uniform_weight_vector(ou_basis.n_train - 1)).matrix
+                           make_weight_vector(ou_basis.n_train - 1, uniform_weight())).matrix
         np.testing.assert_allclose(A_1, A_u, atol=1e-13)
 
     def test_weighted_converges_toward_plain(self):
@@ -398,7 +387,7 @@ class TestForecast:
         pts = np.random.default_rng(4).standard_normal((200, 1))
         basis = diffusion_basis(pts, M=4, bandwidth=1.0)
         ident = ShiftMatrix(np.eye(4), weighted=False)
-        preds, ok = forecast(basis, ident, pts[10], 5, lambda p: p[:, 0])
+        preds, ok = forecast(basis, ident, pts[10], 5, pts[:, 0])
         assert ok
         np.testing.assert_allclose(preds, preds[0], atol=1e-12)
 

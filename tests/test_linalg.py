@@ -18,7 +18,6 @@ from taperdyn import (
     pinv_lstsq,
     standard_map,
     sym_sqrt_inv,
-    uniform_weight_vector,
 )
 from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.weights import exponential_bump

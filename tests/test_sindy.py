@@ -18,7 +18,6 @@ from taperdyn import (
     snapshot_pair,
     stlsq,
     uniform_weight,
-    uniform_weight_vector,
 )
 
 
@@ -100,8 +99,8 @@ class TestStlsq:
         states = gen.standard_normal((40, 3))
         Psi = states[:-1]
         targets = TargetData(states[1:].T, mode="discrete")
-        model = stlsq(Psi, targets, eta=0.0, weights=uniform_weight_vector(39))
-        A = dmd(snapshot_pair(states), uniform_weight_vector(39)).matrix
+        model = stlsq(Psi, targets, eta=0.0, weights=make_weight_vector(39, uniform_weight()))
+        A = dmd(snapshot_pair(states), make_weight_vector(39, uniform_weight())).matrix
         np.testing.assert_allclose(model.coefficients.real, A, atol=1e-10)
 
     def test_errors(self, gen):
@@ -110,7 +109,7 @@ class TestStlsq:
             stlsq(Psi, gen.standard_normal((2, 29)), eta=0.1)
         with pytest.raises(ShapeError):
             stlsq(Psi, gen.standard_normal((2, 30)), eta=0.1,
-                  weights=uniform_weight_vector(29))
+                  weights=make_weight_vector(29, uniform_weight()))
 
     def test_max_iter_termination_state(self, gen):
         Psi = gen.standard_normal((100, 6))

@@ -331,5 +331,5 @@ class TestQuasiperiodicField:
         assert not np.allclose(a.states, quasiperiodic_field(20, 300, seed=6).states)
 
     def test_bounded(self):
-        traj = quasiperiodic_field(5, 1000, seed=1, n_harmonics=4)
+        traj = quasiperiodic_field(5, 1000, seed=1)
         assert np.all(np.isfinite(traj.states))

@@ -11,12 +11,10 @@ from taperdyn import (
     DomainError,
     SizeError,
     WeightVector,
-    custom_taper,
     eval_bump,
     exponential_bump,
     make_weight_vector,
     uniform_weight,
-    uniform_weight_vector,
 )
 
 
@@ -114,11 +112,11 @@ class TestMakeWeightVector:
 
     def test_degenerate_taper(self):
         with pytest.raises(DegenerateWeightError):
-            make_weight_vector(10, custom_taper(lambda x: np.zeros_like(np.asarray(x))))
+            make_weight_vector(10, lambda x: np.zeros_like(np.asarray(x)))
 
     def test_negative_taper_rejected(self):
         with pytest.raises(DegenerateWeightError):
-            make_weight_vector(10, custom_taper(lambda x: np.asarray(x) - 0.5))
+            make_weight_vector(10, lambda x: np.asarray(x) - 0.5)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_taper_rejected(self, value):
@@ -127,14 +125,14 @@ class TestMakeWeightVector:
             out[3] = value
             return out
         with pytest.raises(DegenerateWeightError):
-            make_weight_vector(10, custom_taper(taper))
+            make_weight_vector(10, taper)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_taper_whose_sum_overflows_rejected(self):
         # every value is finite, but their sum is inf, which would
         # normalize every weight to 0
         with pytest.raises(DegenerateWeightError):
-            make_weight_vector(4, custom_taper(lambda x: np.full_like(x, 1e308)))
+            make_weight_vector(4, lambda x: np.full_like(x, 1e308))
 
     @pytest.mark.parametrize("N", sorted(WEIGHTS_DIGEST))
     def test_golden_digest(self, N):
@@ -157,7 +155,8 @@ class TestMakeWeightVector:
             uniform_weight()(x)
 
     def test_uniform_helper(self):
-        assert np.array_equal(uniform_weight_vector(4).normalized, np.full(4, 0.25))
+        assert np.array_equal(make_weight_vector(4, uniform_weight()).normalized,
+                              np.full(4, 0.25))
 
     def test_immutability(self):
         wv = make_weight_vector(8, exponential_bump())
