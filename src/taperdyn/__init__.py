@@ -5,7 +5,7 @@ diffusion forecasting), with built-in trajectory generators and a desk-scale
 benchmark harness comparing weighted against unweighted convergence.
 """
 
-from .averages import AverageResult, SweepRow, birkhoff_average, convergence_sweep
+from .averages import SweepRow, birkhoff_average, convergence_sweep
 from .dmd import (
     DmdResult,
     ProjectionBasis,
@@ -55,7 +55,6 @@ from .forecast import (
 from .linalg import LstsqSolution, eig, pinv_lstsq, sym_sqrt_inv
 from .sindy import (
     SindyModel,
-    TargetData,
     harmonic_oscillator_exact,
     sindy_error_sweep,
     stlsq,

@@ -14,16 +14,7 @@ import numpy as np
 from .errors import DomainError, ShapeError, SizeError
 from .weights import WeightVector, exponential_bump, make_weight_vector
 
-__all__ = ["AverageResult", "SweepRow", "birkhoff_average", "convergence_sweep"]
-
-
-@dataclass(frozen=True)
-class AverageResult:
-    """A finite time average: the value, the window length, and the mode."""
-
-    value: complex | float | np.ndarray
-    n_samples: int
-    weighted: bool
+__all__ = ["SweepRow", "birkhoff_average", "convergence_sweep"]
 
 
 @dataclass(frozen=True)
@@ -35,12 +26,13 @@ class SweepRow:
     err_weighted: float
 
 
-def birkhoff_average(series, weights: WeightVector | None = None) -> AverageResult:
+def birkhoff_average(series, weights: WeightVector | None = None):
     """Average a series of observations with optional taper weights.
 
-    With weights=None the plain arithmetic mean is returned.  Summation is
-    pairwise (numpy), so accumulation noise stays near machine precision
-    even for windows of 10^6 samples.
+    Returns a float (complex for a complex series) for a scalar series and
+    an array for a vector series.  With weights=None this is the plain
+    arithmetic mean.  Summation is pairwise (numpy), so accumulation noise
+    stays near machine precision even for windows of 10^6 samples.
 
     Args:
         series: sequence of scalars or vectors, one observation per step.
@@ -49,13 +41,13 @@ def birkhoff_average(series, weights: WeightVector | None = None) -> AverageResu
     Raises:
         SizeError: empty series.
         ShapeError: series/weight length mismatch.
+        DomainError: the average is not finite.
     """
     arr = np.asarray(series)
     if arr.shape[0] == 0:
         raise SizeError("cannot average an empty series")
     if weights is None:
-        value = arr.mean(axis=0)
-        return AverageResult(_as_scalar(value), arr.shape[0], weighted=False)
+        return _as_scalar(arr.mean(axis=0))
     if len(weights) != arr.shape[0]:
         raise ShapeError(
             f"series length {arr.shape[0]} != weight length {len(weights)}")
@@ -64,7 +56,7 @@ def birkhoff_average(series, weights: WeightVector | None = None) -> AverageResu
         value = np.tensordot(wn, arr, axes=(0, 0))
     else:
         value = np.sum(wn * arr)
-    return AverageResult(_as_scalar(value), arr.shape[0], weighted=True)
+    return _as_scalar(value)
 
 
 def _as_scalar(value):
@@ -112,14 +104,14 @@ def convergence_sweep(
         raise SizeError(
             f"max(N_values)={max(N_values)} exceeds benchmark_N={benchmark_N}")
     series = np.asarray(observable(states[:benchmark_N]))
-    benchmark = birkhoff_average(series, make_weight_vector(benchmark_N, w)).value
+    benchmark = birkhoff_average(series, make_weight_vector(benchmark_N, w))
     rows = []
     for N in sorted(int(n) for n in N_values):
         if N < 2:
             raise SizeError(f"sweep window N={N} is too short")
         window = series[:N]
-        bu = birkhoff_average(window).value
-        bw = birkhoff_average(window, make_weight_vector(N, w)).value
+        bu = birkhoff_average(window)
+        bw = birkhoff_average(window, make_weight_vector(N, w))
         rows.append(SweepRow(N, _abs_err(bu, benchmark), _abs_err(bw, benchmark)))
     return rows
 

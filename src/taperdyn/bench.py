@@ -384,7 +384,7 @@ def criterion_13() -> BenchResult:
         m, n = gen.integers(2, 7), gen.integers(2, 7)
         A = gen.standard_normal((int(m), int(n)))
         B = gen.standard_normal((3, int(n)))
-        K = linalg.pinv_lstsq(A, B, fit="left").matrix
+        K = linalg.pinv_lstsq(A.T, B.T).matrix.T
         if m <= n:  # full row rank almost surely: normal equations apply
             K_ref = B @ A.T @ np.linalg.inv(A @ A.T)
             ok_pinv &= bool(np.allclose(K, K_ref, rtol=1e-8, atol=1e-10))

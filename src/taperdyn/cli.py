@@ -258,6 +258,10 @@ def _run_average(cfg) -> dict:
     w = _weight_fn(cfg)
     outputs = {}
     if cfg["sweep"]:
+        if not cfg["sweep_n"] and cfg["N"] < 100:
+            raise ConfigError(
+                f"N={cfg['N']} is too short for the default windows 10..N/10; "
+                "pass --sweep-n")
         sweep_n = cfg["sweep_n"] or tuple(
             int(v) for v in np.unique(np.geomspace(10, cfg["N"] // 10, 12, dtype=int)))
         rows = convergence_sweep(orbit, lambda s: s[:, 0], sweep_n, cfg["N"], w)
@@ -265,8 +269,8 @@ def _run_average(cfg) -> dict:
             "N,err_unweighted,err_weighted",
             [(r.N, r.err_unweighted, r.err_weighted) for r in rows])
     series = orbit.states[:, 0]
-    unw = birkhoff_average(series).value
-    wt = birkhoff_average(series, make_weight_vector(cfg["N"], w)).value
+    unw = birkhoff_average(series)
+    wt = birkhoff_average(series, make_weight_vector(cfg["N"], w))
     outputs["average.csv"] = ("N,unweighted,weighted", [(cfg["N"], unw, wt)])
     return outputs
 
@@ -344,14 +348,15 @@ def _run_mpedmd(cfg) -> dict:
 
 def _run_sindy(cfg) -> dict:
     w = _weight_fn(cfg)
+    if cfg["mode"] not in ("continuous", "discrete"):
+        raise ConfigError(f"unknown mode {cfg['mode']!r} (use continuous or discrete)")
     if cfg["mode"] == "discrete":
         if not cfg["input"]:
             raise ConfigError("discrete mode requires --input trajectory CSV")
         traj = ingest_series(cfg["input"], "trajectory_csv")
         dictionary = monomial_dictionary(cfg["degree"], dim=traj.dim)
         Psi = dictionary(traj.states[:-1]).real
-        targets = sindy_mod.TargetData(traj.states[1:].T, mode="discrete")
-        n = Psi.shape[0]
+        targets = traj.states[1:].T
     else:
         if cfg["input"]:
             positions = ingest_series(cfg["input"], "scalar_csv")
@@ -368,10 +373,9 @@ def _run_sindy(cfg) -> dict:
             xdd = data.second_derivative
         dictionary = monomial_dictionary(cfg["degree"], dim=1)
         Psi = dictionary(interior[:, None]).real
-        targets = sindy_mod.TargetData(xdd[None, :], mode="continuous")
-        n = Psi.shape[0]
+        targets = xdd[None, :]
     model = sindy_mod.stlsq(Psi, targets, eta=cfg["eta"],
-                            weights=make_weight_vector(n, w))
+                            weights=make_weight_vector(Psi.shape[0], w))
     diag = [json.dumps({
         "row": j,
         "iterations": model.iterations,
@@ -412,6 +416,9 @@ def _run_specmeas(cfg) -> dict:
 def _run_forecast(cfg) -> dict:
     if not cfg["input"]:
         raise ConfigError("forecast requires --input (monthly index CSV)")
+    lead = cfg["series_lead"]
+    if not 1 <= lead <= cfg["k_max"]:
+        raise ConfigError(f"series_lead must lie in 1..k_max, got {lead}")
     res_u, res_w, details = nino34_compare(
         cfg["input"],
         train_range=(cfg["train_start"], cfg["train_end"]),
@@ -419,12 +426,9 @@ def _run_forecast(cfg) -> dict:
         lags=cfg["lags"], M=cfg["M"], k_max=cfg["k_max"],
         bandwidth=cfg["bandwidth"] or None, w=_weight_fn(cfg))
     skill_rows = [
-        (int(lead), res_u.rmse[i], res_w.rmse[i],
+        (int(k), res_u.rmse[i], res_w.rmse[i],
          res_u.correlation[i], res_w.correlation[i], res_u.climatology)
-        for i, lead in enumerate(res_u.leads)]
-    lead = cfg["series_lead"]
-    if not 1 <= lead <= cfg["k_max"]:
-        raise ConfigError(f"series_lead must lie in 1..k_max, got {lead}")
+        for i, k in enumerate(res_u.leads)]
     series_rows = []
     for i, (year, month) in enumerate(details["start_months"]):
         series_rows.append((

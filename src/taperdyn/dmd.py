@@ -66,15 +66,9 @@ class DmdResult:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     modes: np.ndarray
-    weighted: bool
-    n_used: int
 
 
-def dmd(
-    pair: SnapshotPair,
-    weights: WeightVector | None = None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
-) -> DmdResult:
+def dmd(pair: SnapshotPair, weights: WeightVector | None = None) -> DmdResult:
     """Fit A minimizing ||Y_w - A X_w||_F with tapered snapshot matrices.
 
     With weights=None this is the classical pseudoinverse fit A = Y pinv(X).
@@ -86,10 +80,9 @@ def dmd(
         ShapeError: weight length differs from the number of snapshot pairs.
         DomainError: the snapshots hold NaN or infinity.
     """
-    sol = linalg.pinv_lstsq(pair.X, pair.Y, rel_tol=rel_tol, fit="left", weights=weights)
-    values, vectors = linalg.eig(sol.matrix)
-    return DmdResult(matrix=sol.matrix, eigenvalues=values, modes=vectors,
-                     weighted=weights is not None, n_used=pair.n_pairs)
+    A = linalg.pinv_lstsq(pair.X.T, pair.Y.T, weights).matrix.T
+    values, vectors = linalg.eig(A)
+    return DmdResult(matrix=A, eigenvalues=values, modes=vectors)
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,6 @@ def dmd_error_sweep(
     N_values: Sequence[int],
     benchmark_N: int,
     w: Callable | None = None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
 ) -> list[DmdSweepRow]:
     """Relative errors of plain and tapered fits against a long tapered benchmark.
 
@@ -190,13 +182,13 @@ def dmd_error_sweep(
     pair_full = snapshot_pair(traj)
     bench = dmd(
         SnapshotPair(pair_full.X[:, :benchmark_N], pair_full.Y[:, :benchmark_N]),
-        make_weight_vector(benchmark_N, w), rel_tol=rel_tol)
+        make_weight_vector(benchmark_N, w))
     bench_norm = np.linalg.norm(bench.matrix)
     rows = []
     for N in sorted(int(n) for n in N_values):
         sub = SnapshotPair(pair_full.X[:, :N], pair_full.Y[:, :N])
-        unw = dmd(sub, None, rel_tol=rel_tol)
-        wt = dmd(sub, make_weight_vector(N, w), rel_tol=rel_tol)
+        unw = dmd(sub, None)
+        wt = dmd(sub, make_weight_vector(N, w))
         rows.append(DmdSweepRow(
             N=N,
             relerr_matrix_unw=float(np.linalg.norm(unw.matrix - bench.matrix) / bench_norm),

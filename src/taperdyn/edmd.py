@@ -174,16 +174,10 @@ class KoopmanMatrix:
     """Least-squares Koopman approximation on the chosen dictionaries."""
 
     matrix: np.ndarray
-    weighted: bool
-    n_used: int
     effective_rank: int = 0
 
 
-def edmd(
-    mats: DictionaryMatrices,
-    weights: WeightVector | None = None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
-) -> KoopmanMatrix:
+def edmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> KoopmanMatrix:
     """Minimal-norm minimizer of ||W^(1/2)(Phi - Psi K)||_F.
 
     weights=None gives the plain fit K = pinv(Psi) Phi; a taper reweights the
@@ -193,10 +187,8 @@ def edmd(
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
     """
-    sol = linalg.pinv_lstsq(mats.Psi, mats.Phi, rel_tol=rel_tol, fit="right",
-                            weights=weights)
-    return KoopmanMatrix(matrix=sol.matrix, weighted=weights is not None,
-                         n_used=mats.n_pairs, effective_rank=sol.effective_rank)
+    sol = linalg.pinv_lstsq(mats.Psi, mats.Phi, weights)
+    return KoopmanMatrix(matrix=sol.matrix, effective_rank=sol.effective_rank)
 
 
 @dataclass(frozen=True)
@@ -208,15 +200,9 @@ class MpedmdResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     gram: np.ndarray
-    weighted: bool
-    n_used: int
 
 
-def mpedmd(
-    mats: DictionaryMatrices,
-    weights: WeightVector | None = None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
-) -> MpedmdResult:
+def mpedmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> MpedmdResult:
     """Measure-preserving Koopman fit via an SVD polar construction.
 
     With G = Psi* W Psi and A = Psi* W Phi, the SVD U1 S U2* of
@@ -230,7 +216,9 @@ def mpedmd(
     Raises:
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
-        ConditioningError: G is indefinite or ill-conditioned at rel_tol.
+        ConditioningError: G is indefinite or ill-conditioned at the
+            linalg.DEFAULT_REL_TOL cutoff.
+        NumericalError: the eigendecomposition of the unitary factor fails.
     """
     if mats.Psi.shape[1] != mats.Phi.shape[1]:
         raise ShapeError("mpedmd requires matching dictionary sizes (phi = psi)")
@@ -248,13 +236,10 @@ def mpedmd(
         A = Psi_w.conj().T @ Phi_w
     if not (np.isfinite(G).all() and np.isfinite(A).all()):
         raise DomainError("mpedmd data hold NaN or infinity")
-    G_half, G_inv_half = linalg.sym_sqrt_inv(G, rel_tol=rel_tol)
+    G_half, G_inv_half = linalg.sym_sqrt_inv(G)
     U1, _, U2h = np.linalg.svd(G_inv_half @ A.conj().T @ G_inv_half)
     U21 = U2h.conj().T @ U1.conj().T
-    lam, Vhat = np.linalg.eig(U21)
-    order = linalg._eig_order(lam)
-    lam, Vhat = lam[order], Vhat[:, order]
+    lam, Vhat = linalg.eig(U21)
     K = G_inv_half @ U21 @ G_half
     V = G_inv_half @ Vhat
-    return MpedmdResult(matrix=K, eigenvalues=lam, eigenvectors=V, gram=G,
-                        weighted=weights is not None, n_used=N)
+    return MpedmdResult(matrix=K, eigenvalues=lam, eigenvectors=V, gram=G)

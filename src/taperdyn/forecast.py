@@ -347,7 +347,6 @@ class ShiftMatrix:
     eigenfunction basis; powers give multi-step forecasts."""
 
     matrix: np.ndarray
-    weighted: bool
 
 
 def _pair_average(phi_curr: np.ndarray, phi_next: np.ndarray,
@@ -379,7 +378,7 @@ def shift_matrix(basis: DiffusionBasis,
                 f"weight length {len(weights)} != pair count {n_pairs}")
         wn = weights.normalized
     A = _pair_average(basis.phi[:-1], basis.phi[1:], wn)
-    return ShiftMatrix(matrix=A, weighted=weights is not None)
+    return ShiftMatrix(matrix=A)
 
 
 def forecast(

@@ -1,10 +1,9 @@
 """Dense linear-algebra kernels shared by the fitting modules.
 
 Thin, contract-checked wrappers over LAPACK (via numpy/scipy): weighted
-truncated-SVD least squares in both orientation conventions, reduced by a
-blocked QR on tall data, sorted eigendecomposition, and Hermitian square
-roots.  All kernels are stateless and safe for concurrent use on distinct
-inputs.
+truncated-SVD least squares with samples as rows, reduced by a blocked QR
+on tall data, sorted eigendecomposition, and Hermitian square roots.  All
+kernels are stateless and safe for concurrent use on distinct inputs.
 """
 from __future__ import annotations
 
@@ -24,8 +23,9 @@ __all__ = [
     "sym_sqrt_inv",
 ]
 
+# The relative singular-value cutoff of pinv_lstsq and sym_sqrt_inv.
 # Aggressive truncation would mask machine-precision convergence studies,
-# so the default keeps everything above eps-level noise.
+# so the cutoff keeps everything above eps-level noise.
 DEFAULT_REL_TOL = 1e-12
 
 # Samples per block of the TSQR reduction in pinv_lstsq.  On a weighted
@@ -44,8 +44,8 @@ class LstsqSolution:
     singular_values: np.ndarray
 
 
-def _sqrt_weights(weights, n: int) -> np.ndarray:
-    diag = weights.raw if isinstance(weights, WeightVector) else np.asarray(weights, float)
+def _sqrt_weights(weights: WeightVector, n: int) -> np.ndarray:
+    diag = weights.raw
     if diag.shape != (n,):
         raise ShapeError(f"weights have shape {diag.shape}, data has {n} samples")
     if not (np.isfinite(diag).all() and (diag >= 0).all()):
@@ -53,38 +53,28 @@ def _sqrt_weights(weights, n: int) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w, left: bool):
+def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w):
     """A small (A_r, B_r) with the least-squares problem of (W^½A, W^½B).
 
-    The result is in the right-fit orientation (samples are rows): for
-    fit="left" the data are conjugate-transposed on the way in.  Up to one
-    block of samples the weighted data are the reduced problem.  Longer data
-    are walked in blocks of _TSQR_ROWS samples: each block of [W^½A | W^½B]
-    is copied into one reused buffer and replaced by its R factor, and the
-    stacked R factors are factored once more (TSQR).  Since [W^½A | W^½B] =
-    Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| = ||R_B - R_A K|| for
-    every K, and R_A has the singular values of W^½A.
+    Up to one block of samples the weighted data are the reduced problem.
+    Longer data are walked in blocks of _TSQR_ROWS samples: each block of
+    [W^½A | W^½B] is copied into one reused buffer and replaced by its R
+    factor, and the stacked R factors are factored once more (TSQR).  Since
+    [W^½A | W^½B] = Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| =
+    ||R_B - R_A K|| for every K, and R_A has the singular values of W^½A.
     """
-    if left:
-        A, B = A.T, B.T  # conjugated below
     n, L = A.shape
     if n <= _TSQR_ROWS:
-        if left:
-            A, B = A.conj(), B.conj()
         if sqrt_w is not None:
             A, B = A * sqrt_w[:, None], B * sqrt_w[:, None]
         return A, B
-    # the buffer keeps the caller's layout, so the copy runs along samples
-    buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float),
-                   order="F" if left else "C")
+    buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float))
     factors = []
     for start in range(0, n, _TSQR_ROWS):
         block = buf[:min(_TSQR_ROWS, n - start)]
         stop = start + block.shape[0]
         block[:, :L] = A[start:stop]
         block[:, L:] = B[start:stop]
-        if left and np.iscomplexobj(block):
-            np.conjugate(block, out=block)
         if sqrt_w is not None:
             block *= sqrt_w[start:stop, None]
         factors.append(np.linalg.qr(block, mode="r"))
@@ -92,84 +82,48 @@ def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w, left: bool):
     return R[:, :L], R[:, L:]
 
 
-def _truncated_pinv_parts(A: np.ndarray, rel_tol: float):
-    U, S, Vh = np.linalg.svd(A, full_matrices=False)
-    if S.size == 0 or S[0] == 0.0:
-        return U, np.zeros_like(S), Vh, 0, S
-    keep = S > rel_tol * S[0]
-    inv = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
-    return U, inv, Vh, int(keep.sum()), S
+def pinv_lstsq(A: np.ndarray, B: np.ndarray,
+               weights: WeightVector | None = None) -> LstsqSolution:
+    """Minimal-norm minimizer K of ||W^(1/2)(B - A K)||_F by truncated SVD.
 
-
-def _pinv_right(A: np.ndarray, B: np.ndarray, rel_tol: float) -> LstsqSolution:
-    """Minimal-norm minimizer of ||B - A K||_F."""
-    U, inv, Vh, rank, S = _truncated_pinv_parts(A, rel_tol)
-    K = (Vh.conj().T * inv) @ (U.conj().T @ B)
-    return LstsqSolution(matrix=K, effective_rank=rank, singular_values=S)
-
-
-def pinv_lstsq(
-    A: np.ndarray,
-    B: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
-    fit: str = "left",
-    weights=None,
-) -> LstsqSolution:
-    """Weighted truncated-SVD minimal-norm least squares in either orientation.
-
-    fit="left" minimizes ||(B - K A) W^(1/2)||_F over K (solution
-    K = B pinv(A) when unweighted); fit="right" minimizes
-    ||W^(1/2)(B - A K)||_F (solution K = pinv(A) B).  The diagonal taper W
-    runs over the sample axis: the columns of A and B for fit="left", their
-    rows for fit="right".  Data with more than _TSQR_ROWS samples are first
-    reduced by a blocked QR (TSQR) to a problem whose size does not grow with
-    the sample count; the truncated SVD then runs on the reduced A, whose
-    singular values are those of the weighted A.  Singular values below
-    rel_tol * sigma_max are treated as zero.  An all-zero A yields the zero
-    solution with effective_rank 0, not an error.  The caller's arrays are
-    only read.
+    Samples are rows: A is n x L, B is n x m, and the diagonal taper W runs
+    over the n rows (K = pinv(A) B when unweighted).  A caller whose samples
+    are columns, fitting B ≈ K A, passes A.T and B.T and transposes the
+    result.  Data with more than _TSQR_ROWS samples are first reduced by a
+    blocked QR (TSQR) to a problem whose size does not grow with the sample
+    count; the truncated SVD then runs on the reduced A, whose singular
+    values are those of the weighted A.  Singular values below
+    DEFAULT_REL_TOL * sigma_max are treated as zero.  An all-zero A yields
+    the zero solution with effective_rank 0, not an error.  The caller's
+    arrays are only read.
 
     Args:
-        weights: WeightVector (its raw values are used; normalization
-            cancels in the fit) or 1-D array of nonnegative weights, one per
-            sample; None for the unweighted fit.
+        weights: WeightVector over the n samples (its raw values are used;
+            normalization cancels in the fit), or None for the plain fit.
 
     Raises:
-        ShapeError: incompatible shapes or rel_tol outside (0, 1).
-        DomainError: the weighted data hold NaN or infinity, or raw-array
-            weights are negative or not finite.
+        ShapeError: incompatible shapes.
+        DomainError: the weighted data hold NaN or infinity, or the weights
+            are negative or not finite.
     """
     A = np.asarray(A)
     B = np.asarray(B)
-    if not (0.0 < rel_tol < 1.0):
-        raise ShapeError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if fit not in ("left", "right"):
-        raise ShapeError(f"fit must be 'left' or 'right', got {fit!r}")
     if A.ndim != 2 or B.ndim != 2:
         raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
-    left = fit == "left"
-    n = A.shape[1] if left else A.shape[0]
-    if (B.shape[1] if left else B.shape[0]) != n:
-        law = "||B - K A||" if left else "||B - A K||"
-        raise ShapeError(f"{law}: B is {B.shape}, A is {A.shape}")
+    n = A.shape[0]
+    if B.shape[0] != n:
+        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
     sqrt_w = None if weights is None else _sqrt_weights(weights, n)
     with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
-        A_r, B_r = _reduce(A, B, sqrt_w, left)
+        A_r, B_r = _reduce(A, B, sqrt_w)
     # NaN and inf survive the reduction, so the small factor shows them
     if not (np.isfinite(A_r).all() and np.isfinite(B_r).all()):
         raise DomainError("least-squares data hold NaN or infinity")
-    sol = _pinv_right(A_r, B_r, rel_tol)
-    if left:
-        # ||B - K A|| = ||B* - A* K*||: K is the conjugate transpose
-        return LstsqSolution(matrix=sol.matrix.conj().T,
-                             effective_rank=sol.effective_rank,
-                             singular_values=sol.singular_values)
-    return sol
-
-
-def _eig_order(values: np.ndarray) -> np.ndarray:
-    # descending modulus; ties by descending real part, then descending imag
-    return np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    U, S, Vh = np.linalg.svd(A_r, full_matrices=False)
+    keep = S > DEFAULT_REL_TOL * S[:1]  # none kept when A is all zero or empty
+    inv = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
+    K = (Vh.conj().T * inv) @ (U.conj().T @ B_r)
+    return LstsqSolution(matrix=K, effective_rank=int(keep.sum()), singular_values=S)
 
 
 def eig(A: np.ndarray):
@@ -193,16 +147,17 @@ def eig(A: np.ndarray):
         raise NumericalError(
             f"eigendecomposition failed to converge (cond ~ {cond:.3e}): {exc}"
         ) from exc
-    order = _eig_order(values)
+    # descending modulus; ties by descending real part, then descending imag
+    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
     return values[order], vectors[:, order]
 
 
-def sym_sqrt_inv(G: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
+def sym_sqrt_inv(G: np.ndarray):
     """Square root and inverse square root of a Hermitian positive-definite matrix.
 
     Computed from the Hermitian eigendecomposition.  The input must be
     Hermitian within 1e-10 relative and have smallest eigenvalue above
-    rel_tol times the largest.
+    DEFAULT_REL_TOL times the largest.
 
     Returns:
         (G_half, G_inv_half) with G_half @ G_half ~= G.
@@ -220,10 +175,10 @@ def sym_sqrt_inv(G: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
         raise ShapeError(f"matrix is not Hermitian (relative residual {herm_resid:.3e})")
     lam, Q = scipy.linalg.eigh(G)
     lam_max = lam[-1]
-    if lam_max <= 0.0 or lam[0] <= rel_tol * lam_max:
+    if lam_max <= 0.0 or lam[0] <= DEFAULT_REL_TOL * lam_max:
         ratio = lam[0] / lam_max if lam_max > 0 else float("-inf")
         raise ConditioningError(
-            f"matrix not positive definite at rel_tol={rel_tol:g}: "
+            f"matrix not positive definite at cutoff {DEFAULT_REL_TOL:g}: "
             f"eigenvalue ratio min/max = {ratio:.3e}")
     root = np.sqrt(lam)
     G_half = (Q * root) @ Q.conj().T

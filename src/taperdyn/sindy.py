@@ -15,12 +15,11 @@ import numpy as np
 
 from . import linalg
 from .edmd import monomial_dictionary
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, ShapeError
 from .systems import RngStream, harmonic_series
 from .weights import WeightVector, exponential_bump, make_weight_vector
 
 __all__ = [
-    "TargetData",
     "SindyModel",
     "SindySweepRow",
     "stlsq",
@@ -30,48 +29,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TargetData:
-    """Regression targets: next states (discrete) or derivative estimates
-    (continuous), one column per sample."""
-
-    values: np.ndarray
-    mode: str = "continuous"
-
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values))
-        object.__setattr__(self, "values", values)
-        if self.mode not in ("discrete", "continuous"):
-            raise ConfigError(f"mode must be 'discrete' or 'continuous', got {self.mode!r}")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("targets contain non-finite values")
-
-
-@dataclass(frozen=True)
 class SindyModel:
     """Thresholded-least-squares coefficient matrix with run diagnostics.
 
     coefficients is d x L; active_mask marks surviving entries; a converged
     run is a fixed point of the prune-refit loop, so every active entry has
-    magnitude >= eta.  Rows whose columns were all pruned are reported in
-    zeroed_rows rather than raised.
+    magnitude >= the threshold eta given to stlsq.  Rows whose columns were
+    all pruned are reported in zeroed_rows rather than raised.
     """
 
     coefficients: np.ndarray
     active_mask: np.ndarray
-    eta: float
     iterations: int
     converged: bool
-    mode: str
     zeroed_rows: tuple = field(default=())
 
 
 def stlsq(
     Psi: np.ndarray,
-    targets: TargetData | np.ndarray,
+    targets: np.ndarray,
     eta: float,
     weights: WeightVector | None = None,
     max_iter: int | None = None,
-    rel_tol: float = linalg.DEFAULT_REL_TOL,
 ) -> SindyModel:
     """Sequentially thresholded (optionally taper-weighted) least squares.
 
@@ -82,7 +61,8 @@ def stlsq(
 
     Args:
         Psi: N x L dictionary matrix (rows are samples).
-        targets: d x N targets, or a TargetData wrapper.
+        targets: d x N targets: next states (discrete mode) or derivative
+            estimates (continuous mode), one column per sample.
         eta: hard threshold; eta = 0 reduces to one unthresholded solve.
         weights: optional taper over the N samples.
         max_iter: defaults to L + 1, which suffices under cumulative pruning.
@@ -92,12 +72,7 @@ def stlsq(
         DomainError: Psi or the targets hold NaN or infinity.
     """
     Psi = np.asarray(Psi)
-    if isinstance(targets, TargetData):
-        mode = targets.mode
-        T = targets.values
-    else:
-        mode = "continuous"
-        T = np.atleast_2d(np.asarray(targets))
+    T = np.atleast_2d(np.asarray(targets))
     if eta < 0:
         raise ConfigError(f"eta must be >= 0, got {eta}")
     N, L = Psi.shape
@@ -111,12 +86,11 @@ def stlsq(
 
     dtype = np.result_type(Psi.dtype, T.dtype, float)
     Xi = np.zeros((d, L), dtype=dtype)
-    # initial unrestricted solve: Xi = T pinv(Psi^T) in the weighted norm
-    Xi[:] = linalg.pinv_lstsq(Psi.T, T, rel_tol=rel_tol, fit="left",
-                              weights=weights).matrix
+    # initial unrestricted solve: Xi^T = pinv(Psi) T^T in the weighted norm
+    Xi[:] = linalg.pinv_lstsq(Psi, T.T, weights).matrix.T
     active = np.ones((d, L), dtype=bool)
     if eta == 0.0:
-        return SindyModel(Xi, active, eta, 1, True, mode, ())
+        return SindyModel(Xi, active, 1, True, ())
 
     iterations = 0
     converged = False
@@ -132,13 +106,12 @@ def stlsq(
             cols = np.flatnonzero(active[j])
             if cols.size == 0:
                 continue
-            sol = linalg.pinv_lstsq(Psi[:, cols].T, T[j:j + 1], rel_tol=rel_tol,
-                                    fit="left", weights=weights)
-            Xi[j, cols] = sol.matrix[0]
+            sol = linalg.pinv_lstsq(Psi[:, cols], T[j:j + 1].T, weights)
+            Xi[j, cols] = sol.matrix[:, 0]
     else:
         converged = not (active & (np.abs(Xi) < eta)).any()
     zeroed = tuple(int(j) for j in range(d) if not active[j].any())
-    return SindyModel(Xi, active, eta, iterations, converged, mode, zeroed)
+    return SindyModel(Xi, active, iterations, converged, zeroed)
 
 
 def harmonic_oscillator_exact(L: int = 6) -> np.ndarray:
@@ -186,7 +159,7 @@ def sindy_error_sweep(
         data = harmonic_series(amplitude, phase, dt, N,
                                noise_sigma=noise_sigma, rng=rng)
         Psi = dictionary(data.interior_positions[:, None]).real
-        targets = TargetData(data.second_derivative[None, :], mode="continuous")
+        targets = data.second_derivative[None, :]
         wv = make_weight_vector(N, w)
         for method, weight_vec, eta_list in (
             ("LS", None, [0.0]),

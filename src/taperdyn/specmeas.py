@@ -43,8 +43,6 @@ class AutocorrelationSet:
 
     values: np.ndarray
     M: int
-    n_used: int
-    weighted: bool
 
     def lag(self, n: int) -> complex:
         if abs(n) > self.M:
@@ -94,7 +92,7 @@ def autocorrelations(
             a_n = complex(a_n.real, 0.0)
         values[M + n] = a_n
         values[M - n] = np.conj(a_n)
-    return AutocorrelationSet(values=values, M=M, n_used=N, weighted=weighted)
+    return AutocorrelationSet(values=values, M=M)
 
 
 def cosine_filter(x):

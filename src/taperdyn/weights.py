@@ -74,12 +74,11 @@ def uniform_weight() -> Callable:
 class WeightVector:
     """Taper weights sampled along a window of length N.
 
-    raw[n] = w(n/N) for n = 0..N-1; alpha is their sum; normalized sums
-    to one.  Instances are immutable and safe to share across threads.
+    raw[n] = w(n/N) for n = 0..N-1; normalized is raw divided by its sum.
+    Instances are immutable and safe to share across threads.
     """
 
     raw: np.ndarray
-    alpha: float
     normalized: np.ndarray
 
     def __post_init__(self):
@@ -117,4 +116,4 @@ def make_weight_vector(N: int, w: Callable) -> WeightVector:
             f"weight profile produced negative or non-finite values (sum {alpha})")
     if alpha <= 0.0:
         raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
-    return WeightVector(raw=raw, alpha=alpha, normalized=raw / alpha)
+    return WeightVector(raw=raw, normalized=raw / alpha)

@@ -244,6 +244,34 @@ class TestBoundaryErrors:
                     "--sweep", "false", "--outdir", str(tmp_path / "o")]) == EXIT_DATA
         assert f"{path}:1: " in capsys.readouterr().err
 
+    def test_sindy_unknown_mode_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["sindy", "--mode", "foo", "--N", "200",
+                    "--outdir", str(out)]) == EXIT_CONFIG
+        assert "code=3 kind=ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("N", [5, 15])
+    def test_average_sweep_on_short_orbit_needs_windows(self, tmp_path, capsys, N):
+        # the default windows geomspace(10, N // 10) exist only for N >= 100
+        out = tmp_path / "out"
+        assert run(["average", "--N", str(N), "--sweep",
+                    "--outdir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code=3 kind=ConfigError" in err and "--sweep-n" in err
+        assert not out.exists()
+
+    def test_series_lead_checked_before_forecasting(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("nino34_compare ran before the lead check")
+
+        monkeypatch.setattr(cli, "nino34_compare", must_not_run)
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        assert run(["forecast", "--input", str(csv), "--series-lead", "99",
+                    "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "series_lead" in capsys.readouterr().err
+
 
 class TestForecastWeight:
     def _skill(self, tmp_path, csv, weight):

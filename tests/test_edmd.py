@@ -5,6 +5,7 @@ import pytest
 
 from taperdyn import (
     DictionaryMatrices,
+    NumericalError,
     RngStream,
     ShapeError,
     build_dictionary_matrices,
@@ -174,6 +175,15 @@ class TestMpedmd:
         mats = DictionaryMatrices(identity_dictionary(2)(states[:-1]),
                                   monomial_dictionary(2, dim=2)(states[1:]))
         with pytest.raises(ShapeError):
+            mpedmd(mats)
+
+    def test_eig_failure_is_numerical_error(self, monkeypatch):
+        def not_converging(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        mats = build_dictionary_matrices(rotation_orbit(200), fourier_dictionary(1, dim=1))
+        monkeypatch.setattr(np.linalg, "eig", not_converging)
+        with pytest.raises(NumericalError, match="failed to converge"):
             mpedmd(mats)
 
 

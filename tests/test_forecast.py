@@ -324,7 +324,7 @@ class TestDiffusionBasis:
         with pytest.raises(DomainError):
             basis.extend(np.array([bad]))
         with pytest.raises(DomainError):
-            forecast(basis, ShiftMatrix(np.eye(3), weighted=False),
+            forecast(basis, ShiftMatrix(np.eye(3)),
                      np.array([bad]), 2, pts[:, 0])
 
 
@@ -386,7 +386,7 @@ class TestForecast:
     def test_identity_shift_is_constant_in_lead(self):
         pts = np.random.default_rng(4).standard_normal((200, 1))
         basis = diffusion_basis(pts, M=4, bandwidth=1.0)
-        ident = ShiftMatrix(np.eye(4), weighted=False)
+        ident = ShiftMatrix(np.eye(4))
         preds, ok = forecast(basis, ident, pts[10], 5, pts[:, 0])
         assert ok
         np.testing.assert_allclose(preds, preds[0], atol=1e-12)
@@ -423,15 +423,15 @@ class TestForecast:
         pts = np.random.default_rng(4).standard_normal((50, 1))
         basis = diffusion_basis(pts, M=3, bandwidth=1.0)
         with pytest.raises(ShapeError):
-            forecast(basis, ShiftMatrix(np.eye(3), False), pts[0], 2, np.ones(49))
+            forecast(basis, ShiftMatrix(np.eye(3)), pts[0], 2, np.ones(49))
 
     def test_lead_zero_independent_of_shift_matrix(self, ou_basis):
         g = ou_basis.points[:, 0]
         x0 = ou_basis.points[37]
         rng = np.random.default_rng(0)
-        p1, _ = forecast(ou_basis, ShiftMatrix(np.eye(ou_basis.M), False), x0, 3, g)
+        p1, _ = forecast(ou_basis, ShiftMatrix(np.eye(ou_basis.M)), x0, 3, g)
         p2, _ = forecast(ou_basis,
-                         ShiftMatrix(rng.standard_normal((ou_basis.M,) * 2), False),
+                         ShiftMatrix(rng.standard_normal((ou_basis.M,) * 2)),
                          x0, 3, g)
         assert p1[0] == p2[0]
 

@@ -10,6 +10,7 @@ from taperdyn import (
     ConditioningError,
     RngStream,
     ShapeError,
+    WeightVector,
     build_dictionary_matrices,
     edmd,
     eig,
@@ -28,22 +29,41 @@ def gen():
     return RngStream(77, "linalg").generator()
 
 
-def _svd_reference(A, B, rel_tol=1e-12, fit="left", weights=None):
-    """The solve before the TSQR reduction: weight, then thin SVD of the full A."""
+def _weights(raw):
+    """A WeightVector built directly from raw values."""
+    raw = np.asarray(raw, dtype=float)
+    return WeightVector(raw, raw / raw.sum())
+
+
+def _svd_reference(A, B, fit="right", weights=None):
+    """The solve before the TSQR reduction: weight, then thin SVD of the full A.
+
+    fit="left" is the law ||B - K A|| with samples as columns, solved here by
+    conjugate transposes.
+    """
     A, B = np.asarray(A), np.asarray(B)
     if fit == "left":
         A, B = A.conj().T, B.conj().T
     if weights is not None:
-        sw = np.sqrt(np.asarray(getattr(weights, "raw", weights), dtype=float))
+        sw = np.sqrt(weights.raw)
         A, B = A * sw[:, None], B * sw[:, None]
     U, S, Vh = np.linalg.svd(A, full_matrices=False)
     if S.size == 0 or S[0] == 0.0:
         inv, rank = np.zeros_like(S), 0
     else:
-        keep = S > rel_tol * S[0]
+        keep = S > 1e-12 * S[0]
         inv, rank = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0), int(keep.sum())
     K = (Vh.conj().T * inv) @ (U.conj().T @ B)
     return (K.conj().T if fit == "left" else K), rank, S
+
+
+def _solve(A, B, fit, weights=None):
+    """(K, solution) from pinv_lstsq; fit="left" passes the transposes."""
+    if fit == "left":
+        sol = pinv_lstsq(A.T, B.T, weights)
+        return sol.matrix.T, sol
+    sol = pinv_lstsq(A, B, weights)
+    return sol.matrix, sol
 
 
 def _tall_problem(seed, N, L, m, complex_data):
@@ -59,47 +79,43 @@ def _tall_problem(seed, N, L, m, complex_data):
 
 class TestPinvWeights:
     def test_identity_weights_change_nothing(self, gen):
-        M = gen.standard_normal((3, 6))
-        B = gen.standard_normal((2, 6))
-        out = pinv_lstsq(M, B, weights=np.ones(6))
+        M = gen.standard_normal((6, 3))
+        B = gen.standard_normal((6, 2))
+        out = pinv_lstsq(M, B, _weights(np.ones(6)))
         np.testing.assert_array_equal(out.matrix, pinv_lstsq(M, B).matrix)
 
     def test_last_sample_only(self, gen):
-        M = gen.standard_normal((3, 5))
-        B = gen.standard_normal((2, 5))
-        out = pinv_lstsq(M, B, weights=np.array([0.0, 0, 0, 0, 1.0]))
-        alone = pinv_lstsq(M[:, 4:], B[:, 4:])
+        M = gen.standard_normal((5, 3))
+        B = gen.standard_normal((5, 2))
+        out = pinv_lstsq(M, B, _weights([0.0, 0, 0, 0, 1.0]))
+        alone = pinv_lstsq(M[4:], B[4:])
         np.testing.assert_allclose(out.matrix, alone.matrix, rtol=1e-13)
         assert out.effective_rank == alone.effective_rank == 1
 
     def test_twice_equals_diag_scaling(self, gen):
         # weighting by diag is the unweighted fit of the sqrt(diag)-scaled data
-        M = gen.standard_normal((4, 7))
-        B = gen.standard_normal((2, 7))
+        M = gen.standard_normal((7, 4))
+        B = gen.standard_normal((7, 2))
         diag = gen.uniform(0.1, 2.0, 7)
-        out = pinv_lstsq(M, B, weights=diag)
-        sw = np.sqrt(diag)
+        out = pinv_lstsq(M, B, _weights(diag))
+        sw = np.sqrt(diag)[:, None]
         scaled = pinv_lstsq(M * sw, B * sw)
         np.testing.assert_allclose(out.matrix, scaled.matrix, rtol=1e-14)
 
-    def test_accepts_weight_vector(self, gen):
-        M = gen.standard_normal((8, 3))
-        B = gen.standard_normal((8, 2))
-        wv = make_weight_vector(8, exponential_bump())
-        out = pinv_lstsq(M, B, fit="right", weights=wv)
-        raw = pinv_lstsq(M, B, fit="right", weights=wv.raw.copy())
-        np.testing.assert_array_equal(out.matrix, raw.matrix)
-
     def test_shape_error(self, gen):
         with pytest.raises(ShapeError):
-            pinv_lstsq(gen.standard_normal((3, 5)), np.ones((2, 5)), weights=np.ones(4))
+            pinv_lstsq(gen.standard_normal((5, 3)), np.ones((5, 2)), _weights(np.ones(4)))
         with pytest.raises(ShapeError):
-            pinv_lstsq(gen.standard_normal((3, 5)), np.ones((2, 5)),
-                       weights=np.ones((5, 1)))
+            pinv_lstsq(gen.standard_normal((5, 3)), np.ones((5, 2)),
+                       _weights(np.ones((5, 1))))
 
 
 class TestTsqrAgainstSvd:
-    """The blocked-QR reduction against the full thin-SVD solve it replaced."""
+    """The blocked-QR reduction against the full thin-SVD solve it replaced.
+
+    fit="right" fits B ~ A K with samples as rows; fit="left" fits B ~ K A
+    with samples as columns by passing the transposes, as DMD does.
+    """
 
     @pytest.mark.parametrize("N", [1, 6, _TSQR_ROWS - 1, _TSQR_ROWS, _TSQR_ROWS + 1,
                                    3 * _TSQR_ROWS + 1, 100_000])
@@ -110,35 +126,35 @@ class TestTsqrAgainstSvd:
         L, m = 6, 4
         A, B = _tall_problem(N, N, L, m, complex_data)
         weights = None
-        if weighted:  # a weight vector needs N >= 2
-            weights = make_weight_vector(N, exponential_bump()) if N > 1 else [0.5]
+        if weighted:  # make_weight_vector needs N >= 2
+            weights = make_weight_vector(N, exponential_bump()) if N > 1 else _weights([0.5])
         if fit == "left":
             A, B = A.T, B.T
-        sol = pinv_lstsq(A, B, fit=fit, weights=weights)
+        K, sol = _solve(A, B, fit, weights)
         K_ref, rank_ref, S_ref = _svd_reference(A, B, fit=fit, weights=weights)
         assert sol.effective_rank == rank_ref
-        err = np.linalg.norm(sol.matrix - K_ref) / np.linalg.norm(K_ref)
+        err = np.linalg.norm(K - K_ref) / np.linalg.norm(K_ref)
         assert err <= 1e-12
         np.testing.assert_allclose(sol.singular_values, S_ref, rtol=0,
                                    atol=1e-13 * S_ref[0])
 
     @pytest.mark.parametrize("N", [500, 3 * _TSQR_ROWS + 1])
     def test_truncation(self, gen, N):
+        # two singular values fall below the fixed 1e-12 cutoff, one is zero
         Q, _ = np.linalg.qr(gen.standard_normal((N, 6)))
         V, _ = np.linalg.qr(gen.standard_normal((6, 6)))
         A = Q @ np.diag([1.0, 0.5, 0.1, 1e-14, 1e-15, 0.0]) @ V.T
         B = gen.standard_normal((N, 2))
-        sol = pinv_lstsq(A, B, rel_tol=1e-10, fit="right")
-        K_ref, rank_ref, _ = _svd_reference(A, B, rel_tol=1e-10, fit="right")
+        sol = pinv_lstsq(A, B)
+        K_ref, rank_ref, _ = _svd_reference(A, B)
         assert sol.effective_rank == rank_ref == 3
         np.testing.assert_allclose(sol.matrix, K_ref, rtol=1e-12)
 
     @pytest.mark.parametrize("N", [5, 3 * _TSQR_ROWS + 1])
     def test_zero_matrix(self, N):
-        sol = pinv_lstsq(np.zeros((3, N)), np.ones((2, N)), fit="left",
-                         weights=np.ones(N))
+        sol = pinv_lstsq(np.zeros((N, 3)), np.ones((N, 2)), _weights(np.ones(N)))
         assert sol.effective_rank == 0
-        np.testing.assert_array_equal(sol.matrix, np.zeros((2, 3)))
+        np.testing.assert_array_equal(sol.matrix, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("N", [50, 2 * _TSQR_ROWS + 3])
     @pytest.mark.parametrize("fit", ["left", "right"])
@@ -146,10 +162,11 @@ class TestTsqrAgainstSvd:
         A, B = _tall_problem(1, N, 4, 2, complex_data=True)
         if fit == "left":
             A, B = A.T, B.T
-        w = make_weight_vector(N, exponential_bump()).raw.copy()
-        before = [a.copy() for a in (A, B, w)]
-        pinv_lstsq(A, B, fit=fit, weights=w)
-        for arr, old in zip((A, B, w), before):
+        raw = make_weight_vector(N, exponential_bump()).raw.copy()
+        normalized = raw / raw.sum()
+        before = [a.copy() for a in (A, B, raw, normalized)]
+        _solve(A, B, fit, WeightVector(raw, normalized))
+        for arr, old in zip((A, B, raw, normalized), before):
             np.testing.assert_array_equal(arr, old)
             assert arr.flags.writeable
 
@@ -161,7 +178,7 @@ class TestTsqrAgainstSvd:
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
         wv = make_weight_vector(mats.n_pairs, exponential_bump()) if weighted else None
         fit = edmd(mats, wv)
-        K_ref, rank_ref, _ = _svd_reference(mats.Psi, mats.Phi, fit="right", weights=wv)
+        K_ref, rank_ref, _ = _svd_reference(mats.Psi, mats.Phi, weights=wv)
         assert fit.effective_rank == rank_ref == 9
         assert np.linalg.norm(fit.matrix - K_ref) <= 1e-12 * np.linalg.norm(K_ref)
 
@@ -184,77 +201,77 @@ class TestPinvLstsq:
     def test_exact_consistency_square(self, gen):
         A = gen.standard_normal((4, 4)) + 4.0 * np.eye(4)
         C = gen.standard_normal((4, 4))
-        B = C @ A
-        sol = pinv_lstsq(A, B, fit="left")
+        B = A @ C
+        sol = pinv_lstsq(A, B)
         np.testing.assert_allclose(sol.matrix, C, rtol=1e-10)
         assert sol.effective_rank == 4
 
     def test_zero_rhs(self, gen):
-        A = gen.standard_normal((3, 8))
-        sol = pinv_lstsq(A, np.zeros((2, 8)), fit="left")
+        A = gen.standard_normal((8, 3))
+        sol = pinv_lstsq(A, np.zeros((8, 2)))
         np.testing.assert_allclose(sol.matrix, 0.0, atol=1e-14)
 
     def test_zero_matrix_is_not_an_error(self):
-        sol = pinv_lstsq(np.zeros((3, 5)), np.ones((2, 5)), fit="left")
+        sol = pinv_lstsq(np.zeros((5, 3)), np.ones((5, 2)))
         assert sol.effective_rank == 0
-        np.testing.assert_array_equal(sol.matrix, np.zeros((2, 3)))
+        np.testing.assert_array_equal(sol.matrix, np.zeros((3, 2)))
 
     def test_rank_one_closed_form(self, gen):
-        # A = u v^T, B = w v^T: minimal-norm K = w u^T / |u|^2
+        # A = v u^T, B = v w^T: minimal-norm K = u w^T / |u|^2
         u = gen.standard_normal(3)
         v = gen.standard_normal(7)
         w = gen.standard_normal(2)
-        A = np.outer(u, v)
-        B = np.outer(w, v)
-        sol = pinv_lstsq(A, B, fit="left")
-        np.testing.assert_allclose(sol.matrix, np.outer(w, u) / (u @ u), rtol=1e-10)
+        A = np.outer(v, u)
+        B = np.outer(v, w)
+        sol = pinv_lstsq(A, B)
+        np.testing.assert_allclose(sol.matrix, np.outer(u, w) / (u @ u), rtol=1e-10)
         assert sol.effective_rank == 1
 
     @given(m=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_normal_equations_oracle(self, m, n, seed):
-        # independent oracle: dense normal equations on full-row-rank systems
+        # independent oracle: dense normal equations on full-column-rank systems
         g = np.random.default_rng(seed)
-        A = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
-        B = g.standard_normal((3, n)) + 1j * g.standard_normal((3, n))
+        A = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+        B = g.standard_normal((n, 3)) + 1j * g.standard_normal((n, 3))
         if m > n:
-            return  # oracle needs full row rank
-        K = pinv_lstsq(A, B, fit="left").matrix
-        gram = A @ A.conj().T
+            return  # oracle needs full column rank
+        K = pinv_lstsq(A, B).matrix
+        gram = A.conj().T @ A
         if np.linalg.cond(gram) > 1e6:
             return
-        K_ref = B @ A.conj().T @ np.linalg.inv(gram)
+        K_ref = np.linalg.inv(gram) @ A.conj().T @ B
         np.testing.assert_allclose(K, K_ref, rtol=1e-8, atol=1e-10)
 
     def test_right_convention(self, gen):
         A = gen.standard_normal((10, 4))
         K_true = gen.standard_normal((4, 2))
         B = A @ K_true
-        sol = pinv_lstsq(A, B, fit="right")
+        sol = pinv_lstsq(A, B)
         np.testing.assert_allclose(sol.matrix, K_true, rtol=1e-10)
 
     def test_conventions_are_transposes(self, gen):
-        A = gen.standard_normal((5, 9))
-        B = gen.standard_normal((2, 9))
-        left = pinv_lstsq(A, B, fit="left").matrix
-        right = pinv_lstsq(A.T, B.T, fit="right").matrix
-        np.testing.assert_allclose(left, right.T, rtol=1e-12)
+        # the left law ||B - K A|| is solved by plain transposes, with no
+        # conjugation, on complex data too
+        A = gen.standard_normal((5, 9)) + 1j * gen.standard_normal((5, 9))
+        B = gen.standard_normal((2, 9)) + 1j * gen.standard_normal((2, 9))
+        left = pinv_lstsq(A.T, B.T).matrix.T
+        np.testing.assert_allclose(left, B @ np.linalg.pinv(A), rtol=1e-12, atol=1e-14)
 
     def test_truncation(self, gen):
+        # the fixed 1e-12 cutoff drops the 1e-14, 1e-15 and 0 singular values
         U, _ = np.linalg.qr(gen.standard_normal((6, 6)))
         V, _ = np.linalg.qr(gen.standard_normal((6, 6)))
         A = U @ np.diag([1.0, 0.5, 0.1, 1e-14, 1e-15, 0.0]) @ V.T
-        sol = pinv_lstsq(A, np.eye(6), rel_tol=1e-10, fit="left")
+        sol = pinv_lstsq(A, np.eye(6))
         assert sol.effective_rank == 3
 
     def test_bad_args(self, gen):
-        A = gen.standard_normal((3, 5))
+        A = gen.standard_normal((5, 3))
         with pytest.raises(ShapeError):
-            pinv_lstsq(A, np.ones((2, 4)), fit="left")
+            pinv_lstsq(A, np.ones((4, 2)))
         with pytest.raises(ShapeError):
-            pinv_lstsq(A, np.ones((2, 5)), rel_tol=2.0)
-        with pytest.raises(ShapeError):
-            pinv_lstsq(A, np.ones((2, 5)), fit="sideways")
+            pinv_lstsq(A, np.ones(5))
 
 
 class TestEig:
@@ -332,4 +349,4 @@ class TestSymSqrtInv:
 
     def test_rejects_ill_conditioned(self):
         with pytest.raises(ConditioningError):
-            sym_sqrt_inv(np.diag([1.0, 1e-15]), rel_tol=1e-12)
+            sym_sqrt_inv(np.diag([1.0, 1e-15]))

@@ -16,7 +16,7 @@ from taperdyn import (
     DictionaryMatrices,
     DomainError,
     SnapshotPair,
-    TargetData,
+    WeightVector,
     dmd,
     edmd,
     exponential_bump,
@@ -89,12 +89,12 @@ def test_bad_raw_weights_are_named(bad, everywhere):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="weights must be finite and non-negative"):
-            pinv_lstsq(np.ones((2, 10)), np.ones((1, 10)), weights=weights)
+            pinv_lstsq(np.ones((10, 2)), np.ones((10, 1)), WeightVector(weights, weights))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_target_data_raise_domain_error(bad):
     targets = np.ones((1, 5))
     targets[0, 2] = bad
-    with pytest.raises(DomainError, match="targets contain non-finite values"):
-        TargetData(targets)
+    with pytest.raises(DomainError, match="NaN or infinity"):
+        stlsq(np.eye(5, 3), targets, eta=0.1)

@@ -7,17 +7,23 @@ import pytest
 from taperdyn import (
     DictionaryMatrices,
     SnapshotPair,
+    Trajectory,
     WeightVector,
     autocorrelations,
     birkhoff_average,
     build_dictionary_matrices,
+    convergence_sweep,
+    delay_embed,
     diffusion_basis,
     dmd,
+    dmd_error_sweep,
     edmd,
     exponential_bump,
+    forecast,
     fourier_dictionary,
     make_weight_vector,
     mpedmd,
+    pinv_lstsq,
     shift_matrix,
     stlsq,
     uniform_weight,
@@ -71,20 +77,45 @@ def _fit_and_inputs(name, weighted):
     if name == "birkhoff_average":
         series = g.standard_normal((300, 2))
         return lambda: birkhoff_average(series, w), [series]
+    if name == "pinv_lstsq":
+        A = g.standard_normal((300, 3)) + 1j * g.standard_normal((300, 3))
+        B = g.standard_normal((300, 2))
+        return lambda: pinv_lstsq(A, B, w), [A, B]
+    if name == "autocorrelations":
+        series = g.standard_normal(300) + 1j * g.standard_normal(300)
+        return lambda: autocorrelations(series, 20, weighted=weighted), [series]
+    if name == "convergence_sweep":
+        orbit = g.standard_normal((300, 2))
+        return (lambda: convergence_sweep(orbit, lambda s: s[:, 0], [10, 100], 300),
+                [orbit])
+    if name == "dmd_error_sweep":
+        states = g.standard_normal((301, 3))
+        return lambda: dmd_error_sweep(Trajectory(states), [10, 100], 300), [states]
+    if name == "delay_embed":
+        series = g.standard_normal(300)
+        return lambda: delay_embed(series, 4), [series]
     if name == "diffusion_basis":
         pts = g.standard_normal((200, 1))
         return lambda: diffusion_basis(pts, M=4), [pts]
     basis = diffusion_basis(g.standard_normal((200, 1)), M=4, bandwidth=1.0)
+    if name == "forecast":
+        shift = shift_matrix(basis)
+        x_init, target = g.standard_normal(1), g.standard_normal(200)
+        return (lambda: forecast(basis, shift, x_init, 3, target),
+                [basis.phi, shift.matrix, x_init, target])
     raw = np.linspace(1.0, 2.0, 199)
     normalized = raw / raw.sum()
-    weights = WeightVector(raw, float(raw.sum()), normalized) if weighted else None
+    weights = WeightVector(raw, normalized) if weighted else None
     return lambda: shift_matrix(basis, weights), [basis.phi, raw, normalized]
 
 
 @pytest.mark.parametrize("name, weighted", [
     (name, weighted)
-    for name in ("dmd", "edmd", "mpedmd", "stlsq", "birkhoff_average", "shift_matrix")
-    for weighted in (False, True)] + [("diffusion_basis", False)])
+    for name in ("dmd", "edmd", "mpedmd", "stlsq", "birkhoff_average", "shift_matrix",
+                 "pinv_lstsq", "autocorrelations")
+    for weighted in (False, True)] + [
+    (name, False) for name in ("diffusion_basis", "convergence_sweep", "dmd_error_sweep",
+                               "delay_embed", "forecast")])
 def test_inputs_neither_changed_nor_frozen(name, weighted):
     call, arrays = _fit_and_inputs(name, weighted)
     before = [a.copy() for a in arrays]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from taperdyn import (
     RngStream,
     ShapeError,
-    TargetData,
     dmd,
     exponential_bump,
     harmonic_oscillator_exact,
@@ -37,7 +36,7 @@ class TestStlsq:
         Psi = gen.standard_normal((50, 4))
         T = gen.standard_normal((2, 50))
         model = stlsq(Psi, T, eta=0.0)
-        direct = pinv_lstsq(Psi.T, T, fit="left").matrix
+        direct = pinv_lstsq(Psi, T.T).matrix.T
         np.testing.assert_allclose(model.coefficients, direct, atol=1e-12)
         assert model.converged
         assert model.active_mask.all()
@@ -79,9 +78,8 @@ class TestStlsq:
         # the surviving coefficients solve the restricted weighted problem
         cols = np.flatnonzero(model.active_mask[0])
         sw = np.sqrt(wv.raw)
-        restricted = pinv_lstsq((Psi[:, cols] * sw[:, None]).T, T * sw[None, :],
-                                fit="left").matrix
-        np.testing.assert_allclose(model.coefficients[0, cols], restricted[0],
+        restricted = pinv_lstsq(Psi[:, cols] * sw[:, None], T.T * sw[:, None]).matrix
+        np.testing.assert_allclose(model.coefficients[0, cols], restricted[:, 0],
                                    rtol=1e-12)
 
     @given(c=st.floats(min_value=0.1, max_value=50.0), seed=st.integers(0, 100))
@@ -98,8 +96,7 @@ class TestStlsq:
     def test_discrete_identity_dictionary_matches_dmd(self, gen):
         states = gen.standard_normal((40, 3))
         Psi = states[:-1]
-        targets = TargetData(states[1:].T, mode="discrete")
-        model = stlsq(Psi, targets, eta=0.0, weights=make_weight_vector(39, uniform_weight()))
+        model = stlsq(Psi, states[1:].T, eta=0.0, weights=make_weight_vector(39, uniform_weight()))
         A = dmd(snapshot_pair(states), make_weight_vector(39, uniform_weight())).matrix
         np.testing.assert_allclose(model.coefficients.real, A, atol=1e-10)
 

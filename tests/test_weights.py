@@ -98,7 +98,7 @@ class TestMakeWeightVector:
     def test_uniform_gives_mean_weights(self):
         wv = make_weight_vector(5, uniform_weight())
         np.testing.assert_allclose(wv.normalized, np.full(5, 0.2), rtol=0, atol=0)
-        assert wv.alpha == 5.0
+        np.testing.assert_array_equal(wv.raw, np.ones(5))
 
     @pytest.mark.parametrize("N", [3, 8, 17, 256, 1001])
     def test_bump_palindrome_inside(self, N):
@@ -146,7 +146,7 @@ class TestMakeWeightVector:
         w = exponential_bump() if kind == "bump" else uniform_weight()
         wv = make_weight_vector(N, w)
         assert abs(wv.normalized.sum() - 1.0) <= 1e-12
-        assert wv.alpha > 0.0
+        assert wv.raw.sum() > 0.0
         assert len(wv) == N
 
     @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan]), np.array([-0.1])])
@@ -165,7 +165,7 @@ class TestMakeWeightVector:
 
     def test_caller_arrays_stay_writeable(self):
         a = np.ones(5)
-        wv = WeightVector(a, 1.0, a / 5)
+        wv = WeightVector(a, a / 5)
         assert a.flags.writeable
         assert not wv.raw.flags.writeable and not wv.normalized.flags.writeable
         assert np.shares_memory(wv.raw, a)
