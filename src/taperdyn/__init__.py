@@ -3,6 +3,9 @@ for dynamical systems (linear propagator fits, dictionary Koopman fits,
 sparse model identification, spectral-measure estimation, and nonparametric
 diffusion forecasting), with built-in trajectory generators and a desk-scale
 benchmark harness comparing weighted against unweighted convergence.
+
+Importing the package loads numpy alone: each scipy routine is imported
+inside the one function that calls it.
 """
 
 from .averages import SweepRow, birkhoff_average, convergence_sweep

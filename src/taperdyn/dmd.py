@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .errors import ShapeError, SizeError
@@ -132,12 +131,14 @@ def spectrum_distance(values: np.ndarray, reference: np.ndarray) -> float:
     independent of the order either eigensolver returned them in and stable
     when moduli are nearly tied (where lexicographic sorting would flip).
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(values, dtype=complex).ravel()
     b = np.asarray(reference, dtype=complex).ravel()
     if a.shape != b.shape:
         raise ShapeError(f"spectra sizes differ: {a.shape} vs {b.shape}")
     cost = np.abs(a[:, None] - b[None, :]) ** 2
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
     denom = np.linalg.norm(b)
     return float(np.sqrt(cost[rows, cols].sum()) / (denom if denom > 0 else 1.0))
 

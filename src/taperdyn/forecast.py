@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
 from .weights import WeightVector, exponential_bump, make_weight_vector
@@ -167,7 +164,7 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
     """
     n = points.shape[0]
     if n > _BANDWIDTH_SUBSAMPLE:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0)
+        gen = rng if rng is not None else np.random.default_rng(0)
         sub = points[gen.choice(n, size=_BANDWIDTH_SUBSAMPLE, replace=False)]
     else:
         sub = points
@@ -242,6 +239,10 @@ def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
 
 def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
     """(s, lam, vecs) of the balanced kernel from its dense lower triangle."""
+    from scipy.linalg import eigh
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = pts.shape[0]
     kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
     if kernel_bytes > memory:
@@ -261,8 +262,7 @@ def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
     # ARPACK needs M < n - 1
     K *= s[:, None]
     K *= s[None, :]
-    lam, vecs = scipy.linalg.eigh(K, lower=True, check_finite=False,
-                                  subset_by_index=[n - M, n - 1])
+    lam, vecs = eigh(K, lower=True, check_finite=False, subset_by_index=[n - M, n - 1])
     return s, lam[::-1].copy(), vecs[:, ::-1].copy()
 
 
@@ -295,18 +295,24 @@ def diffusion_basis(
         bandwidth: kernel width eps; None selects the median positive
             distance over the distinct pairs i < j of (a subsample of) the
             data.
-        rng: generator used only for the bandwidth subsample on large data.
+        rng: generator used only for the bandwidth subsample on large data;
+            None draws it from default_rng(0).
 
     Raises:
+        ShapeError: training points that are not 1-D or 2-D.
         DomainError: non-finite training points.
         SizeError: M outside 1..N, or, on the dense path, an N x N kernel
             larger than the machine's physical memory.
-        ConfigError: non-finite or non-positive bandwidth, or degenerate
-            data under auto bandwidth.
+        ConfigError: rng neither a Generator nor None, non-finite or
+            non-positive bandwidth, or degenerate data under auto bandwidth.
     """
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise ConfigError(f"rng must be a numpy Generator or None, got {type(rng).__name__}")
     pts = np.asarray(getattr(points, "points", points), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2:
+        raise ShapeError(f"training points must be 1-D or 2-D, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("training points contain non-finite values")
     n = pts.shape[0]
@@ -401,6 +407,9 @@ def forecast(
 
     Returns:
         (predictions of shape (k_max + 1,), in_support flag from extension).
+
+    Raises:
+        DomainError: non-finite observable values.
     """
     if k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {k_max}")
@@ -408,7 +417,11 @@ def forecast(
     if g.shape[0] != basis.n_train:
         raise ShapeError(
             f"observable values have length {g.shape[0]}, expected {basis.n_train}")
-    ghat = basis.phi.T @ g / basis.n_train
+    with np.errstate(invalid="ignore", over="ignore"):
+        ghat = basis.phi.T @ g / basis.n_train
+    # non-finite g spoils every coefficient: check those M, and raise, not warn
+    if not np.isfinite(ghat).all():
+        raise DomainError("observable values contain non-finite entries")
     c, ok = basis.extend(x_init)
     preds = np.empty(k_max + 1)
     vec = c.copy()

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DomainError, NumericalError, ShapeError
 from .weights import WeightVector
@@ -167,13 +166,15 @@ def sym_sqrt_inv(G: np.ndarray):
         ConditioningError: indefinite or ill-conditioned G; the message names
             the offending eigenvalue ratio.
     """
+    from scipy.linalg import eigh
+
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"sym_sqrt_inv needs a square matrix, got {G.shape}")
     herm_resid = np.linalg.norm(G - G.conj().T) / max(np.linalg.norm(G), 1e-300)
     if herm_resid > 1e-10:
         raise ShapeError(f"matrix is not Hermitian (relative residual {herm_resid:.3e})")
-    lam, Q = scipy.linalg.eigh(G)
+    lam, Q = eigh(G)
     lam_max = lam[-1]
     if lam_max <= 0.0 or lam[0] <= DEFAULT_REL_TOL * lam_max:
         ratio = lam[0] / lam_max if lam_max > 0 else float("-inf")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import DomainError, ShapeError, SizeError
 from .weights import exponential_bump, make_weight_vector
@@ -221,6 +220,8 @@ def peak_report(
     Raises:
         SizeError: grid_size < 16.
     """
+    from scipy.signal import find_peaks
+
     if grid_size < 16:
         raise SizeError(f"grid_size >= 16 required, got {grid_size}")
     grid = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)

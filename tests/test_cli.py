@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,46 @@ class TestMethodCommands:
         assert len(lines) == 9
         series_lines = read_lines(out / "forecast_series_lead4.csv")
         assert series_lines[0] == "start_year,start_month,forecast_unw,forecast_w,truth"
+
+
+# runs subcommands in one fresh process and prints their exit codes and the
+# scipy modules loaded after the numpy-only ones and after all of them
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import taperdyn, taperdyn.cli
+from taperdyn.cli import run
+
+def codes(*argvs):
+    return {a[0]: run([*a, "--outdir", f"{sys.argv[2]}/{a[0]}"]) for a in argvs}
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+numpy_only = codes(["average", "--N", "300"], ["edmd", "--N", "500"],
+                   ["sindy", "--N", "500"])
+after_numpy_only = scipy_modules()
+scipy_backed = codes(["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]],
+                     ["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5",
+                      "--D", "8"],
+                     ["mpedmd", "--N", "500"])
+print(json.dumps([numpy_only, after_numpy_only, scipy_backed, scipy_modules()]))
+"""
+
+
+def test_numpy_only_subcommands_load_no_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    _series_csv(tmp_path / "series.csv")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(src), str(tmp_path),
+                           str(tmp_path / "series.csv")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    numpy_only, after_numpy_only, scipy_backed, after_all = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert numpy_only == {"average": EXIT_OK, "edmd": EXIT_OK, "sindy": EXIT_OK}
+    assert after_numpy_only == []
+    # peaks, spectrum distances and mpEDMD's Hermitian root load scipy on first call
+    assert scipy_backed == {"specmeas": EXIT_OK, "dmd": EXIT_OK, "mpedmd": EXIT_OK}
+    assert {"scipy.signal", "scipy.optimize", "scipy.linalg"} <= set(after_all)
 
 
 class TestBenchCommand:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,17 @@ class TestDiffusionBasis:
         with pytest.raises(DomainError, match="non-finite"):
             diffusion_basis(pts, M=2, bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2), ()])
+    def test_points_not_one_or_two_dimensional_rejected(self, shape, no_kernel):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            diffusion_basis(np.zeros(shape), M=1)
+
+    @pytest.mark.parametrize("rng", [5, np.random.RandomState(5), RngStream(5, "bw")])
+    def test_rng_other_than_generator_rejected(self, rng, no_kernel):
+        pts = np.random.default_rng(0).standard_normal((3000, 1))
+        with pytest.raises(ConfigError, match="Generator or None"):
+            diffusion_basis(pts, M=2, rng=rng)
+
     def test_kernel_larger_than_memory_refused(self, monkeypatch, no_dense_kernel):
         # 3-dimensional data: no certified low-rank factor within the cap,
         # so the dense path and its memory check run
@@ -424,6 +436,15 @@ class TestForecast:
         basis = diffusion_basis(pts, M=3, bandwidth=1.0)
         with pytest.raises(ShapeError):
             forecast(basis, ShiftMatrix(np.eye(3)), pts[0], 2, np.ones(49))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("everywhere", [False, True])
+    def test_non_finite_observable_rejected(self, bad, everywhere):
+        basis = diffusion_basis(np.linspace(0, 1, 50)[:, None], M=3)
+        g = np.full(50, bad) if everywhere else np.linspace(0, 1, 50)
+        g[7] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            forecast(basis, shift_matrix(basis), np.array([0.5]), 2, g)
 
     def test_lead_zero_independent_of_shift_matrix(self, ou_basis):
         g = ou_basis.points[:, 0]
