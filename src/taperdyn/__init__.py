@@ -55,7 +55,7 @@ from .forecast import (
     shift_matrix,
     skill,
 )
-from .linalg import LstsqSolution, eig, pinv_lstsq, sym_sqrt_inv
+from .linalg import LstsqSolution, eig, pinv_lstsq
 from .sindy import (
     SindyModel,
     harmonic_oscillator_exact,

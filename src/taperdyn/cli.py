@@ -303,7 +303,9 @@ def _run_dmd(cfg) -> dict:
     return outputs
 
 
-def _edmd_matrices(cfg):
+def _edmd_matrices(cfg, kinds: tuple[str, ...]):
+    if cfg["dict"] not in kinds:
+        raise ConfigError(f"unknown dictionary {cfg['dict']!r} (use {' or '.join(kinds)})")
     if cfg["input"]:
         traj = ingest_series(cfg["input"], "trajectory_csv")
     else:
@@ -314,16 +316,14 @@ def _edmd_matrices(cfg):
     if cfg["dict"] == "fourier":
         dictionary = fourier_dictionary(cfg["kmax"], dim=dim)
     elif cfg["dict"] == "monomials":
-        dictionary = monomial_dictionary(cfg.get("degree", 3), dim=dim)
-    elif cfg["dict"] == "identity":
-        dictionary = identity_dictionary(dim)
+        dictionary = monomial_dictionary(cfg["degree"], dim=dim)
     else:
-        raise ConfigError(f"unknown dictionary {cfg['dict']!r}")
+        dictionary = identity_dictionary(dim)
     return build_dictionary_matrices(traj, dictionary)
 
 
 def _run_edmd(cfg) -> dict:
-    mats = _edmd_matrices(cfg)
+    mats = _edmd_matrices(cfg, ("fourier", "monomials", "identity"))
     w = _weight_fn(cfg)
     weights = make_weight_vector(mats.n_pairs, w)
     K = edmd_fit(mats, weights)
@@ -336,7 +336,7 @@ def _run_edmd(cfg) -> dict:
 
 
 def _run_mpedmd(cfg) -> dict:
-    mats = _edmd_matrices(cfg)
+    mats = _edmd_matrices(cfg, ("fourier", "identity"))
     w = _weight_fn(cfg)
     res = mpedmd_fit(mats, make_weight_vector(mats.n_pairs, w))
     return {

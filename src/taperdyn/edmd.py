@@ -3,7 +3,8 @@
 Builds dictionary data matrices, fits the least-squares Koopman matrix with
 optional taper weighting, and provides the measure-preserving variant whose
 spectrum is constrained to the unit circle via a polar-type construction in
-the data Gram inner product.
+the data Gram inner product.  Both fits reach the data through linalg's one
+weighted TSQR reduction.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DomainError, ShapeError, SizeError
+from .errors import ConditioningError, ConfigError, ShapeError, SizeError
 from .systems import Trajectory
 from .weights import WeightVector
 
@@ -203,43 +204,44 @@ class MpedmdResult:
 
 
 def mpedmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> MpedmdResult:
-    """Measure-preserving Koopman fit via an SVD polar construction.
+    """Measure-preserving Koopman fit from the R factor of the weighted data.
 
-    With G = Psi* W Psi and A = Psi* W Phi, the SVD U1 S U2* of
-    G^(-1/2) A* G^(-1/2) yields K = G^(-1/2) U2 U1* G^(1/2), which satisfies
-    K* G K = G exactly up to roundoff; its spectrum lies on the unit circle.
+    With [W^½Psi | W^½Phi] = Q [[R11, R12], [0, R22]] (the TSQR reduction
+    of linalg.pinv_lstsq, then one QR of the small factor), the Gram matrix
+    is G = Psi* W Psi = R11* R11 and Psi* W Phi = R11* R12.  With U the
+    polar factor of R12 R11^-1, K = R11^-1 U R11 satisfies K* G K = G up to
+    roundoff, so its spectrum lies on the unit circle; in exact arithmetic
+    it equals G^-½ polar(G^-½ Psi* W Phi G^-½) G^½.  Working on R11 rather
+    than G keeps the conditioning of the data instead of squaring it.
+    gram is G with the weights normalized to sum 1 (1/N each when plain).
 
-    Requires phi = psi (square, same dictionary).  Ill-conditioned G raises
-    rather than silently truncating, because the unitary structure degrades
-    silently under rank truncation.
+    Requires phi = psi (square, same dictionary).  Ill-conditioned data
+    raise rather than silently truncating, because the unitary structure
+    degrades silently under rank truncation.
 
     Raises:
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
-        ConditioningError: G is indefinite or ill-conditioned at the
-            linalg.DEFAULT_REL_TOL cutoff.
+        ConditioningError: the eigenvalue ratio of G, sigma_min(R11)^2 /
+            sigma_max(R11)^2, is at or below linalg.DEFAULT_REL_TOL.
         NumericalError: the eigendecomposition of the unitary factor fails.
     """
-    if mats.Psi.shape[1] != mats.Phi.shape[1]:
+    L = mats.Psi.shape[1]
+    if mats.Phi.shape[1] != L:
         raise ShapeError("mpedmd requires matching dictionary sizes (phi = psi)")
-    N = mats.n_pairs
-    if weights is not None:
-        if len(weights) != N:
-            raise ShapeError(f"weight length {len(weights)} != transition count {N}")
-        wn = weights.normalized
-    else:
-        wn = np.full(N, 1.0 / N)
-    with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight row
-        Psi_w = mats.Psi * np.sqrt(wn)[:, None]
-        Phi_w = mats.Phi * np.sqrt(wn)[:, None]
-        G = Psi_w.conj().T @ Psi_w
-        A = Psi_w.conj().T @ Phi_w
-    if not (np.isfinite(G).all() and np.isfinite(A).all()):
-        raise DomainError("mpedmd data hold NaN or infinity")
-    G_half, G_inv_half = linalg.sym_sqrt_inv(G)
-    U1, _, U2h = np.linalg.svd(G_inv_half @ A.conj().T @ G_inv_half)
-    U21 = U2h.conj().T @ U1.conj().T
-    lam, Vhat = linalg.eig(U21)
-    K = G_inv_half @ U21 @ G_half
-    V = G_inv_half @ Vhat
-    return MpedmdResult(matrix=K, eigenvalues=lam, eigenvectors=V, gram=G)
+    R = np.linalg.qr(np.hstack(linalg._reduce(mats.Psi, mats.Phi, weights)), mode="r")
+    R11, R12 = R[:L, :L], R[:L, L:]
+    sigma = np.linalg.svd(R11, compute_uv=False)
+    ratio = (sigma[-1] / sigma[0]) ** 2 if R11.shape[0] == L and sigma[0] > 0 else 0.0
+    if ratio <= linalg.DEFAULT_REL_TOL:
+        raise ConditioningError(
+            f"Gram matrix ill-conditioned at cutoff {linalg.DEFAULT_REL_TOL:g}: "
+            f"eigenvalue ratio min/max = {ratio:.3e}")
+    # R12 R11^-1 as the transposed solve R11^T X^T = R12^T
+    U_s, _, Vh_s = np.linalg.svd(np.linalg.solve(R11.T, R12.T).T)
+    U = U_s @ Vh_s
+    lam, Vhat = linalg.eig(U)
+    total = mats.n_pairs if weights is None else weights.raw.sum()
+    return MpedmdResult(matrix=np.linalg.solve(R11, U @ R11), eigenvalues=lam,
+                        eigenvectors=np.linalg.solve(R11, Vhat),
+                        gram=R11.conj().T @ R11 / total)

@@ -3,11 +3,11 @@
 A Gaussian kernel on (delay-embedded) training data is balanced to a
 symmetric doubly stochastic operator; its leading eigenvectors give basis
 functions that are exactly orthonormal in the empirical inner product with
-the leading one constant.  One-step transfer is estimated as an ergodic
-(optionally taper-weighted) average of basis products over consecutive
-samples; matrix powers of that shift matrix push point forecasts to longer
-leads, and skill is scored by lead-time RMSE and correlation against a
-climatology baseline.
+the leading one constant.  One-step transfer is estimated by an (optionally
+taper-weighted) least-squares fit of the basis at consecutive samples, on
+the same kernel as every other fit in the package; matrix powers of that
+shift matrix push point forecasts to longer leads, and skill is scored by
+lead-time RMSE and correlation against a climatology baseline.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
 from .weights import WeightVector, exponential_bump, make_weight_vector
 
@@ -349,42 +350,32 @@ def diffusion_basis(
 
 @dataclass(frozen=True)
 class ShiftMatrix:
-    """Ergodic-average estimate of the one-step transfer operator in the
+    """Least-squares estimate of the one-step transfer operator in the
     eigenfunction basis; powers give multi-step forecasts."""
 
     matrix: np.ndarray
 
 
-def _pair_average(phi_curr: np.ndarray, phi_next: np.ndarray,
-                  weights: np.ndarray | None) -> np.ndarray:
-    if weights is None:
-        return phi_next.T @ phi_curr / phi_curr.shape[0]
-    return phi_next.T @ (weights[:, None] * phi_curr)
-
-
 def shift_matrix(basis: DiffusionBasis,
                  weights: WeightVector | Callable | None = None) -> ShiftMatrix:
-    """A_ij = <phi_j(X_n) phi_i(X_{n+1})> over consecutive training pairs.
+    """Weighted least-squares fit of phi(X_{n+1}) = A phi(X_n); row 0 is e_0.
 
-    weights=None computes the plain average over the N - 1 pairs; a taper
-    (WeightVector of length N - 1, or a taper function to sample one)
-    replaces it by the normalized weighted average.  With the constant
-    eigenfunction first, A[0, 0] = 1 exactly in both modes.
+    This is EDMD in the diffusion basis: A is the transpose of
+    linalg.pinv_lstsq(phi[:-1], phi[1:], weights).matrix over the N - 1
+    consecutive training pairs.  Dividing out the (weighted) Gram matrix of
+    the basis keeps a taper from inflating the spectrum, since the basis is
+    orthonormal in the uniform average only.  weights=None is the plain fit;
+    a taper (WeightVector of length N - 1, or a taper function to sample
+    one) reweights the pairs.  The constant eigenfunction maps to itself, so
+    row 0 is e_0 up to roundoff in both modes.
     """
     n_pairs = basis.n_train - 1
     if n_pairs < 1:
         raise SizeError("shift matrix needs at least 2 consecutive training samples")
-    if weights is None:
-        wn = None
-    else:
-        if callable(weights):
-            weights = make_weight_vector(n_pairs, weights)
-        if len(weights) != n_pairs:
-            raise ShapeError(
-                f"weight length {len(weights)} != pair count {n_pairs}")
-        wn = weights.normalized
-    A = _pair_average(basis.phi[:-1], basis.phi[1:], wn)
-    return ShiftMatrix(matrix=A)
+    if callable(weights):
+        weights = make_weight_vector(n_pairs, weights)
+    fit = linalg.pinv_lstsq(basis.phi[:-1], basis.phi[1:], weights)
+    return ShiftMatrix(matrix=fit.matrix.T)
 
 
 def forecast(

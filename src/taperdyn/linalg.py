@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the fitting modules.
 
-Thin, contract-checked wrappers over LAPACK (via numpy/scipy): weighted
-truncated-SVD least squares with samples as rows, reduced by a blocked QR
-on tall data, sorted eigendecomposition, and Hermitian square roots.  All
-kernels are stateless and safe for concurrent use on distinct inputs.
+Thin, contract-checked wrappers over numpy's LAPACK: weighted truncated-SVD
+least squares with samples as rows, reduced by a blocked QR on tall data,
+and sorted eigendecomposition.  Every taper-weighted fit in the package
+reaches its data through the one reduction here.  All kernels are stateless
+and safe for concurrent use on distinct inputs.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .weights import WeightVector
 
 __all__ = [
@@ -19,12 +20,12 @@ __all__ = [
     "LstsqSolution",
     "pinv_lstsq",
     "eig",
-    "sym_sqrt_inv",
 ]
 
-# The relative singular-value cutoff of pinv_lstsq and sym_sqrt_inv.
-# Aggressive truncation would mask machine-precision convergence studies,
-# so the cutoff keeps everything above eps-level noise.
+# The relative singular-value cutoff of pinv_lstsq; mpedmd refuses data whose
+# Gram matrix has an eigenvalue ratio at or below it.  Aggressive truncation
+# would mask machine-precision convergence studies, so the cutoff keeps
+# everything above eps-level noise.
 DEFAULT_REL_TOL = 1e-12
 
 # Samples per block of the TSQR reduction in pinv_lstsq.  On a weighted
@@ -52,7 +53,7 @@ def _sqrt_weights(weights: WeightVector, n: int) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w):
+def _reduce(A, B, weights: WeightVector | None):
     """A small (A_r, B_r) with the least-squares problem of (W^½A, W^½B).
 
     Up to one block of samples the weighted data are the reduced problem.
@@ -61,24 +62,44 @@ def _reduce(A: np.ndarray, B: np.ndarray, sqrt_w):
     factor, and the stacked R factors are factored once more (TSQR).  Since
     [W^½A | W^½B] = Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| =
     ||R_B - R_A K|| for every K, and R_A has the singular values of W^½A.
+    This is the one place where a taper enters a fit: pinv_lstsq and
+    edmd.mpedmd both start here.  The caller's arrays are only read.
+
+    Raises:
+        ShapeError: A and B are not 2-D with one row per sample, or the
+            weights do not match the sample count.
+        DomainError: the weighted data hold NaN or infinity, or the weights
+            are negative or not finite.
     """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
     n, L = A.shape
-    if n <= _TSQR_ROWS:
-        if sqrt_w is not None:
-            A, B = A * sqrt_w[:, None], B * sqrt_w[:, None]
-        return A, B
-    buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float))
-    factors = []
-    for start in range(0, n, _TSQR_ROWS):
-        block = buf[:min(_TSQR_ROWS, n - start)]
-        stop = start + block.shape[0]
-        block[:, :L] = A[start:stop]
-        block[:, L:] = B[start:stop]
-        if sqrt_w is not None:
-            block *= sqrt_w[start:stop, None]
-        factors.append(np.linalg.qr(block, mode="r"))
-    R = np.linalg.qr(np.vstack(factors), mode="r")
-    return R[:, :L], R[:, L:]
+    if B.shape[0] != n:
+        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
+    sqrt_w = None if weights is None else _sqrt_weights(weights, n)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
+        if n <= _TSQR_ROWS:
+            if sqrt_w is not None:
+                A, B = A * sqrt_w[:, None], B * sqrt_w[:, None]
+        else:
+            buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float))
+            factors = []
+            for start in range(0, n, _TSQR_ROWS):
+                block = buf[:min(_TSQR_ROWS, n - start)]
+                stop = start + block.shape[0]
+                block[:, :L] = A[start:stop]
+                block[:, L:] = B[start:stop]
+                if sqrt_w is not None:
+                    block *= sqrt_w[start:stop, None]
+                factors.append(np.linalg.qr(block, mode="r"))
+            R = np.linalg.qr(np.vstack(factors), mode="r")
+            A, B = R[:, :L], R[:, L:]
+    # NaN and inf survive the reduction, so the small factor shows them
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise DomainError("least-squares data hold NaN or infinity")
+    return A, B
 
 
 def pinv_lstsq(A: np.ndarray, B: np.ndarray,
@@ -105,19 +126,7 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
         DomainError: the weighted data hold NaN or infinity, or the weights
             are negative or not finite.
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
-    sqrt_w = None if weights is None else _sqrt_weights(weights, n)
-    with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
-        A_r, B_r = _reduce(A, B, sqrt_w)
-    # NaN and inf survive the reduction, so the small factor shows them
-    if not (np.isfinite(A_r).all() and np.isfinite(B_r).all()):
-        raise DomainError("least-squares data hold NaN or infinity")
+    A_r, B_r = _reduce(A, B, weights)
     U, S, Vh = np.linalg.svd(A_r, full_matrices=False)
     keep = S > DEFAULT_REL_TOL * S[:1]  # none kept when A is all zero or empty
     inv = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
@@ -149,39 +158,3 @@ def eig(A: np.ndarray):
     # descending modulus; ties by descending real part, then descending imag
     order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
     return values[order], vectors[:, order]
-
-
-def sym_sqrt_inv(G: np.ndarray):
-    """Square root and inverse square root of a Hermitian positive-definite matrix.
-
-    Computed from the Hermitian eigendecomposition.  The input must be
-    Hermitian within 1e-10 relative and have smallest eigenvalue above
-    DEFAULT_REL_TOL times the largest.
-
-    Returns:
-        (G_half, G_inv_half) with G_half @ G_half ~= G.
-
-    Raises:
-        ShapeError: non-square or non-Hermitian input.
-        ConditioningError: indefinite or ill-conditioned G; the message names
-            the offending eigenvalue ratio.
-    """
-    from scipy.linalg import eigh
-
-    G = np.asarray(G)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ShapeError(f"sym_sqrt_inv needs a square matrix, got {G.shape}")
-    herm_resid = np.linalg.norm(G - G.conj().T) / max(np.linalg.norm(G), 1e-300)
-    if herm_resid > 1e-10:
-        raise ShapeError(f"matrix is not Hermitian (relative residual {herm_resid:.3e})")
-    lam, Q = eigh(G)
-    lam_max = lam[-1]
-    if lam_max <= 0.0 or lam[0] <= DEFAULT_REL_TOL * lam_max:
-        ratio = lam[0] / lam_max if lam_max > 0 else float("-inf")
-        raise ConditioningError(
-            f"matrix not positive definite at cutoff {DEFAULT_REL_TOL:g}: "
-            f"eigenvalue ratio min/max = {ratio:.3e}")
-    root = np.sqrt(lam)
-    G_half = (Q * root) @ Q.conj().T
-    G_inv_half = (Q / root) @ Q.conj().T
-    return G_half, G_inv_half

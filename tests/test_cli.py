@@ -200,12 +200,11 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 numpy_only = codes(["average", "--N", "300"], ["edmd", "--N", "500"],
-                   ["sindy", "--N", "500"])
+                   ["mpedmd", "--N", "500"], ["sindy", "--N", "500"])
 after_numpy_only = scipy_modules()
 scipy_backed = codes(["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]],
                      ["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5",
-                      "--D", "8"],
-                     ["mpedmd", "--N", "500"])
+                      "--D", "8"])
 print(json.dumps([numpy_only, after_numpy_only, scipy_backed, scipy_modules()]))
 """
 
@@ -218,11 +217,12 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     numpy_only, after_numpy_only, scipy_backed, after_all = json.loads(
         proc.stdout.splitlines()[-1])
-    assert numpy_only == {"average": EXIT_OK, "edmd": EXIT_OK, "sindy": EXIT_OK}
+    assert numpy_only == {"average": EXIT_OK, "edmd": EXIT_OK, "mpedmd": EXIT_OK,
+                          "sindy": EXIT_OK}
     assert after_numpy_only == []
-    # peaks, spectrum distances and mpEDMD's Hermitian root load scipy on first call
-    assert scipy_backed == {"specmeas": EXIT_OK, "dmd": EXIT_OK, "mpedmd": EXIT_OK}
-    assert {"scipy.signal", "scipy.optimize", "scipy.linalg"} <= set(after_all)
+    # peaks and spectrum distances load scipy on first call
+    assert scipy_backed == {"specmeas": EXIT_OK, "dmd": EXIT_OK}
+    assert {"scipy.signal", "scipy.optimize"} <= set(after_all)
 
 
 class TestBenchCommand:
@@ -286,6 +286,15 @@ class TestBoundaryErrors:
         assert run(["dmd", "--input", str(path), "--project-r", "0", "--N", "30",
                     "--sweep", "false", "--outdir", str(tmp_path / "o")]) == EXIT_DATA
         assert f"{path}:1: " in capsys.readouterr().err
+
+    def test_mpedmd_rejects_monomials(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["mpedmd", "--dict", "monomials", "--N", "2000",
+                    "--outdir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code=3 kind=ConfigError" in err
+        assert "use fourier or identity" in err
+        assert not out.exists()
 
     def test_sindy_unknown_mode_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -357,8 +366,8 @@ GOLDEN = {
         "edmd_matrix.csv": "e9b516e381865031b03a082da5f1d7acc547ef52099d4bf542659acb8e1f0bc2",
     },
     ("mpedmd", "--lam", "0.25", "--N", "2000"): {
-        "mpedmd_eigs.csv": "4273c4fd5319646bb09307157a9194633c8526c53152300491aeed1494f5e593",
-        "mpedmd_matrix.csv": "92bf73b33a46a598c64306e71f008b50c70d35eca9a7818682bc485556fc8661",
+        "mpedmd_eigs.csv": "592e7ef96e854914348949e462fc268c3dc62c0eba14a3072f4c6ad5b8ef7ce2",
+        "mpedmd_matrix.csv": "bbaa4763c2876bc8fb2e0b648bb8394628102f331da4a9122ff3e21bee2054f8",
     },
     ("sindy", "--N", "2000", "--eta", "1e-2"): {
         "sindy_diagnostics.jsonl":

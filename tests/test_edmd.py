@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from taperdyn import (
+    ConditioningError,
     DictionaryMatrices,
     NumericalError,
     RngStream,
@@ -21,6 +22,7 @@ from taperdyn import (
     standard_map,
     uniform_weight,
 )
+from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.systems import Trajectory
 
 TWO_PI = 2.0 * math.pi
@@ -177,6 +179,23 @@ class TestMpedmd:
         with pytest.raises(ShapeError):
             mpedmd(mats)
 
+    @pytest.mark.parametrize("n", [300, _TSQR_ROWS + 300])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rank_deficient_data_name_the_ratio(self, gen, n, weighted):
+        # a duplicated coordinate makes the Gram matrix singular
+        x = gen.standard_normal((n + 1, 1))
+        mats = build_dictionary_matrices(np.hstack([x, x, gen.standard_normal((n + 1, 1))]),
+                                         identity_dictionary(3))
+        weights = make_weight_vector(n, exponential_bump()) if weighted else None
+        with pytest.raises(ConditioningError, match="eigenvalue ratio min/max"):
+            mpedmd(mats, weights)
+
+    @pytest.mark.parametrize("Psi", [np.zeros((50, 2), complex), np.ones((1, 2), complex)],
+                             ids=["all-zero", "fewer-pairs-than-columns"])
+    def test_degenerate_data_are_ill_conditioned(self, Psi):
+        with pytest.raises(ConditioningError, match="ratio"):
+            mpedmd(DictionaryMatrices(Psi, Psi.copy()))
+
     def test_eig_failure_is_numerical_error(self, monkeypatch):
         def not_converging(A):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -185,6 +204,49 @@ class TestMpedmd:
         monkeypatch.setattr(np.linalg, "eig", not_converging)
         with pytest.raises(NumericalError, match="failed to converge"):
             mpedmd(mats)
+
+
+def _mpedmd_reference(mats, weights):
+    """K = G^-½ polar(G^-½ A G^-½) G^½ with G = Psi* W Psi, A = Psi* W Phi,
+    in 50-digit arithmetic from the float64 dictionary values."""
+    mp = pytest.importorskip("mpmath").mp
+    N, L = mats.Psi.shape
+    with mp.workdps(50):
+        raw = [mp.mpf(1)] * N if weights is None else [mp.mpf(float(v)) for v in weights.raw]
+        total = mp.fsum(raw)
+        wpsi = [[raw[n] / total * mp.mpc(complex(v)).conjugate() for n, v in enumerate(col)]
+                for col in mats.Psi.T]
+        psi = [[mp.mpc(complex(v)) for v in col] for col in mats.Psi.T]
+        phi = [[mp.mpc(complex(v)) for v in col] for col in mats.Phi.T]
+        G = mp.matrix([[mp.fdot(wpsi[i], psi[j]) for j in range(L)] for i in range(L)])
+        A = mp.matrix([[mp.fdot(wpsi[i], phi[j]) for j in range(L)] for i in range(L)])
+        E, Q = mp.eighe(G)
+        G_half = Q * mp.diag([mp.sqrt(e) for e in E]) * Q.H
+        G_inv_half = Q * mp.diag([1 / mp.sqrt(e) for e in E]) * Q.H
+        U, _, Vh = mp.svd_c(G_inv_half * A * G_inv_half)  # G^-½ A G^-½ = U S Vh
+        return np.array((G_inv_half * U * Vh * G_half).tolist(), dtype=complex)
+
+
+def _relerr(K, ref):
+    return np.linalg.norm(K - ref) / np.linalg.norm(ref)
+
+
+class TestMpedmdReference:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_standard_map_orbit(self, weighted):
+        # G's eigenvalue ratio is 1.4e-9 here: forming G and its square roots
+        # would square the conditioning of the data, which the R factor keeps
+        traj = standard_map(0.25, 0.45, math.pi, 801)
+        mats = build_dictionary_matrices(traj, fourier_dictionary(1, dim=2))
+        weights = make_weight_vector(800, exponential_bump()) if weighted else None
+        assert _relerr(mpedmd(mats, weights).matrix, _mpedmd_reference(mats, weights)) <= 1e-9
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rotation(self, weighted):
+        mats = build_dictionary_matrices(rotation_orbit(2001), fourier_dictionary(1, dim=1))
+        weights = make_weight_vector(2000, exponential_bump()) if weighted else None
+        assert _relerr(mpedmd(mats, weights).matrix, _mpedmd_reference(mats, weights)) <= 1e-13
 
 
 @pytest.mark.slow

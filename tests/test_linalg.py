@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taperdyn import (
-    ConditioningError,
     RngStream,
     ShapeError,
     WeightVector,
@@ -18,7 +17,6 @@ from taperdyn import (
     make_weight_vector,
     pinv_lstsq,
     standard_map,
-    sym_sqrt_inv,
 )
 from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.weights import exponential_bump
@@ -313,40 +311,3 @@ class TestEig:
     def test_non_square(self):
         with pytest.raises(ShapeError):
             eig(np.ones((2, 3)))
-
-
-class TestSymSqrtInv:
-    def test_identity(self):
-        half, inv_half = sym_sqrt_inv(np.eye(3))
-        np.testing.assert_allclose(half, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(inv_half, np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        half, inv_half = sym_sqrt_inv(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(half, np.diag([2.0, 3.0]), atol=1e-14)
-        np.testing.assert_allclose(inv_half, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_random_spd_roundtrip(self, gen):
-        M = gen.standard_normal((5, 5))
-        G = M.T @ M + 0.5 * np.eye(5)
-        half, inv_half = sym_sqrt_inv(G)
-        np.testing.assert_allclose(half @ half, G, rtol=1e-9)
-        np.testing.assert_allclose(inv_half @ G @ inv_half, np.eye(5), atol=1e-9)
-
-    def test_complex_hermitian(self, gen):
-        M = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        G = M.conj().T @ M + np.eye(4)
-        half, inv_half = sym_sqrt_inv(G)
-        np.testing.assert_allclose(half @ half, G, rtol=1e-9)
-
-    def test_rejects_non_hermitian(self, gen):
-        with pytest.raises(ShapeError):
-            sym_sqrt_inv(gen.standard_normal((3, 3)))
-
-    def test_rejects_indefinite_with_ratio(self):
-        with pytest.raises(ConditioningError, match="ratio"):
-            sym_sqrt_inv(np.diag([1.0, -0.5]))
-
-    def test_rejects_ill_conditioned(self):
-        with pytest.raises(ConditioningError):
-            sym_sqrt_inv(np.diag([1.0, 1e-15]))
