@@ -37,7 +37,8 @@ class Dictionary:
     """A finite dictionary of observables.
 
     evaluate maps an (N, d) block of states to an (N, size) complex matrix,
-    one column per dictionary element.
+    one column per dictionary element.  It must be row-wise (row n depends on
+    state n alone): fits evaluate a trajectory one block of rows at a time.
     """
 
     size: int
@@ -129,45 +130,77 @@ def identity_dictionary(dim: int) -> Dictionary:
     return Dictionary(size=dim, dim=dim, evaluate=evaluate)
 
 
-@dataclass(frozen=True)
+def _read_only_copy(array) -> np.ndarray:
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
 class DictionaryMatrices:
-    """Dictionary evaluations along a trajectory.
+    """Dictionary evaluations along a trajectory, read one row block at a time.
 
     Row n of Psi is psi(X_n) and row n of Phi is phi(X_{n+1}), so both share
-    the same row count and row n describes one transition.
+    the same row count and row n describes one transition.  Built from a
+    trajectory, it holds a read-only copy of the states and evaluates the
+    dictionary per TSQR block; DictionaryMatrices(Psi, Phi) holds read-only
+    copies of a pair.  Psi and Phi are evaluated on demand, and no fit reads
+    them: the fits share the last weighted R factor while weights are equal.
     """
 
-    Psi: np.ndarray
-    Phi: np.ndarray
+    def __init__(self, Psi, Phi):
+        Psi, Phi = _read_only_copy(Psi), _read_only_copy(Phi)
+        if Psi.ndim != 2 or Phi.ndim != 2 or Psi.shape[0] != Phi.shape[0]:
+            raise ShapeError(f"Psi {Psi.shape}, Phi {Phi.shape}: need 2-D, equal row counts")
+        self._rows = lambda start, stop: (Psi[start:stop], Phi[start:stop])
+        self.n_pairs, self._reduced = Psi.shape[0], None
 
-    def __post_init__(self):
-        if self.Psi.shape[0] != self.Phi.shape[0]:
-            raise ShapeError(
-                f"row counts differ: Psi {self.Psi.shape}, Phi {self.Phi.shape}")
+    @classmethod
+    def _of(cls, rows, n_pairs: int) -> "DictionaryMatrices":
+        mats = cls.__new__(cls)
+        mats._rows, mats.n_pairs, mats._reduced = rows, n_pairs, None
+        return mats
 
-    @property
-    def n_pairs(self) -> int:
-        return self.Psi.shape[0]
+    Psi = property(lambda self: self._rows(0, self.n_pairs)[0])
+    Phi = property(lambda self: self._rows(0, self.n_pairs)[1])
 
     def prefix(self, N: int) -> "DictionaryMatrices":
-        """First N transitions; used by window sweeps."""
+        """First N transitions, read from the same data; used by window sweeps."""
         if N > self.n_pairs:
             raise SizeError(f"prefix {N} exceeds {self.n_pairs} rows")
-        return DictionaryMatrices(self.Psi[:N], self.Phi[:N])
+        return DictionaryMatrices._of(self._rows, N)
+
+    def _reduce(self, weights: WeightVector | None) -> tuple[np.ndarray, np.ndarray]:
+        """linalg._reduce of these rows, computed once while the weights are equal."""
+        raw = None if weights is None else weights.raw
+        if self._reduced is not None:
+            last, factors = self._reduced
+            if (last is None) == (raw is None) and (raw is None or np.array_equal(last, raw)):
+                return factors
+        factors = linalg._reduce(self._rows, self.n_pairs, weights)
+        for factor in factors:
+            factor.setflags(write=False)
+        self._reduced = (None if raw is None else raw.copy(), factors)
+        return factors
 
 
 def build_dictionary_matrices(
     traj: Trajectory | np.ndarray,
     psi: Dictionary,
 ) -> DictionaryMatrices:
-    """Evaluate a dictionary along a trajectory of at least 3 states."""
-    states = np.asarray(getattr(traj, "states", traj))
+    """Dictionary matrices along a trajectory of at least 3 states."""
+    states = _read_only_copy(getattr(traj, "states", traj))
     if states.ndim == 1:
         states = states[:, None]
     if states.shape[0] < 3:
         raise SizeError(f"need at least 3 states, got {states.shape[0]}")
-    full = psi(states)  # one evaluation, two overlapping row windows
-    return DictionaryMatrices(Psi=full[:-1], Phi=full[1:])
+    if states.shape[1] != psi.dim:
+        raise ShapeError(f"dictionary expects dimension {psi.dim}, got {states.shape[1]}")
+
+    def rows(start, stop):  # one evaluation, two overlapping row windows
+        values = psi(states[start:stop + 1])
+        return values[:-1], values[1:]
+
+    return DictionaryMatrices._of(rows, states.shape[0] - 1)
 
 
 @dataclass(frozen=True)
@@ -188,7 +221,7 @@ def edmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> Koopm
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
     """
-    sol = linalg.pinv_lstsq(mats.Psi, mats.Phi, weights)
+    sol = linalg.pinv_lstsq(*mats._reduce(weights))
     return KoopmanMatrix(matrix=sol.matrix, effective_rank=sol.effective_rank)
 
 
@@ -226,10 +259,11 @@ def mpedmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> Mpe
             sigma_max(R11)^2, is at or below linalg.DEFAULT_REL_TOL.
         NumericalError: the eigendecomposition of the unitary factor fails.
     """
-    L = mats.Psi.shape[1]
-    if mats.Phi.shape[1] != L:
+    R_Psi, R_Phi = mats._reduce(weights)
+    L = R_Psi.shape[1]
+    if R_Phi.shape[1] != L:
         raise ShapeError("mpedmd requires matching dictionary sizes (phi = psi)")
-    R = np.linalg.qr(np.hstack(linalg._reduce(mats.Psi, mats.Phi, weights)), mode="r")
+    R = np.linalg.qr(np.hstack((R_Psi, R_Phi)), mode="r")
     R11, R12 = R[:L, :L], R[:L, L:]
     sigma = np.linalg.svd(R11, compute_uv=False)
     ratio = (sigma[-1] / sigma[0]) ** 2 if R11.shape[0] == L and sigma[0] > 0 else 0.0

@@ -28,10 +28,13 @@ __all__ = [
 # everything above eps-level noise.
 DEFAULT_REL_TOL = 1e-12
 
-# Samples per block of the TSQR reduction in pinv_lstsq.  On a weighted
-# 1e5 x 9 complex EDMD fit (2 vCPU AMD EPYC, OpenBLAS) 4096-8192 rows ran
-# fastest, 14 ms against 33 ms for the thin SVD of the whole matrix; 256 rows
-# took 19 ms and 65536 rows 22 ms.
+# Samples per block of the TSQR reduction.  On a weighted 1e5 x 9 complex
+# EDMD fit (2 vCPU AMD EPYC, OpenBLAS) 4096-8192 rows ran fastest, 14 ms
+# against 33 ms for the thin SVD of the whole matrix; 256 rows took 19 ms and
+# 65536 rows 22 ms.  With the dictionary evaluated per block (2 vCPU Xeon,
+# median of 12: edmd and mpedmd on a 1e5-step standard-map orbit and two
+# 1e4-step windows) 2048, 4096 and 8192 rows took 84, 83 and 84 ms and 1024
+# rows 91 ms.
 _TSQR_ROWS = 4096
 
 
@@ -44,55 +47,49 @@ class LstsqSolution:
     singular_values: np.ndarray
 
 
-def _sqrt_weights(weights: WeightVector, n: int) -> np.ndarray:
-    diag = weights.raw
-    if diag.shape != (n,):
-        raise ShapeError(f"weights have shape {diag.shape}, data has {n} samples")
-    if not (np.isfinite(diag).all() and (diag >= 0).all()):
-        raise DomainError("weights must be finite and non-negative")
-    return np.sqrt(diag)
-
-
-def _reduce(A, B, weights: WeightVector | None):
+def _reduce(rows, n: int, weights: WeightVector | None):
     """A small (A_r, B_r) with the least-squares problem of (W^½A, W^½B).
 
+    rows(start, stop) returns (only reads) samples start..stop-1 of A and B.
     Up to one block of samples the weighted data are the reduced problem.
     Longer data are walked in blocks of _TSQR_ROWS samples: each block of
     [W^½A | W^½B] is copied into one reused buffer and replaced by its R
     factor, and the stacked R factors are factored once more (TSQR).  Since
     [W^½A | W^½B] = Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| =
     ||R_B - R_A K|| for every K, and R_A has the singular values of W^½A.
-    This is the one place where a taper enters a fit: pinv_lstsq and
-    edmd.mpedmd both start here.  The caller's arrays are only read.
+    This is the one place where a taper enters a fit.
 
     Raises:
-        ShapeError: A and B are not 2-D with one row per sample, or the
-            weights do not match the sample count.
+        ShapeError: the weights do not match the sample count.
         DomainError: the weighted data hold NaN or infinity, or the weights
             are negative or not finite.
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
-    n, L = A.shape
-    if B.shape[0] != n:
-        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
-    sqrt_w = None if weights is None else _sqrt_weights(weights, n)
+    raw = None if weights is None else weights.raw
+    if raw is not None:
+        if raw.shape != (n,):
+            raise ShapeError(f"weights have shape {raw.shape}, data has {n} samples")
+        if not (np.isfinite(raw).all() and (raw >= 0).all()):
+            raise DomainError("weights must be finite and non-negative")
     with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
         if n <= _TSQR_ROWS:
-            if sqrt_w is not None:
-                A, B = A * sqrt_w[:, None], B * sqrt_w[:, None]
+            A, B = rows(0, n)
+            if raw is not None:
+                sqrt_w = np.sqrt(raw)[:, None]
+                A, B = A * sqrt_w, B * sqrt_w
         else:
-            buf = np.empty((_TSQR_ROWS, L + B.shape[1]), dtype=np.result_type(A, B, float))
-            factors = []
+            buf, factors = None, []
             for start in range(0, n, _TSQR_ROWS):
-                block = buf[:min(_TSQR_ROWS, n - start)]
-                stop = start + block.shape[0]
-                block[:, :L] = A[start:stop]
-                block[:, L:] = B[start:stop]
-                if sqrt_w is not None:
-                    block *= sqrt_w[start:stop, None]
+                stop = min(start + _TSQR_ROWS, n)
+                A, B = rows(start, stop)
+                if buf is None:
+                    L = A.shape[1]
+                    buf = np.empty((_TSQR_ROWS, L + B.shape[1]),
+                                   dtype=np.result_type(A, B, float))
+                block = buf[:stop - start]
+                block[:, :L] = A
+                block[:, L:] = B
+                if raw is not None:
+                    block *= np.sqrt(raw[start:stop])[:, None]
                 factors.append(np.linalg.qr(block, mode="r"))
             R = np.linalg.qr(np.vstack(factors), mode="r")
             A, B = R[:, :L], R[:, L:]
@@ -126,7 +123,12 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
         DomainError: the weighted data hold NaN or infinity, or the weights
             are negative or not finite.
     """
-    A_r, B_r = _reduce(A, B, weights)
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ShapeError(f"A and B must be 2-D, got {A.shape} and {B.shape}")
+    if B.shape[0] != A.shape[0]:
+        raise ShapeError(f"||B - A K||: B is {B.shape}, A is {A.shape}")
+    A_r, B_r = _reduce(lambda start, stop: (A[start:stop], B[start:stop]), A.shape[0], weights)
     U, S, Vh = np.linalg.svd(A_r, full_matrices=False)
     keep = S > DEFAULT_REL_TOL * S[:1]  # none kept when A is all zero or empty
     inv = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
@@ -137,8 +139,9 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
 def eig(A: np.ndarray):
     """Eigendecomposition with a deterministic ordering.
 
-    Eigenvalues are sorted by descending modulus, ties broken by descending
-    real part and then descending imaginary part; eigenvector columns follow.
+    Eigenvalues are sorted by descending modulus, rounded to 1e-12 relative to
+    the largest, ties broken by descending real part and then descending
+    imaginary part; eigenvector columns follow.
 
     Raises:
         ShapeError: non-square input.
@@ -155,6 +158,9 @@ def eig(A: np.ndarray):
         raise NumericalError(
             f"eigendecomposition failed to converge (cond ~ {cond:.3e}): {exc}"
         ) from exc
-    # descending modulus; ties by descending real part, then descending imag
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    # descending modulus rounded to 1e-12 of the largest, so that a unit-circle
+    # spectrum ties; ties by descending real part, then descending imag
+    modulus = np.abs(values)
+    rounded = np.round(modulus / modulus.max(initial=np.finfo(float).tiny), 12)
+    order = np.lexsort((-values.imag, -values.real, -rounded))
     return values[order], vectors[:, order]

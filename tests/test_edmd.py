@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from taperdyn import (
     ConditioningError,
+    Dictionary,
     DictionaryMatrices,
     NumericalError,
     RngStream,
@@ -21,6 +23,7 @@ from taperdyn import (
     snapshot_pair,
     standard_map,
     uniform_weight,
+    WeightVector,
 )
 from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.systems import Trajectory
@@ -89,6 +92,96 @@ class TestBuildMatrices:
         states = gen.standard_normal((30, 2))
         mats = build_dictionary_matrices(states, identity_dictionary(2))
         assert mats.prefix(10).n_pairs == 10
+
+
+DICTIONARIES = {"fourier": fourier_dictionary(1, dim=2),
+                "monomial": monomial_dictionary(2, dim=2),
+                "identity": identity_dictionary(2)}
+
+
+def _outcome(fit, mats, weights):
+    """Every field of a fit, or the message of its ConditioningError."""
+    try:
+        return dataclasses.asdict(fit(mats, weights))
+    except ConditioningError as exc:
+        return str(exc)
+
+
+def _counting(dictionary):
+    """The dictionary, and the list of state counts it is evaluated on."""
+    counts = []
+
+    def evaluate(states):
+        counts.append(states.shape[0])
+        return dictionary.evaluate(states)
+
+    return Dictionary(dictionary.size, dictionary.dim, evaluate), counts
+
+
+class TestStreamedMatrices:
+    @pytest.mark.parametrize("n", [3, _TSQR_ROWS - 1, _TSQR_ROWS, _TSQR_ROWS + 1,
+                                   3 * _TSQR_ROWS + 17])
+    @pytest.mark.parametrize("name", list(DICTIONARIES))
+    def test_bit_equal_to_paired_arrays(self, n, name):
+        states = np.random.default_rng(n).uniform(0.0, TWO_PI, (n + 1, 2))
+        streamed = build_dictionary_matrices(states, DICTIONARIES[name])
+        full = DICTIONARIES[name](states)  # evaluated at once, not per block
+        for N in (n, max(2, n - 5)):
+            mats = streamed if N == n else streamed.prefix(N)
+            paired = DictionaryMatrices(full[:N], full[1:N + 1])
+            for weights in (None, make_weight_vector(mats.n_pairs, exponential_bump())):
+                for fit in (edmd, mpedmd):
+                    np.testing.assert_equal(_outcome(fit, mats, weights),
+                                            _outcome(fit, paired, weights))
+
+    def test_one_reduction_per_taper(self):
+        n = 2 * _TSQR_ROWS + 5
+        dictionary, counts = _counting(fourier_dictionary(1, dim=2))
+        states = np.random.default_rng(0).uniform(0.0, TWO_PI, (n + 1, 2))
+        mats = build_dictionary_matrices(states, dictionary)
+        one_pass = [_TSQR_ROWS + 1, _TSQR_ROWS + 1, 6]  # each block and its next state
+        bump = make_weight_vector(n, exponential_bump())
+        edmd(mats, bump)
+        mpedmd(mats, make_weight_vector(n, exponential_bump()))  # equal raw values
+        assert counts == one_pass
+        edmd(mats, make_weight_vector(n, uniform_weight()))
+        assert counts == 2 * one_pass
+        edmd(mats, None)
+        mpedmd(mats, None)
+        assert counts == 3 * one_pass
+        edmd(mats, bump)
+        assert counts == 4 * one_pass
+
+    def test_fits_read_a_snapshot_of_the_callers_arrays(self):
+        n = _TSQR_ROWS + 50
+        states = np.random.default_rng(1).uniform(0.0, TWO_PI, (n + 1, 2))
+        original = states.copy()
+        raw = make_weight_vector(n, exponential_bump()).raw.copy()
+        weights = WeightVector(raw, raw / raw.sum())
+        mats = build_dictionary_matrices(states, fourier_dictionary(1, dim=2))
+        edmd(mats, weights)
+        states += 0.5
+        raw[:] = np.linspace(1.0, 2.0, n)  # the same WeightVector, new values
+        fresh = build_dictionary_matrices(original, fourier_dictionary(1, dim=2))
+        mutated = WeightVector(raw.copy(), raw / raw.sum())
+        for fit in (edmd, mpedmd):
+            np.testing.assert_equal(_outcome(fit, mats, weights), _outcome(fit, fresh, mutated))
+        assert states.flags.writeable and raw.flags.writeable
+
+    def test_paired_arrays_are_a_snapshot(self, gen):
+        Psi = gen.standard_normal((40, 3)) + 1j * gen.standard_normal((40, 3))
+        Phi = gen.standard_normal((40, 3)) + 1j * gen.standard_normal((40, 3))
+        mats = DictionaryMatrices(Psi, Phi)
+        before = edmd(mats).matrix
+        Psi[:] = 0.0
+        edmd(mats, make_weight_vector(40, exponential_bump()))  # replaces the kept factor
+        np.testing.assert_array_equal(edmd(mats).matrix, before)
+        np.testing.assert_array_equal(edmd(mats.prefix(40)).matrix, before)
+        assert Psi.flags.writeable and not mats.Psi.flags.writeable
+
+    def test_dimension_mismatch_is_refused_at_build(self, gen):
+        with pytest.raises(ShapeError, match="dimension 2, got 3"):
+            build_dictionary_matrices(gen.standard_normal((10, 3)), fourier_dictionary(1, dim=2))
 
 
 class TestEdmd:

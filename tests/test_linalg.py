@@ -181,9 +181,12 @@ class TestTsqrAgainstSvd:
         assert np.linalg.norm(fit.matrix - K_ref) <= 1e-12 * np.linalg.norm(K_ref)
 
     def test_edmd_peak_allocation_is_small(self):
-        # 1e5 x 9 complex: Psi and Phi hold 14.4 MB each; the fit allocates
-        # O(block) memory, where a weighted copy of either would not fit
-        orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (100_001, 2))
+        # 2e5 x 9 complex: the materialised Psi and Phi would take 28.8 MB.
+        # The fit evaluates the dictionary one block at a time and allocates
+        # O(block) memory plus the kept copy of the weights: 3.3 MB measured
+        # (numpy 2.4), against a bound of 4.0 MB (20% margin), a seventh of
+        # 28.8 MB.
+        orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (200_001, 2))
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
         wv = make_weight_vector(mats.n_pairs, exponential_bump())
         tracemalloc.start()
@@ -192,7 +195,7 @@ class TestTsqrAgainstSvd:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 4.0e6
 
 
 class TestPinvLstsq:
@@ -289,6 +292,16 @@ class TestEig:
     def test_tie_breaking_order(self):
         values, _ = eig(np.diag([1.0, -1.0, 2.0j, -2.0]))
         np.testing.assert_allclose(values, [2.0j, -2.0, 1.0, -1.0], atol=1e-14)
+
+    def test_unit_circle_order_ignores_modulus_noise(self):
+        # moduli 1 +- 1e-15, set against the real parts: the order comes from
+        # the real parts, as for an exactly unitary matrix
+        angles = np.array([2.8, 0.4, -1.9, 1.3, -0.7, 2.2])
+        lam = np.exp(1j * angles) * np.where(np.cos(angles) > 0, 1.0 - 1e-15, 1.0 + 1e-15)
+        values, vectors = eig(np.diag(lam))
+        order = np.argsort(-lam.real)
+        np.testing.assert_array_equal(values, lam[order])
+        np.testing.assert_array_equal(vectors, np.eye(6)[:, order])
 
     def test_hermitian_real_eigenvalues(self, gen):
         H = gen.standard_normal((5, 5))
