@@ -27,6 +27,7 @@ from .edmd import (
     MpedmdResult,
     build_dictionary_matrices,
     edmd,
+    evaluate_transitions,
     fourier_dictionary,
     identity_dictionary,
     monomial_dictionary,

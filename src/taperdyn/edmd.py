@@ -8,6 +8,7 @@ weighted TSQR reduction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +29,7 @@ __all__ = [
     "monomial_dictionary",
     "identity_dictionary",
     "build_dictionary_matrices",
+    "evaluate_transitions",
     "edmd",
     "mpedmd",
 ]
@@ -143,44 +145,50 @@ class DictionaryMatrices:
     the same row count and row n describes one transition.  Built from a
     trajectory, it holds a read-only copy of the states and evaluates the
     dictionary per TSQR block; DictionaryMatrices(Psi, Phi) holds read-only
-    copies of a pair.  Psi and Phi are evaluated on demand, and no fit reads
-    them: the fits share the last weighted R factor while weights are equal.
+    copies of a pair.  Psi and Phi are evaluated on their first read and
+    kept, and no fit reads them: the fits share the last weighted R factor
+    while the weights are equal.
     """
 
     def __init__(self, Psi, Phi):
         Psi, Phi = _read_only_copy(Psi), _read_only_copy(Phi)
         if Psi.ndim != 2 or Phi.ndim != 2 or Psi.shape[0] != Phi.shape[0]:
             raise ShapeError(f"Psi {Psi.shape}, Phi {Phi.shape}: need 2-D, equal row counts")
-        self._rows = lambda start, stop: (Psi[start:stop], Phi[start:stop])
-        self.n_pairs, self._reduced = Psi.shape[0], None
+        self._read(lambda start, stop: (Psi[start:stop], Phi[start:stop]), Psi.shape[0])
 
-    @classmethod
-    def _of(cls, rows, n_pairs: int) -> "DictionaryMatrices":
-        mats = cls.__new__(cls)
-        mats._rows, mats.n_pairs, mats._reduced = rows, n_pairs, None
-        return mats
+    def _read(self, rows, n_pairs: int) -> "DictionaryMatrices":
+        """Read n_pairs transitions from rows(start, stop); every instance is set up here."""
+        self._rows, self.n_pairs, self._reduced = rows, n_pairs, None
+        return self
 
-    Psi = property(lambda self: self._rows(0, self.n_pairs)[0])
-    Phi = property(lambda self: self._rows(0, self.n_pairs)[1])
+    _pair = functools.cached_property(lambda self: self._rows(0, self.n_pairs))
+    Psi = property(lambda self: self._pair[0])
+    Phi = property(lambda self: self._pair[1])
 
     def prefix(self, N: int) -> "DictionaryMatrices":
         """First N transitions, read from the same data; used by window sweeps."""
         if N > self.n_pairs:
             raise SizeError(f"prefix {N} exceeds {self.n_pairs} rows")
-        return DictionaryMatrices._of(self._rows, N)
+        return object.__new__(DictionaryMatrices)._read(self._rows, N)
 
     def _reduce(self, weights: WeightVector | None) -> tuple[np.ndarray, np.ndarray]:
         """linalg._reduce of these rows, computed once while the weights are equal."""
         raw = None if weights is None else weights.raw
-        if self._reduced is not None:
-            last, factors = self._reduced
-            if (last is None) == (raw is None) and (raw is None or np.array_equal(last, raw)):
-                return factors
-        factors = linalg._reduce(self._rows, self.n_pairs, weights)
-        for factor in factors:
-            factor.setflags(write=False)
-        self._reduced = (None if raw is None else raw.copy(), factors)
-        return factors
+        # array_equal(None, x) holds for x = None alone, so plain fits key on None
+        if self._reduced is None or not np.array_equal(self._reduced[0], raw):
+            factors = linalg._reduce(self._rows, self.n_pairs, weights)
+            for factor in factors:
+                factor.setflags(write=False)
+            self._reduced = (None if raw is None else raw.copy(), factors)
+        return self._reduced[1]
+
+
+def evaluate_transitions(states: np.ndarray, psi: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and Phi rows of the transitions along m + 1 states, psi(X_n) and
+    psi(X_{n+1}) for n < m: two overlapping, read-only views of one evaluation."""
+    values = psi(states)
+    values.setflags(write=False)
+    return values[:-1], values[1:]
 
 
 def build_dictionary_matrices(
@@ -195,12 +203,8 @@ def build_dictionary_matrices(
         raise SizeError(f"need at least 3 states, got {states.shape[0]}")
     if states.shape[1] != psi.dim:
         raise ShapeError(f"dictionary expects dimension {psi.dim}, got {states.shape[1]}")
-
-    def rows(start, stop):  # one evaluation, two overlapping row windows
-        values = psi(states[start:stop + 1])
-        return values[:-1], values[1:]
-
-    return DictionaryMatrices._of(rows, states.shape[0] - 1)
+    return object.__new__(DictionaryMatrices)._read(
+        lambda start, stop: evaluate_transitions(states[start:stop + 1], psi), states.shape[0] - 1)
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,7 @@ def _reduce(rows, n: int, weights: WeightVector | None):
                     buf = np.empty((_TSQR_ROWS, L + B.shape[1]),
                                    dtype=np.result_type(A, B, float))
                 block = buf[:stop - start]
-                block[:, :L] = A
-                block[:, L:] = B
+                block[:, :L], block[:, L:] = A, B
                 if raw is not None:
                     block *= np.sqrt(raw[start:stop])[:, None]
                 factors.append(np.linalg.qr(block, mode="r"))
@@ -139,9 +138,8 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
 def eig(A: np.ndarray):
     """Eigendecomposition with a deterministic ordering.
 
-    Eigenvalues are sorted by descending modulus, rounded to 1e-12 relative to
-    the largest, ties broken by descending real part and then descending
-    imaginary part; eigenvector columns follow.
+    Eigenvalues are sorted by descending modulus, ties broken by descending
+    real part and then descending imaginary part; eigenvector columns follow.
 
     Raises:
         ShapeError: non-square input.
@@ -158,9 +156,6 @@ def eig(A: np.ndarray):
         raise NumericalError(
             f"eigendecomposition failed to converge (cond ~ {cond:.3e}): {exc}"
         ) from exc
-    # descending modulus rounded to 1e-12 of the largest, so that a unit-circle
-    # spectrum ties; ties by descending real part, then descending imag
-    modulus = np.abs(values)
-    rounded = np.round(modulus / modulus.max(initial=np.finfo(float).tiny), 12)
-    order = np.lexsort((-values.imag, -values.real, -rounded))
+    # descending modulus; ties by descending real part, then descending imag
+    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
     return values[order], vectors[:, order]

@@ -362,11 +362,11 @@ GOLDEN = {
         "dmd_sweep.csv": "48836f4a45cba84adcea795c44cad296143f503d5e98404de562c396147a5b5e",
     },
     ("edmd", "--lam", "0.25", "--N", "2000"): {
-        "edmd_eigs.csv": "c98c1045102dcf717e3625d46aa04e658a201a5ffe19f6b875d039f27799199b",
+        "edmd_eigs.csv": "a3b62ecb3552a412fcb99996564847e28e7dd32e81ac8f747bee7da776c869ce",
         "edmd_matrix.csv": "e9b516e381865031b03a082da5f1d7acc547ef52099d4bf542659acb8e1f0bc2",
     },
     ("mpedmd", "--lam", "0.25", "--N", "2000"): {
-        "mpedmd_eigs.csv": "ae69278982deb9be72d671869e368f610ec15990ef29449d6c0dde6adcd32c54",
+        "mpedmd_eigs.csv": "592e7ef96e854914348949e462fc268c3dc62c0eba14a3072f4c6ad5b8ef7ce2",
         "mpedmd_matrix.csv": "bbaa4763c2876bc8fb2e0b648bb8394628102f331da4a9122ff3e21bee2054f8",
     },
     ("sindy", "--N", "2000", "--eta", "1e-2"): {

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from taperdyn import (
 from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.systems import Trajectory
 
+# the module, which the package's edmd function shadows
+edmd_module = importlib.import_module("taperdyn.edmd")
 TWO_PI = 2.0 * math.pi
 ALPHA = (math.sqrt(2.0) * TWO_PI) % TWO_PI
 
@@ -178,6 +181,37 @@ class TestStreamedMatrices:
         np.testing.assert_array_equal(edmd(mats).matrix, before)
         np.testing.assert_array_equal(edmd(mats.prefix(40)).matrix, before)
         assert Psi.flags.writeable and not mats.Psi.flags.writeable
+
+    def test_psi_and_phi_are_evaluated_once_on_demand(self):
+        n = _TSQR_ROWS + 50
+        dictionary, counts = _counting(fourier_dictionary(1, dim=2))
+        states = np.random.default_rng(2).uniform(0.0, TWO_PI, (n + 1, 2))
+        mats = build_dictionary_matrices(states, dictionary)
+        assert counts == []
+        Psi, Phi = mats.Psi, mats.Phi
+        assert mats.Psi is Psi and mats.Phi is Phi and counts == [n + 1]
+        full = fourier_dictionary(1, dim=2)(states)
+        np.testing.assert_array_equal(Psi, full[:-1])
+        np.testing.assert_array_equal(Phi, full[1:])
+        assert np.shares_memory(Psi, Phi)  # one evaluation, two row windows
+        assert not (Psi.flags.writeable or Phi.flags.writeable)
+        np.testing.assert_array_equal(mats.prefix(10).Phi, full[1:11])
+        assert counts == [n + 1, 11]
+
+    def test_every_evaluation_goes_through_evaluate_transitions(self, monkeypatch):
+        # looked up at call time, so a wrapper of the module's public
+        # function installed after the build (a profiler's span, say) sees
+        # every block and every read
+        n = _TSQR_ROWS + 50
+        states = np.random.default_rng(3).uniform(0.0, TWO_PI, (n + 1, 2))
+        mats = build_dictionary_matrices(states, fourier_dictionary(1, dim=2))
+        calls = []
+        evaluate = edmd_module.evaluate_transitions
+        monkeypatch.setattr(edmd_module, "evaluate_transitions",
+                            lambda states, psi: calls.append(len(states)) or evaluate(states, psi))
+        edmd(mats)
+        mats.Psi
+        assert calls == [_TSQR_ROWS + 1, 51, n + 1]
 
     def test_dimension_mismatch_is_refused_at_build(self, gen):
         with pytest.raises(ShapeError, match="dimension 2, got 3"):

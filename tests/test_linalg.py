@@ -197,6 +197,22 @@ class TestTsqrAgainstSvd:
             tracemalloc.stop()
         assert peak <= 4.0e6
 
+    def test_pinv_lstsq_peak_allocation_is_small(self):
+        # 1e5 x 9 complex arrays, as dmd, sindy and shift_matrix pass them:
+        # A and B hold 14.4 MB each, and the weighted reduction allocates
+        # O(block) memory (2.4 MiB measured), where a weighted copy of
+        # either would not fit under the bound
+        orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (100_001, 2))
+        full = fourier_dictionary(1, dim=2)(orbit)
+        wv = make_weight_vector(100_000, exponential_bump())
+        tracemalloc.start()
+        try:
+            pinv_lstsq(full[:-1], full[1:], wv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
 
 class TestPinvLstsq:
     def test_exact_consistency_square(self, gen):
@@ -292,16 +308,6 @@ class TestEig:
     def test_tie_breaking_order(self):
         values, _ = eig(np.diag([1.0, -1.0, 2.0j, -2.0]))
         np.testing.assert_allclose(values, [2.0j, -2.0, 1.0, -1.0], atol=1e-14)
-
-    def test_unit_circle_order_ignores_modulus_noise(self):
-        # moduli 1 +- 1e-15, set against the real parts: the order comes from
-        # the real parts, as for an exactly unitary matrix
-        angles = np.array([2.8, 0.4, -1.9, 1.3, -0.7, 2.2])
-        lam = np.exp(1j * angles) * np.where(np.cos(angles) > 0, 1.0 - 1e-15, 1.0 + 1e-15)
-        values, vectors = eig(np.diag(lam))
-        order = np.argsort(-lam.real)
-        np.testing.assert_array_equal(values, lam[order])
-        np.testing.assert_array_equal(vectors, np.eye(6)[:, order])
 
     def test_hermitian_real_eigenvalues(self, gen):
         H = gen.standard_normal((5, 5))
