@@ -143,7 +143,10 @@ class DiffusionBasis:
 def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
+    # (aa + bb) - 2 A B^T rounded as written, with one band-sized temporary
+    d2 = A @ B.T
+    d2 *= 2.0
+    np.subtract(aa + bb, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -162,6 +165,8 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
 
     Each pair is visited once and self-pairs never enter: for p > 1 the
     diagonal of the distance formula holds rounding residues, not zeros.
+    The bands fill one pair buffer, and one in-place selection finds np.median's
+    value bit for bit (for an even count, the mean of the two middle values).
     """
     n = points.shape[0]
     if n > _BANDWIDTH_SUBSAMPLE:
@@ -169,12 +174,21 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
         sub = points[gen.choice(n, size=_BANDWIDTH_SUBSAMPLE, replace=False)]
     else:
         sub = points
-    # np.tri(.., i - 1) keeps band row r's columns c < i + r: pairs i < j once
-    positive = np.concatenate([d2[np.tri(j - i, j, i - 1, dtype=bool) & (d2 > 0)]
-                               for i, j, d2 in _lower_bands(sub)])
-    if positive.size == 0:
+    m = sub.shape[0]
+    positive, size = np.empty(m * (m - 1) // 2), 0
+    for i, j, d2 in _lower_bands(sub):
+        # np.tri(.., i - 1) keeps band row r's columns c < i + r: pairs i < j once
+        keep = np.tri(j - i, j, i - 1, dtype=bool)
+        keep &= d2 > 0
+        count = np.count_nonzero(keep)
+        positive[size:size + count] = d2[keep]
+        size += count
+    if size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
-    return float(np.sqrt(np.median(positive)))
+    positive, h = positive[:size], size // 2
+    positive.partition(h)
+    median = positive[h] if size % 2 else (positive[:h].max() + positive[h]) / 2.0
+    return float(np.sqrt(median))
 
 
 def _physical_memory_bytes() -> int:

@@ -140,6 +140,8 @@ def eig(A: np.ndarray):
 
     Eigenvalues are sorted by descending modulus, ties broken by descending
     real part and then descending imaginary part; eigenvector columns follow.
+    Moduli, and then real parts, tie when they chain by gaps of at most 1e-12
+    times the largest modulus, so rounding noise cannot reorder the values.
 
     Raises:
         ShapeError: non-square input.
@@ -156,6 +158,20 @@ def eig(A: np.ndarray):
         raise NumericalError(
             f"eigendecomposition failed to converge (cond ~ {cond:.3e}): {exc}"
         ) from exc
-    # descending modulus; ties by descending real part, then descending imag
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    modulus = np.abs(values)
+    tol = 1e-12 * modulus.max(initial=0.0)
+    by_modulus = _tie_groups(modulus, np.zeros(values.size), tol)
+    order = np.lexsort((-values.imag, _tie_groups(values.real, by_modulus, tol)))
     return values[order], vectors[:, order]
+
+
+def _tie_groups(x: np.ndarray, groups: np.ndarray, tol: float) -> np.ndarray:
+    """Refine groups by descending x: group ids in sorted order, starting a
+    new group where the old group changes or x drops by more than tol."""
+    order = np.lexsort((-x, groups))
+    xs, gs = x[order], groups[order]
+    starts = np.ones(x.size, dtype=bool)
+    starts[1:] = (gs[1:] != gs[:-1]) | (xs[:-1] - xs[1:] > tol)
+    refined = np.empty(x.size, dtype=np.intp)
+    refined[order] = np.cumsum(starts)
+    return refined

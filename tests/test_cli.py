@@ -362,11 +362,11 @@ GOLDEN = {
         "dmd_sweep.csv": "48836f4a45cba84adcea795c44cad296143f503d5e98404de562c396147a5b5e",
     },
     ("edmd", "--lam", "0.25", "--N", "2000"): {
-        "edmd_eigs.csv": "a3b62ecb3552a412fcb99996564847e28e7dd32e81ac8f747bee7da776c869ce",
+        "edmd_eigs.csv": "7326871f5ccdc4ac472673d64bf7182f5b0e106eb0ac44cd50bdf973b6b5e9c2",
         "edmd_matrix.csv": "e9b516e381865031b03a082da5f1d7acc547ef52099d4bf542659acb8e1f0bc2",
     },
     ("mpedmd", "--lam", "0.25", "--N", "2000"): {
-        "mpedmd_eigs.csv": "592e7ef96e854914348949e462fc268c3dc62c0eba14a3072f4c6ad5b8ef7ce2",
+        "mpedmd_eigs.csv": "57cb0a9bca405dfedbbb49423e04f2b53cbe365c5e615a51fa0208b4eebe7ede",
         "mpedmd_matrix.csv": "bbaa4763c2876bc8fb2e0b648bb8394628102f331da4a9122ff3e21bee2054f8",
     },
     ("sindy", "--N", "2000", "--eta", "1e-2"): {

@@ -1,6 +1,11 @@
 import importlib
+import json
 import math
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +145,8 @@ class TestAutoBandwidth:
         assert got != _full_matrix_bandwidth(pts, 5)
         assert got == pytest.approx(_full_matrix_bandwidth(pts, 5), rel=1e-3)
 
-    @pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 513])
+    # m = 2..5 give 1, 3, 6 and 10 pairs: odd and even counts
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 255, 256, 257, 513])
     @pytest.mark.parametrize("p", [1, 3])
     def test_band_edges(self, m, p):
         pts = np.random.default_rng(m).standard_normal((m, p))
@@ -152,6 +158,36 @@ class TestAutoBandwidth:
     def test_duplicate_points_are_left_out(self, p):
         pts = np.random.default_rng(9).integers(0, 4, (300, p)).astype(float)
         assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+
+    def test_tied_middle_ranks(self):
+        # squared distances of 0..4: 1 x4, 4 x3, 9 x2, 16; ranks 4 and 5 are both 4
+        pts = np.arange(5.0)[:, None]
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0) == 2.0
+
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_mostly_duplicate_pairs(self, m):
+        # two values: every positive distance is the same
+        two_values = np.random.default_rng(m).integers(0, 2, (m, 1)).astype(float)
+        assert _auto_bandwidth(two_values, 0) == _distinct_pairs_bandwidth(two_values, 0)
+        # all but ten points identical: most pairs are zero and left out
+        mostly_one = np.full((m, 2), 0.5)
+        mostly_one[:10] = np.random.default_rng(m).standard_normal((10, 2))
+        assert _auto_bandwidth(mostly_one, 0) == _distinct_pairs_bandwidth(mostly_one, 0)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_peak_allocation_is_about_one_pair_buffer(self, p):
+        # one float64 per distinct pair of the subsample, plus the temporaries
+        # of two bands: 1.76 x the buffer measured (numpy 2.4) against a bound
+        # of 1.85 x (5% margin); a second buffer-sized array would read 2 x
+        m = forecast_module._BANDWIDTH_SUBSAMPLE
+        pts = np.random.default_rng(p).standard_normal((8000, p))
+        tracemalloc.start()
+        try:
+            _auto_bandwidth(pts, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.85 * (m * (m - 1) // 2 * 8)
 
     @pytest.mark.parametrize("shape", [(2, 1), (300, 2), (3000, 1)])
     def test_identical_points_rejected(self, shape):
@@ -338,6 +374,32 @@ class TestDiffusionBasis:
         with pytest.raises(DomainError):
             forecast(basis, ShiftMatrix(np.eye(3)),
                      np.array([bad]), 2, pts[:, 0])
+
+
+# fits and forecasts on an n = 8000 OU path in one fresh process and prints
+# the scipy modules loaded
+_SCIPY_PROBE = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from taperdyn import (RngStream, diffusion_basis, exponential_bump, forecast,
+                      ou_sample, shift_matrix)
+
+train = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
+                  rng=RngStream(1, "probe")).states[:, 0]
+basis = diffusion_basis(train[:, None], M=10)
+for w in (None, exponential_bump()):
+    forecast(basis, shift_matrix(basis, w), np.array([0.5]), 20, train)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_low_rank_forecast_loads_no_scipy():
+    src = Path(forecast_module.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 @pytest.fixture(scope="module")

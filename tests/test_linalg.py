@@ -309,6 +309,26 @@ class TestEig:
         values, _ = eig(np.diag([1.0, -1.0, 2.0j, -2.0]))
         np.testing.assert_allclose(values, [2.0j, -2.0, 1.0, -1.0], atol=1e-14)
 
+    def test_unit_circle_order_ignores_modulus_noise(self):
+        # angles in the expected order: descending real part, +j before -j.
+        # Moduli 1 +- 1e-15 that, compared exactly, would put each -j first.
+        angles = np.array([0.3, -0.3, 1.0, -1.0, 2.0, -2.5, math.pi])
+        z = np.exp(1j * angles) * (1 + 1e-15 * np.array([-1, 1, -1, 1, -1, 1, 1]))
+        A = np.diag(z[[6, 3, 0, 5, 2, 4, 1]])
+        values, vectors = eig(A)
+        np.testing.assert_array_equal(values, z)
+        np.testing.assert_allclose(A @ vectors, vectors * values, atol=1e-15)
+
+    @pytest.mark.parametrize("minus, plus", [
+        # the -j member has the larger modulus, by one ulp
+        (0.35646433330396265 - 0.93430890024765878j, 0.35646433330396998 + 0.93430890024765567j),
+        # real parts 3.7e-13 apart, on either side of a 1e-12 rounding grid line
+        (0.46913912244179234 - 0.22410948855529744j, 0.46913912244141887 + 0.22410948855519605j),
+    ], ids=["one-ulp-moduli", "straddles-grid"])
+    def test_near_conjugate_pair_puts_positive_imaginary_first(self, minus, plus):
+        values, _ = eig(np.diag([minus, plus]))
+        np.testing.assert_array_equal(values, [plus, minus])
+
     def test_hermitian_real_eigenvalues(self, gen):
         H = gen.standard_normal((5, 5))
         H = H + H.T
