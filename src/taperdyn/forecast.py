@@ -42,7 +42,10 @@ LARGE_BASIS_WARN = 30
 
 _KERNEL_FLOOR = 1e-14
 _BANDWIDTH_SUBSAMPLE = 2048
-_KERNEL_BAND = 256
+# rows per distance band: 32 to 256 rows time the same (_auto_bandwidth 19-35 ms
+# at n = 2000 to 8000, _kernel_lower 19-26 ms at p = 3, n = 2000); 64 keeps
+# each band temporary at 1 MB or less
+_KERNEL_BAND = 64
 _LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
 _LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
 
@@ -140,24 +143,28 @@ class DiffusionBasis:
         return (v @ self.phi) / self.kernel_eigenvalues, True
 
 
-def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    # (aa + bb) - 2 A B^T rounded as written, with one band-sized temporary
-    d2 = A @ B.T
+    # (aa + bb) - 2 A B^T rounded as written, with A B^T formed in out
+    d2 = np.matmul(A, B.T, out=out)
     d2 *= 2.0
     np.subtract(aa + bb, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _lower_bands(pts: np.ndarray):
+def _lower_bands(pts: np.ndarray, K: np.ndarray | None = None):
     """(i, j, d2) per band of _KERNEL_BAND rows: d2 = squared distances of
-    rows i..j-1 to rows 0..j-1, the band's part on and below the diagonal."""
+    rows i..j-1 to rows 0..j-1, the band's part on and below the diagonal,
+    computed in K[i:j, :j] when K is given, else in one reused band buffer."""
     n = pts.shape[0]
+    buf = np.empty((min(_KERNEL_BAND, n), n)) if K is None else None
     for i in range(0, n, _KERNEL_BAND):
         j = min(i + _KERNEL_BAND, n)
-        yield i, j, _pairwise_sq_dists_chunk(pts[i:j], pts[:j])
+        out = buf[:j - i, :j] if K is None else K[i:j, :j]
+        yield i, j, _pairwise_sq_dists_chunk(pts[i:j], pts[:j], out)
 
 
 def _auto_bandwidth(points: np.ndarray, rng) -> float:
@@ -176,10 +183,11 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
         sub = points
     m = sub.shape[0]
     positive, size = np.empty(m * (m - 1) // 2), 0
+    mask = np.empty((min(_KERNEL_BAND, m), m), dtype=bool)
     for i, j, d2 in _lower_bands(sub):
-        # np.tri(.., i - 1) keeps band row r's columns c < i + r: pairs i < j once
-        keep = np.tri(j - i, j, i - 1, dtype=bool)
-        keep &= d2 > 0
+        keep = np.greater(d2, 0.0, out=mask[:j - i, :j])
+        # band row r keeps columns c < i + r: pairs i < j once
+        keep[:, i:] &= np.tri(j - i, k=-1, dtype=bool)
         count = np.count_nonzero(keep)
         positive[size:size + count] = d2[keep]
         size += count
@@ -198,14 +206,13 @@ def _physical_memory_bytes() -> int:
 def _kernel_lower(pts: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian kernel with only the part on and below the diagonal filled.
 
-    Each band of _KERNEL_BAND rows fills K[i:j, :j], with the same bits as
-    the full kernel there; nothing above the diagonal is ever read.
+    Each band of _KERNEL_BAND rows is computed in place in K[i:j, :j], with
+    no band-sized copy and no band outliving the next; nothing above the
+    diagonal is ever read.
     """
     n = pts.shape[0]
     K = np.zeros((n, n))
-    for i, j, d2 in _lower_bands(pts):
-        band = K[i:j, :j]
-        band[...] = d2
+    for _, _, band in _lower_bands(pts, K):
         band /= -bandwidth**2
         np.exp(band, out=band)
     return K
@@ -343,7 +350,9 @@ def diffusion_basis(
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise ConfigError(f"bandwidth must be finite and > 0, got {bandwidth}")
 
-    L = _pivoted_cholesky(pts, bandwidth, max(n // _LOWRANK_CAP_DIV, 1))
+    # the low-rank route needs M <= rank <= cap, so past the cap it is not tried
+    cap = max(n // _LOWRANK_CAP_DIV, 1)
+    L = _pivoted_cholesky(pts, bandwidth, cap) if M <= cap else None
     if L is not None and M <= L.shape[1]:
         s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), n)
         U, sigma, _ = np.linalg.svd(s[:, None] * L, full_matrices=False)

@@ -206,6 +206,28 @@ def density(acs: AutocorrelationSet, filt: Callable | None = None) -> SpectralDe
     return SpectralDensity(coefficients=taper * acs.values, M=acs.M)
 
 
+def _find_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x, as scipy.signal.find_peaks gives them:
+    the middle sample of each run of equal values that rises from its left
+    neighbour and falls to its right one.  With min_prominence > 0 a peak p
+    is kept when x[p] - max(left_min, right_min) >= min_prominence, each min
+    taken out to the nearest strictly higher sample on that side or the end."""
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    v = x[starts]
+    k = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    if min_prominence > 0:
+        keep = np.empty(peaks.size, dtype=bool)
+        for n, p in enumerate(peaks):
+            left, right = np.flatnonzero(x[:p] > x[p]), np.flatnonzero(x[p:] > x[p])
+            lo = left[-1] + 1 if left.size else 0
+            hi = p + right[0] if right.size else x.size
+            keep[n] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min()) >= min_prominence
+        peaks = peaks[keep]
+    return peaks
+
+
 def peak_report(
     dens: SpectralDensity,
     grid_size: int = 4096,
@@ -213,22 +235,24 @@ def peak_report(
 ) -> list[tuple[float, float]]:
     """Local maxima of the density on a periodic grid over [-pi, pi).
 
-    Prominence is measured on a half-period padded copy of the grid so peaks
-    at the seam are treated periodically.  Returns (theta, height) pairs
-    sorted by theta; a flat density yields an empty list.
+    Peaks are found on a half-period padded copy of the grid, so peaks and
+    their prominence at the seam are treated periodically; min_prominence
+    = 0 keeps every local maximum.  Returns (theta, height) pairs sorted by
+    theta; a flat density yields an empty list.
 
     Raises:
         SizeError: grid_size < 16.
+        DomainError: min_prominence negative or not finite.
     """
-    from scipy.signal import find_peaks
-
     if grid_size < 16:
         raise SizeError(f"grid_size >= 16 required, got {grid_size}")
+    if not (np.isfinite(min_prominence) and min_prominence >= 0):
+        raise DomainError(f"min_prominence must be finite and >= 0, got {min_prominence}")
     grid = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
     vals = dens.eval_grid(grid)
     half = grid_size // 2
     ext = np.concatenate([vals[-half:], vals, vals[:half]])
-    idx, _ = find_peaks(ext, prominence=min_prominence if min_prominence > 0 else None)
+    idx = _find_peaks(ext, min_prominence)
     idx = idx[(idx >= half) & (idx < half + grid_size)] - half
     peaks = sorted((float(grid[i]), float(vals[i])) for i in idx)
     return peaks

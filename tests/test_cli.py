@@ -163,6 +163,15 @@ class TestMethodCommands:
         assert run(["specmeas", "--input", str(tmp_path / "missing.csv"),
                     "--outdir", str(tmp_path / "x")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("prominence", ["nan", "-1", "inf"])
+    def test_specmeas_bad_prominence(self, tmp_path, capsys, prominence):
+        _series_csv(tmp_path / "series.csv")
+        out = tmp_path / "x"
+        assert run(["specmeas", "--input", str(tmp_path / "series.csv"), "--M", "20",
+                    "--prominence", prominence, "--outdir", str(out)]) == EXIT_VALIDATION
+        assert "code=5 kind=DomainError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_specmeas_m_too_large(self, tmp_path):
         series = tmp_path / "short.csv"
         series.write_text("1.0\n2.0\n3.0\n")
@@ -200,10 +209,10 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 numpy_only = codes(["average", "--N", "300"], ["edmd", "--N", "500"],
-                   ["mpedmd", "--N", "500"], ["sindy", "--N", "500"])
+                   ["mpedmd", "--N", "500"], ["sindy", "--N", "500"],
+                   ["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]])
 after_numpy_only = scipy_modules()
-scipy_backed = codes(["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]],
-                     ["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5",
+scipy_backed = codes(["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5",
                       "--D", "8"])
 print(json.dumps([numpy_only, after_numpy_only, scipy_backed, scipy_modules()]))
 """
@@ -218,11 +227,12 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     numpy_only, after_numpy_only, scipy_backed, after_all = json.loads(
         proc.stdout.splitlines()[-1])
     assert numpy_only == {"average": EXIT_OK, "edmd": EXIT_OK, "mpedmd": EXIT_OK,
-                          "sindy": EXIT_OK}
+                          "sindy": EXIT_OK, "specmeas": EXIT_OK}
     assert after_numpy_only == []
-    # peaks and spectrum distances load scipy on first call
-    assert scipy_backed == {"specmeas": EXIT_OK, "dmd": EXIT_OK}
-    assert {"scipy.signal", "scipy.optimize"} <= set(after_all)
+    # spectrum distances load scipy on first call; peak finding never does
+    assert scipy_backed == {"dmd": EXIT_OK}
+    assert "scipy.optimize" in after_all
+    assert "scipy.signal" not in after_all
 
 
 class TestBenchCommand:

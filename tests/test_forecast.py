@@ -176,9 +176,10 @@ class TestAutoBandwidth:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_peak_allocation_is_about_one_pair_buffer(self, p):
-        # one float64 per distinct pair of the subsample, plus the temporaries
-        # of two bands: 1.76 x the buffer measured (numpy 2.4) against a bound
-        # of 1.85 x (5% margin); a second buffer-sized array would read 2 x
+        # one float64 per distinct pair of the subsample, plus one 64-row band's
+        # temporaries: 1.143-1.145 x the buffer measured (numpy 2.4) against a
+        # bound of 1.19 x (4% margin); one more band-sized (1 MB) temporary
+        # would read 1.205 x, and a second buffer-sized array 2 x
         m = forecast_module._BANDWIDTH_SUBSAMPLE
         pts = np.random.default_rng(p).standard_normal((8000, p))
         tracemalloc.start()
@@ -187,7 +188,7 @@ class TestAutoBandwidth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.85 * (m * (m - 1) // 2 * 8)
+        assert peak < 1.19 * (m * (m - 1) // 2 * 8)
 
     @pytest.mark.parametrize("shape", [(2, 1), (300, 2), (3000, 1)])
     def test_identical_points_rejected(self, shape):
@@ -195,7 +196,34 @@ class TestAutoBandwidth:
             _auto_bandwidth(np.full(shape, 0.7), 0)
 
 
+class TestKernelLower:
+    def test_bands_are_filled_in_place(self):
+        # n = 2000, p = 3: one 64-row band's temporaries are 1 MB each; 1.16 MB
+        # above the n^2 * 8 kernel measured (numpy 2.4) against a bound of
+        # 2 MB, which a band-sized copy or a second live band would exceed
+        n = 2000
+        pts = np.random.default_rng(3).standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            K = forecast_module._kernel_lower(pts, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 < 2e6
+        full = np.exp(-_pairwise_sq_dists_chunk(pts, pts))
+        np.testing.assert_allclose(np.tril(K), np.tril(full), rtol=1e-13)
+
+
 class TestDiffusionBasis:
+    def test_no_pivoted_cholesky_past_its_cap(self, monkeypatch):
+        # M = 12 > 300 // 32 = 9 columns, so the low-rank route cannot serve
+        monkeypatch.setattr(forecast_module, "_pivoted_cholesky", _refuse)
+        pts = _ou_training(300)
+        basis = diffusion_basis(pts, M=12)
+        phi, lam, _ = _dense_basis(pts, 12, basis.bandwidth)
+        assert _rel(basis.phi, phi) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues, lam, rtol=1e-12)
+
     def test_identical_points_keep_only_constant_mode(self, monkeypatch):
         # the kernel is certified at rank 1 < M, so the dense path must run
         pts = np.ones((40, 1))

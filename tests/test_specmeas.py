@@ -15,7 +15,7 @@ from taperdyn import (
     peak_report,
     standard_map,
 )
-from taperdyn.specmeas import SpectralDensity
+from taperdyn.specmeas import SpectralDensity, _find_peaks
 
 TWO_PI = 2.0 * math.pi
 ALPHA = (math.sqrt(2.0) * TWO_PI) % TWO_PI
@@ -271,3 +271,45 @@ class TestPeakReport:
         peaks = peak_report(density(acs), 2048, min_prominence=0.3)
         locations = [th for th, _ in peaks]
         assert locations == sorted(locations)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_prominence_rejected(self, bad):
+        dens = SpectralDensity(coefficients=np.array([0.1, 1.0, 0.1]), M=1)
+        with pytest.raises(DomainError, match="min_prominence"):
+            peak_report(dens, 64, min_prominence=bad)
+
+
+def _peak_corpus():
+    # normal samples, small integers (plateaus and ties) and rounded random
+    # walks of lengths 3..300, then hand-picked edge cases
+    g = np.random.default_rng(2024)
+    for case in range(400):
+        n = int(g.integers(3, 301))
+        kind = case % 3
+        if kind == 0:
+            yield g.standard_normal(n)
+        elif kind == 1:
+            yield g.integers(0, 4, n).astype(float)
+        else:
+            yield np.round(np.cumsum(g.standard_normal(n)))
+    yield from (np.array(x, dtype=float) for x in (
+        [3, 3, 3, 1, 2, 1],          # plateau touching the left end
+        [1, 2, 1, 3, 3, 3],          # plateau touching the right end
+        [1, 3, 3, 3, 3, 1],          # even plateau: lower middle sample
+        [5, 5, 5, 5, 5],             # all equal
+        [1, 2, 1], [2, 1, 2], [1, 2, 2], [2, 2, 1],  # length 3
+    ))
+
+
+class TestFindPeaks:
+    """The numpy peak finder against scipy.signal.find_peaks."""
+
+    @pytest.mark.parametrize("min_prominence", [0.0, 0.5, 1.0, 2.5])
+    def test_matches_scipy(self, min_prominence):
+        from scipy.signal import find_peaks
+
+        prominence = min_prominence if min_prominence > 0 else None
+        for x in _peak_corpus():
+            expected, _ = find_peaks(x, prominence=prominence)
+            np.testing.assert_array_equal(_find_peaks(x, min_prominence), expected,
+                                          err_msg=str(x))
