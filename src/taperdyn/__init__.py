@@ -67,11 +67,10 @@ from .specmeas import (
     AutocorrelationSet,
     SpectralDensity,
     autocorrelations,
-    bump_smoothstep_filter,
     cosine_filter,
-    cosine_sharp_filter,
     density,
     peak_report,
+    smoothstep_filter,
 )
 from .systems import (
     HarmonicSeries,
@@ -86,9 +85,8 @@ from .systems import (
 from .weights import (
     WeightVector,
     eval_bump,
-    exponential_bump,
     make_weight_vector,
-    uniform_weight,
+    uniform_taper,
 )
 
 __version__ = "0.1.0"

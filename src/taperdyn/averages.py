@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .weights import WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = ["SweepRow", "birkhoff_average", "convergence_sweep"]
 
@@ -72,7 +72,7 @@ def convergence_sweep(
     observable: Callable,
     N_values: Sequence[int],
     benchmark_N: int,
-    w: Callable | None = None,
+    w: Callable = eval_bump,
 ) -> list[SweepRow]:
     """Absolute errors of plain and tapered averages against a long benchmark.
 
@@ -93,8 +93,6 @@ def convergence_sweep(
     """
     states = getattr(orbit, "states", orbit)
     states = np.asarray(states)
-    if w is None:
-        w = exponential_bump()
     if len(N_values) == 0:
         raise SizeError("convergence sweep needs at least one window length")
     if benchmark_N > states.shape[0]:

@@ -38,7 +38,7 @@ from .systems import (
     quasiperiodic_field,
     standard_map_batch,
 )
-from .weights import exponential_bump, make_weight_vector
+from .weights import eval_bump, make_weight_vector
 
 __all__ = ["BenchResult", "CRITERIA", "run_criterion", "run_suite", "nino34_data_path"]
 
@@ -70,8 +70,7 @@ def _result(name, budget, t0, ok, details, skipped=False):
 
 def _logistic_errors(eps: float, N_values, benchmark_N: int = 1_000_000):
     orbit = driven_logistic(eps, 0.25, 0.0, benchmark_N)
-    rows = convergence_sweep(orbit, lambda s: s[:, 0], N_values, benchmark_N,
-                             exponential_bump())
+    rows = convergence_sweep(orbit, lambda s: s[:, 0], N_values, benchmark_N)
     return {row.N: (row.err_unweighted, row.err_weighted) for row in rows}
 
 
@@ -123,7 +122,7 @@ def criterion_4() -> BenchResult:
         for n in range(N):
             states[n + 1] = M @ states[n]
         pair = snapshot_pair(states)
-        for weights in (None, make_weight_vector(N, exponential_bump())):
+        for weights in (None, make_weight_vector(N, eval_bump)):
             fit = dmd_fit(pair, weights)
             err = np.linalg.norm(fit.matrix - M) / np.linalg.norm(M)
             worst = max(worst, float(err))
@@ -158,8 +157,8 @@ def _standard_map_edmd_errors(lambda_mode, n_ic: int, N_small: int,
     orbits = standard_map_batch(lambda_mode, p0, th0, N_bench + 1,
                                 rng=stream.split("kicks"))
     fdict = fourier_dictionary(1, dim=2)
-    w_small = make_weight_vector(N_small, exponential_bump())
-    w_bench = make_weight_vector(N_bench, exponential_bump())
+    w_small = make_weight_vector(N_small, eval_bump)
+    w_bench = make_weight_vector(N_bench, eval_bump)
     errs_u, errs_w = [], []
     for i in range(n_ic):
         mats = build_dictionary_matrices(orbits[:, i, :], fdict)
@@ -259,7 +258,7 @@ def criterion_10() -> BenchResult:
     theta = (0.3 + np.arange(N + 1) * alpha) % (2.0 * math.pi)
     fdict = fourier_dictionary(1, dim=1)
     mats = build_dictionary_matrices(theta[:, None], fdict)
-    res = mpedmd_fit(mats, make_weight_vector(N, exponential_bump()))
+    res = mpedmd_fit(mats, make_weight_vector(N, eval_bump))
     expected = np.array([np.exp(-1j * alpha), 1.0, np.exp(1j * alpha)])
     got = res.eigenvalues[np.argsort(np.angle(res.eigenvalues))]
     expected = expected[np.argsort(np.angle(expected))]
@@ -269,7 +268,7 @@ def criterion_10() -> BenchResult:
     gen = RngStream(5, "bench/mpedmd").generator()
     states = gen.standard_normal((400, 3)) @ np.diag([1.0, 0.6, 0.3])
     mats2 = build_dictionary_matrices(states, identity_dictionary(3))
-    res2 = mpedmd_fit(mats2, make_weight_vector(399, exponential_bump()))
+    res2 = mpedmd_fit(mats2, make_weight_vector(399, eval_bump))
     resids.append(_unitarity_residual(res2))
     circle_dev = float(np.max(np.abs(np.abs(res.eigenvalues) - 1.0)))
     ok = eig_err <= 1e-6 and max(resids) < 1e-9 and circle_dev <= 1e-10
@@ -368,9 +367,8 @@ def criterion_13() -> BenchResult:
     t0 = time.perf_counter()
     checks: list[tuple[str, bool]] = []
 
-    bump = exponential_bump()
     for N in (2, 3, 17, 1000):
-        wv = make_weight_vector(N, bump)
+        wv = make_weight_vector(N, eval_bump)
         checks.append((f"normalization N={N}",
                        abs(wv.normalized.sum() - 1.0) <= 1e-12))
         if N >= 3:
@@ -395,15 +393,15 @@ def criterion_13() -> BenchResult:
     Psi = monomial_dictionary(5, dim=1)(
         data.interior_positions[:, None]).real
     model = sindy.stlsq(Psi, data.second_derivative[None, :], eta=1e-2,
-                        weights=make_weight_vector(400, bump))
+                        weights=make_weight_vector(400, eval_bump))
     refit = sindy.stlsq(Psi, data.second_derivative[None, :], eta=1e-2,
-                        weights=make_weight_vector(400, bump))
+                        weights=make_weight_vector(400, eval_bump))
     checks.append(("stlsq deterministic fixed point",
                    bool(np.array_equal(model.active_mask, refit.active_mask)
                         and np.allclose(model.coefficients, refit.coefficients,
                                         rtol=0, atol=0))))
     scaled = sindy.stlsq(Psi, 10.0 * data.second_derivative[None, :], eta=1e-1,
-                         weights=make_weight_vector(400, bump))
+                         weights=make_weight_vector(400, eval_bump))
     checks.append(("stlsq scaling equivariance",
                    bool(np.allclose(scaled.coefficients,
                                     10.0 * model.coefficients,

@@ -1,13 +1,16 @@
 """Command-line entry point.
 
 Subcommands: average, dmd, edmd, mpedmd, sindy, specmeas, forecast, bench.
+Every taper comes from --weight (bump or uniform; specmeas tapers each lag
+average with it, so uniform gives plain means), and bench runs the one
+paper-desk suite, optionally a subset (--only).
 Options resolve with precedence flags > config file > defaults; every run
 computes all results first, then writes CSV outputs atomically and finishes
 with a manifest (config hash, version, timestamps, per-output checksums).
 
 Exit codes: 0 success, 2 usage, 3 configuration, 4 missing/unreadable data,
-5 validation (domain/size/shape/degenerate weights), 6 numerical failure,
-1 unexpected error.
+5 validation (domain/size/shape/degenerate weights, or an allocation that
+does not fit in memory), 6 numerical failure, 1 unexpected error.
 """
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ from .dataio import ingest_series, matrix_csv, write_csv_atomic, write_lines_ato
 from .errors import (
     ConditioningError,
     ConfigError,
-    DegenerateWeightError,
     DomainError,
     IngestError,
     NumericalError,
@@ -56,7 +58,7 @@ from .systems import (
     quasiperiodic_field,
     standard_map,
 )
-from .weights import exponential_bump, make_weight_vector, uniform_weight
+from .weights import eval_bump, make_weight_vector, uniform_taper
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,7 +70,7 @@ EXIT_NUMERICAL = 6
 _EXIT_BY_ERROR = (
     (ConfigError, EXIT_CONFIG),
     ((IngestError, FileNotFoundError), EXIT_DATA),
-    ((DomainError, SizeError, ShapeError, DegenerateWeightError), EXIT_VALIDATION),
+    ((DomainError, SizeError, ShapeError, MemoryError), EXIT_VALIDATION),
     ((ConditioningError, NumericalError, np.linalg.LinAlgError), EXIT_NUMERICAL),
 )
 
@@ -157,7 +159,6 @@ OPTIONS: dict[str, list[Option]] = {
         Option("input", str, "", "scalar or complex series CSV (required)"),
         Option("format", str, "scalar_csv", "scalar_csv or complex_csv"),
         Option("M", int, 100, "number of lags"),
-        Option("weighted", _parse_bool, True, "taper the lag averages"),
         Option("filter", str, "cosine", "reconstruction filter: cosine or bump"),
         Option("grid", int, 4096, "density grid size"),
         Option("prominence", float, 0.0, "peak prominence threshold"),
@@ -176,7 +177,6 @@ OPTIONS: dict[str, list[Option]] = {
     ],
     "bench": [
         Option("outdir", str, "taperdyn-out", "output directory"),
-        Option("suite", str, "paper-desk", "benchmark suite name"),
         Option("only", str, "", "comma list of criterion numbers to run"),
         Option("nino34", str, "", "monthly index CSV for criterion 12"),
     ],
@@ -234,13 +234,14 @@ def _config_text(subcommand: str, cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TAPERS = {"bump": eval_bump, "uniform": uniform_taper}
+_FILTERS = {"cosine": specmeas_mod.cosine_filter, "bump": specmeas_mod.smoothstep_filter}
+
+
 def _weight_fn(cfg):
-    kind = cfg["weight"]
-    if kind == "bump":
-        return exponential_bump()
-    if kind == "uniform":
-        return uniform_weight()
-    raise ConfigError(f"unknown weight kind {kind!r} (use bump or uniform)")
+    if cfg["weight"] not in _TAPERS:
+        raise ConfigError(f"unknown weight kind {cfg['weight']!r} (use bump or uniform)")
+    return _TAPERS[cfg["weight"]]
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +325,7 @@ def _edmd_matrices(cfg, kinds: tuple[str, ...]):
 
 def _run_edmd(cfg) -> dict:
     mats = _edmd_matrices(cfg, ("fourier", "monomials", "identity"))
-    w = _weight_fn(cfg)
-    weights = make_weight_vector(mats.n_pairs, w)
-    K = edmd_fit(mats, weights)
+    K = edmd_fit(mats, make_weight_vector(mats.n_pairs, _weight_fn(cfg)))
     outputs = {"edmd_matrix.csv": matrix_csv(K.matrix)}
     if K.matrix.shape[0] == K.matrix.shape[1]:
         from .linalg import eig
@@ -337,8 +336,7 @@ def _run_edmd(cfg) -> dict:
 
 def _run_mpedmd(cfg) -> dict:
     mats = _edmd_matrices(cfg, ("fourier", "identity"))
-    w = _weight_fn(cfg)
-    res = mpedmd_fit(mats, make_weight_vector(mats.n_pairs, w))
+    res = mpedmd_fit(mats, make_weight_vector(mats.n_pairs, _weight_fn(cfg)))
     return {
         "mpedmd_matrix.csv": matrix_csv(res.matrix),
         "mpedmd_eigs.csv": ("re,im",
@@ -391,16 +389,10 @@ def _run_specmeas(cfg) -> dict:
     if not cfg["input"]:
         raise ConfigError("specmeas requires --input (scalar or complex series CSV)")
     series = ingest_series(cfg["input"], cfg["format"])
-    w = _weight_fn(cfg)
-    acs = specmeas_mod.autocorrelations(series, cfg["M"], w,
-                                        weighted=cfg["weighted"])
-    if cfg["filter"] == "cosine":
-        filt = specmeas_mod.cosine_sharp_filter()
-    elif cfg["filter"] == "bump":
-        filt = specmeas_mod.bump_smoothstep_filter()
-    else:
+    acs = specmeas_mod.autocorrelations(series, cfg["M"], _weight_fn(cfg))
+    if cfg["filter"] not in _FILTERS:
         raise ConfigError(f"unknown filter {cfg['filter']!r}")
-    dens = specmeas_mod.density(acs, filt)
+    dens = specmeas_mod.density(acs, _FILTERS[cfg["filter"]])
     grid = np.linspace(-np.pi, np.pi, cfg["grid"], endpoint=False)
     vals = dens.eval_grid(grid)
     peaks = specmeas_mod.peak_report(dens, cfg["grid"], cfg["prominence"])
@@ -446,8 +438,6 @@ def _run_forecast(cfg) -> dict:
 
 def _run_bench(cfg) -> dict:
     keys = [k.strip() for k in cfg["only"].split(",") if k.strip()] or None
-    if cfg["suite"] != "paper-desk":
-        raise ConfigError(f"unknown suite {cfg['suite']!r}")
     if cfg["nino34"]:
         os.environ["TAPERDYN_NINO34"] = cfg["nino34"]
     results = bench.run_suite(keys)
@@ -529,18 +519,14 @@ def run(argv=None) -> int:
         _write_outputs(outdir, outputs, text)
         return EXIT_OK
     except Exception as exc:  # single-line machine-parsable diagnostics
-        for kinds, code in _EXIT_BY_ERROR:
-            if isinstance(exc, kinds):
-                _print_error(code, exc)
-                return code
-        _print_error(1, exc)
-        return 1
-
-
-def _print_error(code: int, exc: Exception) -> None:
-    message = str(exc).replace("\n", " ")
-    print(f'taperdyn-error code={code} kind={type(exc).__name__} '
-          f'message="{message}"', file=sys.stderr)
+        code = next((code for kinds, code in _EXIT_BY_ERROR if isinstance(exc, kinds)), 1)
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's message can be empty
+            message = f"{args.subcommand} ran out of memory" + (f": {message}" if message else "")
+        message = message.replace("\n", " ")
+        print(f'taperdyn-error code={code} kind={type(exc).__name__} '
+              f'message="{message}"', file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError, SizeError
 from .systems import RngStream, Trajectory
-from .weights import WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = [
     "SnapshotPair",
@@ -158,7 +158,7 @@ def dmd_error_sweep(
     traj: Trajectory,
     N_values: Sequence[int],
     benchmark_N: int,
-    w: Callable | None = None,
+    w: Callable = eval_bump,
 ) -> list[DmdSweepRow]:
     """Relative errors of plain and tapered fits against a long tapered benchmark.
 
@@ -170,8 +170,6 @@ def dmd_error_sweep(
         SizeError: no window lengths, a benchmark shorter than the largest
             requested window, or a trajectory shorter than benchmark_N + 1 states.
     """
-    if w is None:
-        w = exponential_bump()
     if len(N_values) == 0:
         raise SizeError("DMD error sweep needs at least one window length")
     if max(N_values) > benchmark_N:

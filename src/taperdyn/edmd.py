@@ -174,12 +174,13 @@ class DictionaryMatrices:
     def _reduce(self, weights: WeightVector | None) -> tuple[np.ndarray, np.ndarray]:
         """linalg._reduce of these rows, computed once while the weights are equal."""
         raw = None if weights is None else weights.raw
-        # array_equal(None, x) holds for x = None alone, so plain fits key on None
+        # array_equal(None, x) holds for x = None alone, so plain fits key on
+        # None; a vector's raw array is its own read-only copy, so it is the key
         if self._reduced is None or not np.array_equal(self._reduced[0], raw):
             factors = linalg._reduce(self._rows, self.n_pairs, weights)
             for factor in factors:
                 factor.setflags(write=False)
-            self._reduced = (None if raw is None else raw.copy(), factors)
+            self._reduced = (raw, factors)
         return self._reduced[1]
 
 

@@ -17,8 +17,9 @@ class ShapeError(TaperdynError, ValueError):
     """Array dimensions are incompatible."""
 
 
-class DegenerateWeightError(TaperdynError, ValueError):
-    """A weight vector sums to zero and cannot be normalized."""
+class DegenerateWeightError(DomainError):
+    """Weights are negative or non-finite, or sum to zero, so they cannot be
+    normalized; a DomainError of the weights."""
 
 
 class ConfigError(TaperdynError, ValueError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
-from .weights import WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = [
     "DelayEmbedding",
@@ -530,7 +530,7 @@ def nino34_compare(
     M: int = 14,
     k_max: int = 16,
     bandwidth: float | None = None,
-    w: Callable | None = None,
+    w: Callable = eval_bump,
 ) -> tuple[ForecastResult, ForecastResult, dict]:
     """Plain and taper-weighted forecast skill on a monthly index series.
 
@@ -541,8 +541,6 @@ def nino34_compare(
     """
     from .dataio import read_nino34_csv
 
-    if w is None:
-        w = exponential_bump()
     months, values = read_nino34_csv(csv_path)
     keys = [_month_key(y, m) for y, m in months]
     t0, t1 = (_parse_month(s) for s in train_range)

@@ -61,15 +61,12 @@ def _reduce(rows, n: int, weights: WeightVector | None):
 
     Raises:
         ShapeError: the weights do not match the sample count.
-        DomainError: the weighted data hold NaN or infinity, or the weights
-            are negative or not finite.
+        DomainError: the weighted data hold NaN or infinity.
     """
     raw = None if weights is None else weights.raw
-    if raw is not None:
-        if raw.shape != (n,):
-            raise ShapeError(f"weights have shape {raw.shape}, data has {n} samples")
-        if not (np.isfinite(raw).all() and (raw >= 0).all()):
-            raise DomainError("weights must be finite and non-negative")
+    # WeightVector checked its values when it was built, and they cannot change
+    if raw is not None and raw.shape != (n,):
+        raise ShapeError(f"weights have shape {raw.shape}, data has {n} samples")
     with np.errstate(invalid="ignore"):  # inf * 0 on a zero-weight sample
         if n <= _TSQR_ROWS:
             A, B = rows(0, n)
@@ -119,8 +116,7 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
 
     Raises:
         ShapeError: incompatible shapes.
-        DomainError: the weighted data hold NaN or infinity, or the weights
-            are negative or not finite.
+        DomainError: the weighted data hold NaN or infinity.
     """
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim != 2 or B.ndim != 2:

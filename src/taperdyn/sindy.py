@@ -17,7 +17,7 @@ from . import linalg
 from .edmd import monomial_dictionary
 from .errors import ConfigError, ShapeError
 from .systems import RngStream, harmonic_series
-from .weights import WeightVector, exponential_bump, make_weight_vector
+from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = [
     "SindyModel",
@@ -140,7 +140,7 @@ def sindy_error_sweep(
     noise_sigma: float = 0.0,
     rng: RngStream | None = None,
     degree: int = 5,
-    w: Callable | None = None,
+    w: Callable = eval_bump,
 ) -> list[SindySweepRow]:
     """Coefficient errors of four identification methods on the harmonic surrogate.
 
@@ -150,8 +150,6 @@ def sindy_error_sweep(
     is the Frobenius distance to the exact coefficients [0, -1, 0, ...].
     Thresholded rows carry their eta; the LS rows carry eta = 0.
     """
-    if w is None:
-        w = exponential_bump()
     dictionary = monomial_dictionary(degree, dim=1)
     exact = harmonic_oscillator_exact(dictionary.size)
     rows: list[SindySweepRow] = []

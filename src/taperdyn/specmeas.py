@@ -16,14 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .weights import exponential_bump, make_weight_vector
+from .weights import eval_bump, make_weight_vector
 
 __all__ = [
     "AutocorrelationSet",
     "SpectralDensity",
     "cosine_filter",
-    "cosine_sharp_filter",
-    "bump_smoothstep_filter",
+    "smoothstep_filter",
     "autocorrelations",
     "density",
     "peak_report",
@@ -52,7 +51,7 @@ class AutocorrelationSet:
 def autocorrelations(
     series,
     M: int,
-    w: Callable | None = None,
+    w: Callable = eval_bump,
     weighted: bool = True,
 ) -> AutocorrelationSet:
     """Estimate a_n = <series_j conj(series_{j+n})> / (2 pi) for 0 <= n <= M.
@@ -74,14 +73,11 @@ def autocorrelations(
         raise SizeError(f"need M <= N - 2 (got M={M}, N={N})")
     if not np.isfinite(s).all():
         raise DomainError("series contains non-finite values")
-    if w is None:
-        w = exponential_bump()
     values = np.zeros(2 * M + 1, dtype=complex)
     for n in range(M + 1):
         window = s[: N - n] * np.conj(s[n:N])
         if weighted:
-            wv = make_weight_vector(N - n, w)
-            window *= wv.normalized
+            window *= make_weight_vector(N - n, w).normalized
             a_n = np.sum(window) / TWO_PI
         else:
             a_n = np.mean(window) / TWO_PI
@@ -95,7 +91,7 @@ def autocorrelations(
 
 
 def cosine_filter(x):
-    """Sharp cosine taper 1/2 + cos(pi x)/2 on [-1, 1].
+    """Sharp cosine taper 1/2 + cos(pi x)/2 on [-1, 1]; the default filter.
 
     Raises:
         DomainError: |x| > 1 or x is NaN.
@@ -105,9 +101,7 @@ def cosine_filter(x):
     if not np.all(np.abs(arr) <= 1.0):
         raise DomainError(f"filter argument outside [-1, 1]: {x!r}")
     out = 0.5 + 0.5 * np.cos(np.pi * arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _smoothstep_quartic(t):
@@ -115,28 +109,20 @@ def _smoothstep_quartic(t):
     return t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
 
 
-def _bump_smoothstep(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0):  # NaN fails too
-        raise DomainError(f"filter argument outside [-1, 1]: {x!r}")
-    out = 1.0 - _smoothstep_quartic(np.abs(arr))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def cosine_sharp_filter() -> Callable:
-    """The default reconstruction filter (cosine taper)."""
-    return cosine_filter
-
-
-def bump_smoothstep_filter() -> Callable:
+def smoothstep_filter(x):
     """Polynomial taper 1 - smoothstep(|x|) with the quartic C^3 smoothstep.
 
     Non-default alternative to the cosine taper; decays with higher-order
     flatness at the origin.
+
+    Raises:
+        DomainError: |x| > 1 or x is NaN.
     """
-    return _bump_smoothstep
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.abs(arr) <= 1.0):  # NaN fails too
+        raise DomainError(f"filter argument outside [-1, 1]: {x!r}")
+    out = 1.0 - _smoothstep_quartic(np.abs(arr))
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -193,14 +179,12 @@ class SpectralDensity:
         return float(TWO_PI * self.coefficients[self.M].real)
 
 
-def density(acs: AutocorrelationSet, filt: Callable | None = None) -> SpectralDensity:
+def density(acs: AutocorrelationSet, filt: Callable = cosine_filter) -> SpectralDensity:
     """Apply a reconstruction filter to an autocorrelation set.
 
     A filter is any vectorised even function on [-1, 1] with value 1 at 0
     and 0 at the ends.
     """
-    if filt is None:
-        filt = cosine_sharp_filter()
     ns = np.arange(-acs.M, acs.M + 1)
     taper = np.asarray(filt(ns / max(acs.M, 1)), dtype=float)
     return SpectralDensity(coefficients=taper * acs.values, M=acs.M)

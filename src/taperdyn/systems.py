@@ -186,20 +186,16 @@ def standard_map(
             at every step (requires rng).
         rng: RngStream for the stochastic mode.
 
+    This is the one-IC case of standard_map_batch.
+
     Raises:
         ConfigError: unknown mode, stochastic mode without rng, or a
             non-finite lambda or initial condition.
     """
-    if N < 2:
-        raise SizeError(f"N >= 2 required, got {N}")
-    kicks = _kicks(lambda_mode, rng, N - 1)
-    if not (math.isfinite(p0) and math.isfinite(theta0)):
-        raise ConfigError(f"initial condition must be finite, got ({p0}, {theta0})")
-    p, theta = _standard_map_orbit(kicks, float(p0), float(theta0), N)
+    states = standard_map_batch(lambda_mode, [p0], [theta0], N, rng)[:, 0, :]
     meta = {"system": "standard_map",
-            "lambda": "uniform_resample" if isinstance(lambda_mode, str) else kicks}
-    return Trajectory(np.column_stack([p, theta]), dt=1.0,
-                      seed=rng.seed if rng is not None else None, meta=meta)
+            "lambda": lambda_mode if isinstance(lambda_mode, str) else float(lambda_mode)}
+    return Trajectory(states, dt=1.0, seed=rng.seed if rng is not None else None, meta=meta)
 
 
 def standard_map_batch(
@@ -211,11 +207,10 @@ def standard_map_batch(
 ) -> np.ndarray:
     """Standard-map orbits for a batch of initial conditions.
 
-    Returns an array of shape (N, n_ic, 2).  Same update rule, checks and
-    stochastic convention as standard_map.  The resample mode draws all
+    Returns an array of shape (N, n_ic, 2), with the update rule and
+    stochastic convention of standard_map.  The resample mode draws all
     kicks in one (N - 1, n_ic) block, so IC i consumes column i; the batch
-    then runs the scalar kernel of standard_map once per IC, and a one-IC
-    batch equals standard_map on the same RngStream bit for bit.
+    then runs the scalar kernel once per IC.
 
     Raises:
         ShapeError: p0 and theta0 are not 1-D arrays of equal length.

@@ -14,15 +14,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateWeightError, DomainError, SizeError
+from .errors import DegenerateWeightError, DomainError, ShapeError, SizeError
 
 __all__ = [
     "WeightVector",
     "eval_bump",
-    "exponential_bump",
-    "uniform_weight",
+    "uniform_taper",
     "make_weight_vector",
 ]
+
+
+def _unit_interval(x) -> np.ndarray:
+    """x as a float array, checked to lie in [0, 1]."""
+    arr = np.asarray(x, dtype=float)
+    # comparisons with NaN are False, so NaN fails this check too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise DomainError(f"taper argument outside [0, 1]: {x!r}")
+    return arr
 
 
 def eval_bump(x):
@@ -36,38 +44,29 @@ def eval_bump(x):
     Raises:
         DomainError: if any argument lies outside [0, 1] or is NaN.
     """
-    arr = np.asarray(x, dtype=float)
-    # comparisons with NaN are False, so NaN fails this check too
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise DomainError(f"bump argument outside [0, 1]: {x!r}")
+    arr = _unit_interval(x)
     out = np.subtract(1.0, arr, out=np.empty_like(arr))
     out *= arr
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(-1.0, out, out=out)
     np.exp(out, out=out)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
-def _uniform_profile(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
-        raise DomainError(f"weight argument outside [0, 1]: {x!r}")
-    out = np.ones_like(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+def uniform_taper(x):
+    """Constant taper 1 on [0, 1]; reproduces plain arithmetic averaging.
+
+    Raises:
+        DomainError: if any argument lies outside [0, 1] or is NaN.
+    """
+    arr = _unit_interval(x)
+    return 1.0 if arr.ndim == 0 else np.ones_like(arr)
 
 
 def exponential_bump() -> Callable:
-    """The canonical smooth taper: all derivatives vanish at 0 and 1."""
+    """eval_bump, the default taper.  Kept for callers written against the
+    factory form (the benchmark harness); pass eval_bump directly instead."""
     return eval_bump
-
-
-def uniform_weight() -> Callable:
-    """Constant profile; reproduces plain arithmetic averaging."""
-    return _uniform_profile
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,33 @@ class WeightVector:
     """Taper weights sampled along a window of length N.
 
     raw[n] = w(n/N) for n = 0..N-1; normalized is raw divided by its sum.
-    Instances are immutable and safe to share across threads.
+    The vector owns a read-only copy of raw, checked once here, so the
+    caller's array stays writeable and later writes to it do not reach the
+    vector.  Instances are immutable and safe to share across threads.
+
+    Raises:
+        ShapeError: raw is not 1-D.
+        DegenerateWeightError: raw holds a negative or non-finite value, or
+            its sum is zero or overflows.
     """
 
     raw: np.ndarray
-    normalized: np.ndarray
 
     def __post_init__(self):
-        # read-only views: the caller's arrays are neither copied nor frozen
-        for name in ("raw", "normalized"):
-            view = getattr(self, name).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+        raw = np.array(self.raw, dtype=float)
+        if raw.ndim != 1:
+            raise ShapeError(f"weights must be 1-D, got shape {raw.shape}")
+        alpha = float(raw.sum())
+        # NaN fails the min check; +-inf, and finite values whose sum
+        # overflows, make the sum non-finite
+        if raw.size and not (raw.min() >= 0.0 and math.isfinite(alpha)):
+            raise DegenerateWeightError(f"weights must be finite and non-negative (sum {alpha})")
+        if alpha <= 0.0:
+            raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
+        for name, values in (("raw", raw), ("normalized", raw / alpha)):
+            values.setflags(write=False)
+            # a view of a read-only array cannot be made writeable again
+            object.__setattr__(self, name, values.view())
 
     def __len__(self) -> int:
         return self.raw.shape[0]
@@ -97,23 +111,16 @@ def make_weight_vector(N: int, w: Callable) -> WeightVector:
 
     Raises:
         SizeError: if N < 2.
-        DegenerateWeightError: if the sampled weights are negative or
-            non-finite, or their sum is zero or overflows.
+        DegenerateWeightError: if the taper returns the wrong shape, or
+            WeightVector refuses the samples.
     """
     if N < 2:
         raise SizeError(f"weight vector needs N >= 2, got {N}")
     x = np.arange(N, dtype=float)
     x /= N
     raw = np.asarray(w(x), dtype=float)
+    del x  # three N-sample arrays at most while the vector copies and normalizes
     if raw.shape != (N,):
         raise DegenerateWeightError(
             f"weight profile returned shape {raw.shape}, expected ({N},)")
-    alpha = float(raw.sum())
-    # NaN fails the min check; +-inf, and finite values whose sum
-    # overflows, make the sum non-finite
-    if not (raw.min() >= 0.0 and math.isfinite(alpha)):
-        raise DegenerateWeightError(
-            f"weight profile produced negative or non-finite values (sum {alpha})")
-    if alpha <= 0.0:
-        raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
-    return WeightVector(raw=raw, normalized=raw / alpha)
+    return WeightVector(raw)

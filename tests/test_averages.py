@@ -9,9 +9,9 @@ from taperdyn import (
     birkhoff_average,
     convergence_sweep,
     driven_logistic,
-    exponential_bump,
+    eval_bump,
     make_weight_vector,
-    uniform_weight,
+    uniform_taper,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -19,15 +19,15 @@ SQRT2 = math.sqrt(2.0)
 
 def test_constant_series_any_weights():
     series = np.full(100, 3.25)
-    for weights in (None, make_weight_vector(100, exponential_bump()),
-                    make_weight_vector(100, uniform_weight())):
+    for weights in (None, make_weight_vector(100, eval_bump),
+                    make_weight_vector(100, uniform_taper)):
         assert birkhoff_average(series, weights) == pytest.approx(3.25, abs=1e-14)
 
 
 def test_uniform_weights_equal_arithmetic_mean(gen):
     series = gen.standard_normal(4097)
     mean = birkhoff_average(series)
-    wmean = birkhoff_average(series, make_weight_vector(4097, uniform_weight()))
+    wmean = birkhoff_average(series, make_weight_vector(4097, uniform_taper))
     assert isinstance(mean, float) and isinstance(wmean, float)
     assert wmean == pytest.approx(mean, rel=1e-13)
 
@@ -43,7 +43,7 @@ def test_rotation_observable_superpolynomial():
     theta = (np.arange(N) * SQRT2) % 1.0
     series = np.exp(2j * np.pi * theta)
     plain = birkhoff_average(series)
-    tapered = birkhoff_average(series, make_weight_vector(N, exponential_bump()))
+    tapered = birkhoff_average(series, make_weight_vector(N, eval_bump))
     assert abs(tapered) < 1e-10
     assert abs(tapered) <= abs(plain)
 
@@ -55,7 +55,7 @@ def test_logistic_period4_cycle_average():
     tail = x[10_000:10_004]
     assert np.allclose(np.sort(tail), np.sort(x[10_004:10_008]), atol=1e-10)
     cycle_mean = tail.mean()
-    wt = birkhoff_average(x, make_weight_vector(len(x), exponential_bump()))
+    wt = birkhoff_average(x, make_weight_vector(len(x), eval_bump))
     assert wt == pytest.approx(cycle_mean, abs=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_errors():
     with pytest.raises(SizeError):
         birkhoff_average(np.array([]))
     with pytest.raises(ShapeError):
-        birkhoff_average(np.arange(5.0), make_weight_vector(4, uniform_weight()))
+        birkhoff_average(np.arange(5.0), make_weight_vector(4, uniform_taper))
 
 
 class TestConvergenceSweep:

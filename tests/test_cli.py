@@ -99,6 +99,21 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         assert run(["average", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("subcommand, key", [("specmeas", "weighted = false"),
+                                                 ("bench", "suite = paper-desk")])
+    def test_removed_options_are_unknown_keys(self, tmp_path, capsys, subcommand, key):
+        # specmeas tapers with --weight alone, and bench has one suite
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(key + "\n")
+        out = tmp_path / "out"
+        assert run([subcommand, "--config", str(cfg), "--outdir", str(out)]) == EXIT_CONFIG
+        assert "kind=ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+        for flag in ("--weighted", "--suite"):
+            with pytest.raises(SystemExit) as exc:
+                run([subcommand, flag, "x"])
+            assert exc.value.code == 2
+
 
 class TestMethodCommands:
     def test_dmd_sweep(self, tmp_path):
@@ -256,6 +271,20 @@ class TestExitCodes:
         assert run(["dmd", "--outdir", str(out)]) == EXIT_NUMERICAL == 6
         err = capsys.readouterr().err
         assert "code=6 kind=LinAlgError" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "Unable to allocate 72.8 TiB"])
+    def test_memory_error_is_validation_failure(self, tmp_path, monkeypatch, capsys, text):
+        def out_of_memory(cfg):
+            raise MemoryError(text)  # raised, never allocated
+
+        monkeypatch.setitem(cli._RUNNERS, "edmd", out_of_memory)
+        out = tmp_path / "run"
+        assert run(["edmd", "--outdir", str(out)]) == EXIT_VALIDATION == 5
+        err = capsys.readouterr().err
+        assert "code=5 kind=MemoryError" in err
+        message = err.split('message="', 1)[1]
+        assert message.startswith("edmd ran out of memory") and text in message
         assert not out.exists()
 
 

@@ -9,14 +9,14 @@ from taperdyn import (
     SizeError,
     dmd,
     dmd_error_sweep,
-    exponential_bump,
+    eval_bump,
     make_weight_vector,
     project,
     quasiperiodic_field,
     random_projection,
     snapshot_pair,
     spectrum_distance,
-    uniform_weight,
+    uniform_taper,
 )
 from taperdyn.systems import Trajectory
 
@@ -45,7 +45,7 @@ class TestDmd:
         M = gen.standard_normal((3, 3)) * 0.4 + np.eye(3)
         states = iterate(M, gen.standard_normal(3), 12)
         pair = snapshot_pair(states)
-        for weights in (None, make_weight_vector(12, exponential_bump())):
+        for weights in (None, make_weight_vector(12, eval_bump)):
             fit = dmd(pair, weights)
             assert np.linalg.norm(fit.matrix - M) / np.linalg.norm(M) < 1e-9
 
@@ -71,14 +71,14 @@ class TestDmd:
         states = gen.standard_normal((30, 4))
         pair = snapshot_pair(states)
         classical = dmd(pair, None)
-        uniform = dmd(pair, make_weight_vector(29, uniform_weight()))
+        uniform = dmd(pair, make_weight_vector(29, uniform_taper))
         diff = np.linalg.norm(uniform.matrix - classical.matrix)
         assert diff <= 1e-13 * np.linalg.norm(classical.matrix)
 
     def test_weight_length_mismatch(self, gen):
         pair = snapshot_pair(gen.standard_normal((10, 2)))
         with pytest.raises(ShapeError):
-            dmd(pair, make_weight_vector(5, uniform_weight()))
+            dmd(pair, make_weight_vector(5, uniform_taper))
 
 
 class TestRandomProjection:

@@ -15,7 +15,7 @@ from taperdyn import (
     build_dictionary_matrices,
     dmd,
     edmd,
-    exponential_bump,
+    eval_bump,
     fourier_dictionary,
     identity_dictionary,
     make_weight_vector,
@@ -23,7 +23,7 @@ from taperdyn import (
     mpedmd,
     snapshot_pair,
     standard_map,
-    uniform_weight,
+    uniform_taper,
     WeightVector,
 )
 from taperdyn.linalg import _TSQR_ROWS
@@ -132,7 +132,7 @@ class TestStreamedMatrices:
         for N in (n, max(2, n - 5)):
             mats = streamed if N == n else streamed.prefix(N)
             paired = DictionaryMatrices(full[:N], full[1:N + 1])
-            for weights in (None, make_weight_vector(mats.n_pairs, exponential_bump())):
+            for weights in (None, make_weight_vector(mats.n_pairs, eval_bump)):
                 for fit in (edmd, mpedmd):
                     np.testing.assert_equal(_outcome(fit, mats, weights),
                                             _outcome(fit, paired, weights))
@@ -143,11 +143,11 @@ class TestStreamedMatrices:
         states = np.random.default_rng(0).uniform(0.0, TWO_PI, (n + 1, 2))
         mats = build_dictionary_matrices(states, dictionary)
         one_pass = [_TSQR_ROWS + 1, _TSQR_ROWS + 1, 6]  # each block and its next state
-        bump = make_weight_vector(n, exponential_bump())
+        bump = make_weight_vector(n, eval_bump)
         edmd(mats, bump)
-        mpedmd(mats, make_weight_vector(n, exponential_bump()))  # equal raw values
+        mpedmd(mats, make_weight_vector(n, eval_bump))  # equal raw values
         assert counts == one_pass
-        edmd(mats, make_weight_vector(n, uniform_weight()))
+        edmd(mats, make_weight_vector(n, uniform_taper))
         assert counts == 2 * one_pass
         edmd(mats, None)
         mpedmd(mats, None)
@@ -159,16 +159,17 @@ class TestStreamedMatrices:
         n = _TSQR_ROWS + 50
         states = np.random.default_rng(1).uniform(0.0, TWO_PI, (n + 1, 2))
         original = states.copy()
-        raw = make_weight_vector(n, exponential_bump()).raw.copy()
-        weights = WeightVector(raw, raw / raw.sum())
+        raw = make_weight_vector(n, eval_bump).raw.copy()
+        weights = WeightVector(raw)
         mats = build_dictionary_matrices(states, fourier_dictionary(1, dim=2))
-        edmd(mats, weights)
+        first = {fit: _outcome(fit, mats, weights) for fit in (edmd, mpedmd)}
         states += 0.5
-        raw[:] = np.linspace(1.0, 2.0, n)  # the same WeightVector, new values
+        raw[:] = np.linspace(1.0, 2.0, n)  # the vector keeps its own copy
+        np.testing.assert_array_equal(weights.raw, make_weight_vector(n, eval_bump).raw)
         fresh = build_dictionary_matrices(original, fourier_dictionary(1, dim=2))
-        mutated = WeightVector(raw.copy(), raw / raw.sum())
         for fit in (edmd, mpedmd):
-            np.testing.assert_equal(_outcome(fit, mats, weights), _outcome(fit, fresh, mutated))
+            np.testing.assert_equal(_outcome(fit, mats, weights), first[fit])
+            np.testing.assert_equal(_outcome(fit, fresh, weights), first[fit])
         assert states.flags.writeable and raw.flags.writeable
 
     def test_paired_arrays_are_a_snapshot(self, gen):
@@ -177,7 +178,7 @@ class TestStreamedMatrices:
         mats = DictionaryMatrices(Psi, Phi)
         before = edmd(mats).matrix
         Psi[:] = 0.0
-        edmd(mats, make_weight_vector(40, exponential_bump()))  # replaces the kept factor
+        edmd(mats, make_weight_vector(40, eval_bump))  # replaces the kept factor
         np.testing.assert_array_equal(edmd(mats).matrix, before)
         np.testing.assert_array_equal(edmd(mats.prefix(40)).matrix, before)
         assert Psi.flags.writeable and not mats.Psi.flags.writeable
@@ -223,7 +224,7 @@ class TestEdmd:
         orbit = rotation_orbit(500)
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=1))
         expected = np.diag([np.exp(-1j * ALPHA), 1.0, np.exp(1j * ALPHA)])
-        for weights in (None, make_weight_vector(mats.n_pairs, exponential_bump())):
+        for weights in (None, make_weight_vector(mats.n_pairs, eval_bump)):
             K = edmd(mats, weights).matrix
             np.testing.assert_allclose(K, expected, atol=1e-9)
 
@@ -238,14 +239,14 @@ class TestEdmd:
         states = gen.standard_normal((25, 2))
         mats = build_dictionary_matrices(states, monomial_dictionary(2, dim=2))
         K0 = edmd(mats, None).matrix
-        K1 = edmd(mats, make_weight_vector(mats.n_pairs, uniform_weight())).matrix
+        K1 = edmd(mats, make_weight_vector(mats.n_pairs, uniform_taper)).matrix
         np.testing.assert_allclose(K0, K1, atol=1e-13)
 
     def test_weight_mismatch(self, gen):
         states = gen.standard_normal((25, 2))
         mats = build_dictionary_matrices(states, identity_dictionary(2))
         with pytest.raises(ShapeError):
-            edmd(mats, make_weight_vector(7, uniform_weight()))
+            edmd(mats, make_weight_vector(7, uniform_taper))
 
 
 class TestMpedmd:
@@ -261,7 +262,7 @@ class TestMpedmd:
     def test_rotation_eigenvalues(self):
         orbit = rotation_orbit(10_000)
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=1))
-        res = mpedmd(mats, make_weight_vector(mats.n_pairs, exponential_bump()))
+        res = mpedmd(mats, make_weight_vector(mats.n_pairs, eval_bump))
         got = np.sort(np.angle(res.eigenvalues))
         want = np.sort(np.angle([np.exp(-1j * ALPHA), 1.0, np.exp(1j * ALPHA)]))
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -269,7 +270,7 @@ class TestMpedmd:
     def test_unit_circle_and_gram_unitarity(self, gen):
         states = gen.standard_normal((400, 2)) @ np.diag([1.0, 0.4])
         mats = build_dictionary_matrices(states, monomial_dictionary(2, dim=2))
-        res = mpedmd(mats, make_weight_vector(mats.n_pairs, exponential_bump()))
+        res = mpedmd(mats, make_weight_vector(mats.n_pairs, eval_bump))
         assert np.max(np.abs(np.abs(res.eigenvalues) - 1.0)) <= 1e-10
         K, G = res.matrix, res.gram
         resid = np.linalg.norm(K.conj().T @ G @ K - G) / np.linalg.norm(G)
@@ -313,7 +314,7 @@ class TestMpedmd:
         x = gen.standard_normal((n + 1, 1))
         mats = build_dictionary_matrices(np.hstack([x, x, gen.standard_normal((n + 1, 1))]),
                                          identity_dictionary(3))
-        weights = make_weight_vector(n, exponential_bump()) if weighted else None
+        weights = make_weight_vector(n, eval_bump) if weighted else None
         with pytest.raises(ConditioningError, match="eigenvalue ratio min/max"):
             mpedmd(mats, weights)
 
@@ -366,13 +367,13 @@ class TestMpedmdReference:
         # would square the conditioning of the data, which the R factor keeps
         traj = standard_map(0.25, 0.45, math.pi, 801)
         mats = build_dictionary_matrices(traj, fourier_dictionary(1, dim=2))
-        weights = make_weight_vector(800, exponential_bump()) if weighted else None
+        weights = make_weight_vector(800, eval_bump) if weighted else None
         assert _relerr(mpedmd(mats, weights).matrix, _mpedmd_reference(mats, weights)) <= 1e-9
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_rotation(self, weighted):
         mats = build_dictionary_matrices(rotation_orbit(2001), fourier_dictionary(1, dim=1))
-        weights = make_weight_vector(2000, exponential_bump()) if weighted else None
+        weights = make_weight_vector(2000, eval_bump) if weighted else None
         assert _relerr(mpedmd(mats, weights).matrix, _mpedmd_reference(mats, weights)) <= 1e-13
 
 
@@ -383,6 +384,6 @@ def test_chaotic_limit_agreement():
                         rng=RngStream(3, "edmd-chaos"))
     mats = build_dictionary_matrices(traj, fourier_dictionary(1, dim=2))
     K_u = edmd(mats, None).matrix
-    K_w = edmd(mats, make_weight_vector(mats.n_pairs, exponential_bump())).matrix
+    K_w = edmd(mats, make_weight_vector(mats.n_pairs, eval_bump)).matrix
     rel = np.linalg.norm(K_w - K_u) / np.linalg.norm(K_u)
     assert rel <= 1e-2

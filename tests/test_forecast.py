@@ -19,14 +19,14 @@ from taperdyn import (
     SizeError,
     delay_embed,
     diffusion_basis,
-    exponential_bump,
+    eval_bump,
     forecast,
     make_weight_vector,
     nino34_compare,
     ou_sample,
     shift_matrix,
     skill,
-    uniform_weight,
+    uniform_taper,
 )
 from taperdyn.forecast import (
     DiffusionBasis,
@@ -410,13 +410,13 @@ _SCIPY_PROBE = """
 import json, math, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from taperdyn import (RngStream, diffusion_basis, exponential_bump, forecast,
+from taperdyn import (RngStream, diffusion_basis, eval_bump, forecast,
                       ou_sample, shift_matrix)
 
 train = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
                   rng=RngStream(1, "probe")).states[:, 0]
 basis = diffusion_basis(train[:, None], M=10)
-for w in (None, exponential_bump()):
+for w in (None, eval_bump):
     forecast(basis, shift_matrix(basis, w), np.array([0.5]), 20, train)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
@@ -439,11 +439,11 @@ def ou_basis():
 
 class TestShiftMatrix:
     def test_constant_mode_is_fixed(self, ou_basis):
-        for weights in (None, exponential_bump()):
+        for weights in (None, eval_bump):
             A = shift_matrix(ou_basis, weights).matrix
             np.testing.assert_allclose(A[0], np.eye(ou_basis.M)[0], atol=1e-9)
 
-    @pytest.mark.parametrize("weights", [None, exponential_bump()], ids=["plain", "tapered"])
+    @pytest.mark.parametrize("weights", [None, eval_bump], ids=["plain", "tapered"])
     def test_exact_linear_dynamics_recovered(self, weights):
         # phi_{n+1} = B phi_n holds exactly, so the least-squares fit is B
         # whatever the taper; B fixes the constant mode and rotates two planes
@@ -463,7 +463,7 @@ class TestShiftMatrix:
         np.testing.assert_allclose(shift_matrix(basis, weights).matrix, B, atol=1e-12)
 
     def test_spectrum_inside_unit_disk(self, ou_basis):
-        for weights in (None, exponential_bump()):
+        for weights in (None, eval_bump):
             A = shift_matrix(ou_basis, weights).matrix
             radii = np.abs(np.linalg.eigvals(A))
             assert radii.max() <= 1.0 + 1e-12
@@ -471,7 +471,7 @@ class TestShiftMatrix:
     def test_uniform_matches_plain_average_exactly(self, ou_basis):
         A_u = shift_matrix(ou_basis, None).matrix
         A_1 = shift_matrix(ou_basis,
-                           make_weight_vector(ou_basis.n_train - 1, uniform_weight())).matrix
+                           make_weight_vector(ou_basis.n_train - 1, uniform_taper)).matrix
         np.testing.assert_allclose(A_1, A_u, atol=1e-13)
 
     def test_weighted_converges_toward_plain(self):
@@ -485,7 +485,7 @@ class TestShiftMatrix:
                                  rng=RngStream(seed, "shift-trend"))
                 basis = diffusion_basis(traj.states, M=5)
                 A_u = shift_matrix(basis, None).matrix
-                A_w = shift_matrix(basis, exponential_bump()).matrix
+                A_w = shift_matrix(basis, eval_bump).matrix
                 rels.append(np.linalg.norm(A_w - A_u) / np.linalg.norm(A_u))
             return np.mean(rels)
 
@@ -500,7 +500,7 @@ class TestShiftMatrix:
                          rng=RngStream(seed, "perfbench/ou"))
         train = traj.states[:, 0]
         basis = diffusion_basis(train[:, None], M=10, rng=np.random.default_rng([seed, 3]))
-        shift = shift_matrix(basis, exponential_bump())
+        shift = shift_matrix(basis, eval_bump)
         radius = np.abs(np.linalg.eigvals(shift.matrix)).max()
         assert abs(radius - 1.0) <= 1e-12
         x0s = np.random.default_rng([seed, 2]).standard_normal(120)
@@ -511,7 +511,7 @@ class TestShiftMatrix:
 
     def test_weight_vector_length_checked(self, ou_basis):
         with pytest.raises(ShapeError):
-            shift_matrix(ou_basis, make_weight_vector(17, exponential_bump()))
+            shift_matrix(ou_basis, make_weight_vector(17, eval_bump))
 
 
 class TestForecast:
@@ -634,7 +634,7 @@ class TestMonthlyPipeline:
         # with a uniform taper the two modes must coincide exactly
         res_u2, res_w2, _ = nino34_compare(
             csv, valid_range=("2000-01", "2010-12"), k_max=6, M=8,
-            w=uniform_weight())
+            w=uniform_taper)
         np.testing.assert_allclose(res_u2.rmse, res_w2.rmse, rtol=1e-12)
 
     def test_deterministic(self, tmp_path):

@@ -19,18 +19,12 @@ from taperdyn import (
     standard_map,
 )
 from taperdyn.linalg import _TSQR_ROWS
-from taperdyn.weights import exponential_bump
+from taperdyn.weights import eval_bump
 
 
 @pytest.fixture
 def gen():
     return RngStream(77, "linalg").generator()
-
-
-def _weights(raw):
-    """A WeightVector built directly from raw values."""
-    raw = np.asarray(raw, dtype=float)
-    return WeightVector(raw, raw / raw.sum())
 
 
 def _svd_reference(A, B, fit="right", weights=None):
@@ -79,13 +73,13 @@ class TestPinvWeights:
     def test_identity_weights_change_nothing(self, gen):
         M = gen.standard_normal((6, 3))
         B = gen.standard_normal((6, 2))
-        out = pinv_lstsq(M, B, _weights(np.ones(6)))
+        out = pinv_lstsq(M, B, WeightVector(np.ones(6)))
         np.testing.assert_array_equal(out.matrix, pinv_lstsq(M, B).matrix)
 
     def test_last_sample_only(self, gen):
         M = gen.standard_normal((5, 3))
         B = gen.standard_normal((5, 2))
-        out = pinv_lstsq(M, B, _weights([0.0, 0, 0, 0, 1.0]))
+        out = pinv_lstsq(M, B, WeightVector([0.0, 0, 0, 0, 1.0]))
         alone = pinv_lstsq(M[4:], B[4:])
         np.testing.assert_allclose(out.matrix, alone.matrix, rtol=1e-13)
         assert out.effective_rank == alone.effective_rank == 1
@@ -95,17 +89,17 @@ class TestPinvWeights:
         M = gen.standard_normal((7, 4))
         B = gen.standard_normal((7, 2))
         diag = gen.uniform(0.1, 2.0, 7)
-        out = pinv_lstsq(M, B, _weights(diag))
+        out = pinv_lstsq(M, B, WeightVector(diag))
         sw = np.sqrt(diag)[:, None]
         scaled = pinv_lstsq(M * sw, B * sw)
         np.testing.assert_allclose(out.matrix, scaled.matrix, rtol=1e-14)
 
     def test_shape_error(self, gen):
         with pytest.raises(ShapeError):
-            pinv_lstsq(gen.standard_normal((5, 3)), np.ones((5, 2)), _weights(np.ones(4)))
+            pinv_lstsq(gen.standard_normal((5, 3)), np.ones((5, 2)), WeightVector(np.ones(4)))
         with pytest.raises(ShapeError):
             pinv_lstsq(gen.standard_normal((5, 3)), np.ones((5, 2)),
-                       _weights(np.ones((5, 1))))
+                       WeightVector(np.ones((5, 1))))
 
 
 class TestTsqrAgainstSvd:
@@ -125,7 +119,7 @@ class TestTsqrAgainstSvd:
         A, B = _tall_problem(N, N, L, m, complex_data)
         weights = None
         if weighted:  # make_weight_vector needs N >= 2
-            weights = make_weight_vector(N, exponential_bump()) if N > 1 else _weights([0.5])
+            weights = make_weight_vector(N, eval_bump) if N > 1 else WeightVector([0.5])
         if fit == "left":
             A, B = A.T, B.T
         K, sol = _solve(A, B, fit, weights)
@@ -150,7 +144,7 @@ class TestTsqrAgainstSvd:
 
     @pytest.mark.parametrize("N", [5, 3 * _TSQR_ROWS + 1])
     def test_zero_matrix(self, N):
-        sol = pinv_lstsq(np.zeros((N, 3)), np.ones((N, 2)), _weights(np.ones(N)))
+        sol = pinv_lstsq(np.zeros((N, 3)), np.ones((N, 2)), WeightVector(np.ones(N)))
         assert sol.effective_rank == 0
         np.testing.assert_array_equal(sol.matrix, np.zeros((3, 2)))
 
@@ -160,11 +154,10 @@ class TestTsqrAgainstSvd:
         A, B = _tall_problem(1, N, 4, 2, complex_data=True)
         if fit == "left":
             A, B = A.T, B.T
-        raw = make_weight_vector(N, exponential_bump()).raw.copy()
-        normalized = raw / raw.sum()
-        before = [a.copy() for a in (A, B, raw, normalized)]
-        _solve(A, B, fit, WeightVector(raw, normalized))
-        for arr, old in zip((A, B, raw, normalized), before):
+        raw = make_weight_vector(N, eval_bump).raw.copy()
+        before = [a.copy() for a in (A, B, raw)]
+        _solve(A, B, fit, WeightVector(raw))
+        for arr, old in zip((A, B, raw), before):
             np.testing.assert_array_equal(arr, old)
             assert arr.flags.writeable
 
@@ -174,7 +167,7 @@ class TestTsqrAgainstSvd:
         # the lambda = 0.25 standard map, 1e5 transitions
         orbit = standard_map(0.25, 0.5, math.pi, 100_001)
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
-        wv = make_weight_vector(mats.n_pairs, exponential_bump()) if weighted else None
+        wv = make_weight_vector(mats.n_pairs, eval_bump) if weighted else None
         fit = edmd(mats, wv)
         K_ref, rank_ref, _ = _svd_reference(mats.Psi, mats.Phi, weights=wv)
         assert fit.effective_rank == rank_ref == 9
@@ -188,7 +181,7 @@ class TestTsqrAgainstSvd:
         # 28.8 MB.
         orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (200_001, 2))
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
-        wv = make_weight_vector(mats.n_pairs, exponential_bump())
+        wv = make_weight_vector(mats.n_pairs, eval_bump)
         tracemalloc.start()
         try:
             edmd(mats, wv)
@@ -204,7 +197,7 @@ class TestTsqrAgainstSvd:
         # either would not fit under the bound
         orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (100_001, 2))
         full = fourier_dictionary(1, dim=2)(orbit)
-        wv = make_weight_vector(100_000, exponential_bump())
+        wv = make_weight_vector(100_000, eval_bump)
         tracemalloc.start()
         try:
             pinv_lstsq(full[:-1], full[1:], wv)

@@ -19,10 +19,9 @@ from taperdyn import (
     WeightVector,
     dmd,
     edmd,
-    exponential_bump,
+    eval_bump,
     make_weight_vector,
     mpedmd,
-    pinv_lstsq,
     stlsq,
 )
 from taperdyn.linalg import _TSQR_ROWS
@@ -63,7 +62,7 @@ def test_non_finite_data_raise_domain_error(blocked, fitter, n, L, bad, in_secon
     # the bump taper gives sample 0 zero weight, so inf * 0 happens there
     i = 0 if end_row else min(int(row * N), N - 1)
     (second if in_second else first)[i, col % L] = bad
-    weights = make_weight_vector(N, exponential_bump()) if weighted else None
+    weights = make_weight_vector(N, eval_bump) if weighted else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
@@ -78,18 +77,19 @@ def test_finite_data_fit_without_warnings(fitter):
     second = first @ g.standard_normal((3, 3)) / 3.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _fit(fitter, first, second, make_weight_vector(N, exponential_bump()))
+        _fit(fitter, first, second, make_weight_vector(N, eval_bump))
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize("everywhere", [False, True])
 def test_bad_raw_weights_are_named(bad, everywhere):
+    # refused when the vector is built, before any fit can read it
     weights = np.full(10, bad) if everywhere else np.ones(10)
     weights[3] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="weights must be finite and non-negative"):
-            pinv_lstsq(np.ones((10, 2)), np.ones((10, 1)), WeightVector(weights, weights))
+            WeightVector(weights)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -18,7 +18,7 @@ from taperdyn import (
     dmd,
     dmd_error_sweep,
     edmd,
-    exponential_bump,
+    eval_bump,
     forecast,
     fourier_dictionary,
     make_weight_vector,
@@ -26,7 +26,7 @@ from taperdyn import (
     pinv_lstsq,
     shift_matrix,
     stlsq,
-    uniform_weight,
+    uniform_taper,
 )
 
 
@@ -37,7 +37,7 @@ class TestUniformTaperIsPlain:
         g = np.random.default_rng(N)
         series = g.standard_normal(N) + (1j * g.standard_normal(N) if is_complex else 0.0)
         plain = autocorrelations(series, M, weighted=False).values
-        uniform = autocorrelations(series, M, uniform_weight(), weighted=True).values
+        uniform = autocorrelations(series, M, uniform_taper, weighted=True).values
         np.testing.assert_allclose(uniform, plain, rtol=0,
                                    atol=1e-12 * np.abs(plain).max())
 
@@ -50,13 +50,13 @@ class TestUniformTaperIsPlain:
         noisy = angles[:, None] + 1e-3 * g.standard_normal((N + 1, 1))
         mats = build_dictionary_matrices(noisy, fourier_dictionary(2, dim=1))
         plain = mpedmd(mats)
-        uniform = mpedmd(mats, make_weight_vector(N, uniform_weight()))
+        uniform = mpedmd(mats, make_weight_vector(N, uniform_taper))
         for name in ("matrix", "eigenvalues", "eigenvectors", "gram"):
             np.testing.assert_array_equal(getattr(uniform, name), getattr(plain, name))
 
 
 def _bump(n):
-    return make_weight_vector(n, exponential_bump())
+    return make_weight_vector(n, eval_bump)
 
 
 def _fit_and_inputs(name, weighted):
@@ -104,9 +104,8 @@ def _fit_and_inputs(name, weighted):
         return (lambda: forecast(basis, shift, x_init, 3, target),
                 [basis.phi, shift.matrix, x_init, target])
     raw = np.linspace(1.0, 2.0, 199)
-    normalized = raw / raw.sum()
-    weights = WeightVector(raw, normalized) if weighted else None
-    return lambda: shift_matrix(basis, weights), [basis.phi, raw, normalized]
+    weights = WeightVector(raw) if weighted else None
+    return lambda: shift_matrix(basis, weights), [basis.phi, raw]
 
 
 @pytest.mark.parametrize("name, weighted", [

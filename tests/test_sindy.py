@@ -7,7 +7,7 @@ from taperdyn import (
     RngStream,
     ShapeError,
     dmd,
-    exponential_bump,
+    eval_bump,
     harmonic_oscillator_exact,
     harmonic_series,
     make_weight_vector,
@@ -16,7 +16,7 @@ from taperdyn import (
     sindy_error_sweep,
     snapshot_pair,
     stlsq,
-    uniform_weight,
+    uniform_taper,
 )
 
 
@@ -51,7 +51,7 @@ class TestStlsq:
 
     def test_noiseless_harmonic_recovery(self):
         Psi, T = harmonic_design(10_000)
-        wv = make_weight_vector(10_000, exponential_bump())
+        wv = make_weight_vector(10_000, eval_bump)
         for weights in (None, wv):
             model = stlsq(Psi, T, eta=1e-2, weights=weights)
             err = np.linalg.norm(model.coefficients.real - harmonic_oscillator_exact(6))
@@ -70,7 +70,7 @@ class TestStlsq:
 
     def test_fixed_point_of_refit(self):
         Psi, T = harmonic_design(2000, sigma=1e-5, rng=RngStream(5, "fp"))
-        wv = make_weight_vector(2000, exponential_bump())
+        wv = make_weight_vector(2000, eval_bump)
         model = stlsq(Psi, T, eta=1e-2, weights=wv)
         again = stlsq(Psi, T, eta=1e-2, weights=wv)
         np.testing.assert_array_equal(model.coefficients, again.coefficients)
@@ -96,8 +96,8 @@ class TestStlsq:
     def test_discrete_identity_dictionary_matches_dmd(self, gen):
         states = gen.standard_normal((40, 3))
         Psi = states[:-1]
-        model = stlsq(Psi, states[1:].T, eta=0.0, weights=make_weight_vector(39, uniform_weight()))
-        A = dmd(snapshot_pair(states), make_weight_vector(39, uniform_weight())).matrix
+        model = stlsq(Psi, states[1:].T, eta=0.0, weights=make_weight_vector(39, uniform_taper))
+        A = dmd(snapshot_pair(states), make_weight_vector(39, uniform_taper)).matrix
         np.testing.assert_allclose(model.coefficients.real, A, atol=1e-10)
 
     def test_errors(self, gen):
@@ -106,7 +106,7 @@ class TestStlsq:
             stlsq(Psi, gen.standard_normal((2, 29)), eta=0.1)
         with pytest.raises(ShapeError):
             stlsq(Psi, gen.standard_normal((2, 30)), eta=0.1,
-                  weights=make_weight_vector(29, uniform_weight()))
+                  weights=make_weight_vector(29, uniform_taper))
 
     def test_max_iter_termination_state(self, gen):
         Psi = gen.standard_normal((100, 6))
@@ -130,7 +130,7 @@ class TestErrorSweep:
         assert by_method["SINDy"] <= by_method["LS"]
 
     def test_uniform_weights_make_pairs_identical(self):
-        rows = sindy_error_sweep([500], [1e-2], w=uniform_weight())
+        rows = sindy_error_sweep([500], [1e-2], w=uniform_taper)
         by_method = {r.method: r.coeff_error for r in rows}
         assert by_method["LS"] == by_method["wtLS"]
         assert by_method["SINDy"] == by_method["wtSINDy"]

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from taperdyn import (
     DegenerateWeightError,
     DomainError,
+    ShapeError,
     SizeError,
     WeightVector,
     eval_bump,
-    exponential_bump,
     make_weight_vector,
-    uniform_weight,
+    uniform_taper,
 )
 
 
@@ -91,24 +91,24 @@ class TestEvalBump:
 
 class TestMakeWeightVector:
     def test_n2_bump_puts_all_mass_on_midpoint(self):
-        wv = make_weight_vector(2, exponential_bump())
+        wv = make_weight_vector(2, eval_bump)
         np.testing.assert_allclose(wv.raw, [0.0, math.exp(-4.0)], rtol=1e-15)
         np.testing.assert_allclose(wv.normalized, [0.0, 1.0], rtol=0, atol=0)
 
     def test_uniform_gives_mean_weights(self):
-        wv = make_weight_vector(5, uniform_weight())
+        wv = make_weight_vector(5, uniform_taper)
         np.testing.assert_allclose(wv.normalized, np.full(5, 0.2), rtol=0, atol=0)
         np.testing.assert_array_equal(wv.raw, np.ones(5))
 
     @pytest.mark.parametrize("N", [3, 8, 17, 256, 1001])
     def test_bump_palindrome_inside(self, N):
-        wv = make_weight_vector(N, exponential_bump())
+        wv = make_weight_vector(N, eval_bump)
         inner = wv.normalized[1:]
         np.testing.assert_allclose(inner, inner[::-1], rtol=1e-13, atol=1e-18)
 
     def test_size_error(self):
         with pytest.raises(SizeError):
-            make_weight_vector(1, exponential_bump())
+            make_weight_vector(1, eval_bump)
 
     def test_degenerate_taper(self):
         with pytest.raises(DegenerateWeightError):
@@ -136,14 +136,14 @@ class TestMakeWeightVector:
 
     @pytest.mark.parametrize("N", sorted(WEIGHTS_DIGEST))
     def test_golden_digest(self, N):
-        wv = make_weight_vector(N, exponential_bump())
+        wv = make_weight_vector(N, eval_bump)
         assert sha256(wv.normalized) == WEIGHTS_DIGEST[N]
 
     @given(N=st.integers(min_value=2, max_value=3000),
            kind=st.sampled_from(["bump", "uniform"]))
     @settings(max_examples=40, deadline=None)
     def test_normalization_property(self, N, kind):
-        w = exponential_bump() if kind == "bump" else uniform_weight()
+        w = eval_bump if kind == "bump" else uniform_taper
         wv = make_weight_vector(N, w)
         assert abs(wv.normalized.sum() - 1.0) <= 1e-12
         assert wv.raw.sum() > 0.0
@@ -152,20 +152,61 @@ class TestMakeWeightVector:
     @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan]), np.array([-0.1])])
     def test_uniform_profile_domain(self, x):
         with pytest.raises(DomainError):
-            uniform_weight()(x)
+            uniform_taper(x)
 
     def test_uniform_helper(self):
-        assert np.array_equal(make_weight_vector(4, uniform_weight()).normalized,
+        assert np.array_equal(make_weight_vector(4, uniform_taper).normalized,
                               np.full(4, 0.25))
 
     def test_immutability(self):
-        wv = make_weight_vector(8, exponential_bump())
+        wv = make_weight_vector(8, eval_bump)
         with pytest.raises(ValueError):
             wv.raw[0] = 1.0
 
     def test_caller_arrays_stay_writeable(self):
         a = np.ones(5)
-        wv = WeightVector(a, a / 5)
+        wv = WeightVector(a)
         assert a.flags.writeable
         assert not wv.raw.flags.writeable and not wv.normalized.flags.writeable
-        assert np.shares_memory(wv.raw, a)
+        assert not np.shares_memory(wv.raw, a)
+
+
+class TestWeightVector:
+    def test_keeps_its_values_after_the_source_changes(self):
+        a = np.arange(1.0, 6.0)
+        wv = WeightVector(a)
+        a[:] = -1.0
+        np.testing.assert_array_equal(wv.raw, np.arange(1.0, 6.0))
+        np.testing.assert_array_equal(wv.normalized, np.arange(1.0, 6.0) / 15.0)
+
+    def test_cannot_be_made_writeable(self):
+        wv = WeightVector([1.0, 2.0])
+        for values in (wv.raw, wv.normalized):
+            with pytest.raises(ValueError):
+                values.setflags(write=True)
+
+    def test_normalized_is_raw_over_its_sum(self):
+        raw = np.random.default_rng(3).uniform(0.0, 1.0, 1001)
+        assert np.array_equal(WeightVector(raw).normalized, raw / float(raw.sum()))
+
+    def test_sampled_and_direct_vectors_agree(self):
+        sampled = make_weight_vector(100, eval_bump)
+        direct = WeightVector(eval_bump(np.arange(100) / 100))
+        assert np.array_equal(sampled.raw, direct.raw)
+        assert np.array_equal(sampled.normalized, direct.normalized)
+
+    @pytest.mark.parametrize("raw", [np.ones((3, 2)), np.float64(1.0)])
+    def test_not_1d_is_a_shape_error(self, raw):
+        with pytest.raises(ShapeError):
+            WeightVector(raw)
+
+    @pytest.mark.parametrize("raw", [[], [0.0, 0.0]])
+    def test_zero_sum_rejected(self, raw):
+        with pytest.raises(DegenerateWeightError, match="cannot normalize"):
+            WeightVector(raw)
+
+    def test_bad_values_are_a_domain_error_of_the_weights(self):
+        with pytest.raises(DegenerateWeightError) as exc:
+            WeightVector([1.0, -1.0])
+        assert isinstance(exc.value, DomainError)
+        assert "weights must be finite and non-negative" in str(exc.value)
