@@ -4,8 +4,7 @@ sparse model identification, spectral-measure estimation, and nonparametric
 diffusion forecasting), with built-in trajectory generators and a desk-scale
 benchmark harness comparing weighted against unweighted convergence.
 
-Importing the package loads numpy alone: each scipy routine is imported
-inside the one function that calls it.
+The package needs numpy alone; scipy serves only as the tests' reference.
 """
 
 from .averages import SweepRow, birkhoff_average, convergence_sweep

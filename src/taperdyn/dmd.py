@@ -4,13 +4,14 @@ the window-length error sweep used for convergence benchmarking.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError
 from .systems import RngStream, Trajectory
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -26,6 +27,8 @@ __all__ = [
     "dmd_error_sweep",
     "spectrum_distance",
 ]
+
+_UNSCALED_LOW, _UNSCALED_HIGH = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True)
@@ -124,23 +127,79 @@ def project(traj: Trajectory, basis: ProjectionBasis) -> Trajectory:
     return Trajectory(states @ basis.U, dt=traj.dt, seed=traj.seed, meta=meta)
 
 
+def _assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square cost matrix.
+
+    Shortest augmenting paths with dual potentials (Jonker-Volgenant; Burkard,
+    Dell'Amico & Martello, Assignment Problems, 2009, ch. 4), scanning columns
+    and breaking ties as scipy.optimize.linear_sum_assignment does, so the two
+    give the same assignment.  Plain lists are the fastest form at n <= 20.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        dist, remaining = [math.inf] * n, list(range(n - 1, -1, -1))
+        rows, cols, i, low = [], [], cur, 0.0
+        while True:  # grow shortest paths from row cur to a free column
+            base, row, ui = low, cost[i], u[i]
+            low, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                d, r = dist[j], base + row[j] - ui - v[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < low or (d == low and row4col[j] == -1):
+                    low, index = d, k
+            j = remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[cur] += low
+        for i in rows:
+            u[i] += low - dist[col4row[i]]
+        for k in cols:
+            v[k] -= low - dist[k]
+        while True:  # flip the path's matched and unmatched edges
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def spectrum_distance(values: np.ndarray, reference: np.ndarray) -> float:
     """Normalized l2 distance between two spectra under optimal pairing.
 
     Eigenvalues are matched by a minimal-cost assignment, so the result is
     independent of the order either eigensolver returned them in and stable
     when moduli are nearly tied (where lexicographic sorting would flip).
-    """
-    from scipy.optimize import linear_sum_assignment
+    With a zero reference the distance is absolute.
 
+    Raises:
+        ShapeError: the spectra differ in size.
+        DomainError: either spectrum holds NaN or infinity.
+    """
     a = np.asarray(values, dtype=complex).ravel()
     b = np.asarray(reference, dtype=complex).ravel()
     if a.shape != b.shape:
         raise ShapeError(f"spectra sizes differ: {a.shape} vs {b.shape}")
-    cost = np.abs(a[:, None] - b[None, :]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    denom = np.linalg.norm(b)
-    return float(np.sqrt(cost[rows, cols].sum()) / (denom if denom > 0 else 1.0))
+    top = float(np.abs(np.concatenate([a, b]).view(float)).max(initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError("spectra contain NaN or infinite eigenvalues")
+    if top == 0.0 or _UNSCALED_LOW <= top <= _UNSCALED_HIGH:
+        scale, denom = 1.0, float(np.linalg.norm(b))
+    else:  # an exact power-of-two rescale keeps every |a - b|^2 finite and normal
+        scale, denom = math.ldexp(1.0, -math.frexp(top)[1]), math.hypot(*b.view(float).tolist())
+    cost = np.abs(a[:, None] * scale - b[None, :] * scale) ** 2
+    cols = _assignment(cost.tolist())
+    gap = math.sqrt(cost[np.arange(a.size), cols].sum()) / scale
+    return gap / denom if denom > 0 else gap
 
 
 @dataclass(frozen=True)

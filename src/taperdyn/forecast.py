@@ -20,7 +20,15 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DomainError, IngestError, ShapeError, SizeError
+from .errors import (
+    ConditioningError,
+    ConfigError,
+    DomainError,
+    IngestError,
+    NumericalError,
+    ShapeError,
+    SizeError,
+)
 from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = [
@@ -43,11 +51,21 @@ LARGE_BASIS_WARN = 30
 _KERNEL_FLOOR = 1e-14
 _BANDWIDTH_SUBSAMPLE = 2048
 # rows per distance band: 32 to 256 rows time the same (_auto_bandwidth 19-35 ms
-# at n = 2000 to 8000, _kernel_lower 19-26 ms at p = 3, n = 2000); 64 keeps
+# at n = 2000 to 8000, the lower-triangle fill 19-26 ms at p = 3, n = 2000); 64 keeps
 # each band temporary at 1 MB or less
 _KERNEL_BAND = 64
 _LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
 _LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
+# The dense path's block Krylov solver stops once every wanted Ritz residual
+# is at most _KRYLOV_TOL times the top Ritz value (1 for the balanced kernel),
+# or once its basis spans R^n.  A basis past _KRYLOV_RESTART blocks restarts
+# from its leading half of Ritz vectors, and after _KRYLOV_MAX_BLOCKS block
+# products it gives up.  The residuals fall through the threshold, not onto
+# it: 3e-12 then 6e-15 over the last two blocks at p = 3, n = 2000, M = 6
+# (72 columns, no restart), and 1e-9 then 5e-23 at n = 8000, M = 10.
+_KRYLOV_TOL = 1e-14
+_KRYLOV_RESTART = 12
+_KRYLOV_MAX_BLOCKS = 500
 
 
 @dataclass(frozen=True)
@@ -203,18 +221,23 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _kernel_lower(pts: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian kernel with only the part on and below the diagonal filled.
+def _kernel_matrix(pts: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel, exactly symmetric: its lower triangle mirrored.
 
     Each band of _KERNEL_BAND rows is computed in place in K[i:j, :j], with
-    no band-sized copy and no band outliving the next; nothing above the
-    diagonal is ever read.
+    no band-sized copy and no band outliving the next, then copied above
+    the diagonal: its part left of the diagonal block into K[:i, i:j], and
+    the block's own lower triangle over its upper one.
     """
     n = pts.shape[0]
-    K = np.zeros((n, n))
-    for _, _, band in _lower_bands(pts, K):
+    K = np.empty((n, n))
+    upper = np.triu(np.ones((_KERNEL_BAND, _KERNEL_BAND), dtype=bool), 1)
+    for i, j, band in _lower_bands(pts, K):
         band /= -bandwidth**2
         np.exp(band, out=band)
+        K[:i, i:j] = band[:, :i].T
+        block = band[:, i:]
+        np.copyto(block, block.T, where=upper[:j - i, :j - i])
     return K
 
 
@@ -259,33 +282,70 @@ def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
         "the kernel may contain exact zero blocks (bandwidth too small)")
 
 
-def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
-    """(s, lam, vecs) of the balanced kernel from its dense lower triangle."""
-    from scipy.linalg import eigh
-    from scipy.linalg.blas import dsymv
-    from scipy.sparse.linalg import LinearOperator, eigsh
+def _krylov_eigenpairs(matmul, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The M leading eigenpairs of a symmetric positive semidefinite operator.
 
+    Block Krylov with Rayleigh-Ritz and thick restarts (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2011, ch. 6-7): matmul(X) applies
+    the n x n operator to an n x k block, the first block of b = M + 2
+    columns comes from a seeded Gaussian draw, and each new block A Q is
+    orthogonalised against the basis V twice.  The first pass's QR factor B
+    gives every Ritz pair's residual |(I - V V^T) A V y| = |B y_last|; the
+    second pass drops the directions lying mostly inside span(V), which are
+    rounding noise.  Blocks wider than M hold degenerate pairs, which one
+    vector's Krylov space cannot.  A basis that would pass _KRYLOV_RESTART
+    blocks is replaced by its leading half of Ritz vectors, whose images
+    stay inside the basis plus the next block.
+
+    Raises:
+        NumericalError: the residual is still above the threshold after
+            _KRYLOV_MAX_BLOCKS block products, or is not finite.
+        ConditioningError: the projected eigenproblem fails (numpy LinAlgError).
+    """
+    b = min(M + 2, n)
+    V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, b)))
+    AQ = matmul(V)
+    T = P = V.T @ AQ  # T = V^T A V grows by P = V^T A Q, the newest block's columns
+    residual = math.inf
+    for step in range(1, _KRYLOV_MAX_BLOCKS + 1):
+        try:
+            lam, Z = np.linalg.eigh(T)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(f"Rayleigh-Ritz eigensolve failed at Krylov dimension "
+                                    f"{V.shape[1]} (residual {residual:.3e})") from exc
+        theta, Y = lam[:-M - 1:-1], Z[:, :-M - 1:-1]
+        if V.shape[1] < n:  # else the basis spans R^n and the Ritz pairs are exact
+            Q, B = np.linalg.qr(AQ - V @ P)
+            residual = float(np.linalg.norm(B @ Y[V.shape[1] - B.shape[0]:], axis=0).max())
+        if V.shape[1] == n or residual <= _KRYLOV_TOL * theta[0]:
+            return theta, np.asfortranarray(V @ Y)
+        if not math.isfinite(residual):
+            break
+        U, sigma, _ = np.linalg.svd(Q - V @ (V.T @ Q), full_matrices=False)
+        Q = U[:, sigma > 0.5]
+        if V.shape[1] + Q.shape[1] > _KRYLOV_RESTART * b:
+            keep = _KRYLOV_RESTART * b // 2
+            V, T = V @ Z[:, -keep:], np.diag(lam[-keep:])
+        AQ = matmul(Q)
+        V = np.hstack([V, Q])
+        P = V.T @ AQ
+        T = np.vstack([np.hstack([T, P[:len(T)]]), P.T])
+    raise NumericalError(f"dense eigensolver did not converge: residual {residual:.3e} > "
+                         f"{_KRYLOV_TOL:.0e} x {theta[0]:.3e} after {step} blocks")
+
+
+def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
+    """(s, lam, vecs) of the balanced kernel, built in full."""
     n = pts.shape[0]
     kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
     if kernel_bytes > memory:
         raise SizeError(f"the {n} x {n} kernel needs {kernel_bytes} bytes, more "
                         f"than the {memory} bytes of physical memory")
-    K = _kernel_lower(pts, bandwidth)
-    # K.T is Fortran-ordered with the filled triangle as its upper one, so
-    # dsymv reads it in place and touches only that triangle
-    KT = K.T
-    s = _sinkhorn_scaling(lambda v: dsymv(1.0, KT, v, lower=0), n)
-    if M < n - 1:
-        op = LinearOperator((n, n), matvec=lambda v: s * dsymv(1.0, KT, s * v, lower=0),
-                            dtype=np.float64)
-        lam, vecs = eigsh(op, k=M, which="LA", v0=np.ones(n))
-        order = np.argsort(lam)[::-1]
-        return s, lam[order], vecs[:, order]
-    # ARPACK needs M < n - 1
-    K *= s[:, None]
-    K *= s[None, :]
-    lam, vecs = eigh(K, lower=True, check_finite=False, subset_by_index=[n - M, n - 1])
-    return s, lam[::-1].copy(), vecs[:, ::-1].copy()
+    K = _kernel_matrix(pts, bandwidth)
+    s = _sinkhorn_scaling(lambda v: K @ v, n)
+    # (X^T S K)^T = S K X, as K is exactly symmetric; the row-major product is the faster
+    lam, vecs = _krylov_eigenpairs(lambda X: ((X.T * s) @ K).T * s[:, None], n, M)
+    return s, lam, vecs
 
 
 def diffusion_basis(
@@ -307,9 +367,10 @@ def diffusion_basis(
     trace bounds ||K - L L^T||_2.  When that bound is at most 1e-16 N (about
     the rounding error of a dense float64 kernel) and M <= r, balancing uses
     the products L (L^T v) and the eigenpairs come from one thin SVD of
-    diag(s) L.  Otherwise only the kernel's lower triangle is built (one
-    N x N array) and read (BLAS dsymv), and ARPACK (eigsh) finds the leading
-    eigenpairs, or a dense eigensolver when M >= N - 1.
+    diag(s) L.  Otherwise the kernel is built in full (one N x N array,
+    its lower triangle mirrored), balanced with K @ v, and a block Krylov
+    solver with Rayleigh-Ritz finds the leading eigenpairs, exactly once
+    its basis spans all N dimensions.
 
     Args:
         points: (N, p) training data, or a DelayEmbedding.
@@ -325,6 +386,8 @@ def diffusion_basis(
         DomainError: non-finite training points.
         SizeError: M outside 1..N, or, on the dense path, an N x N kernel
             larger than the machine's physical memory.
+        NumericalError, ConditioningError: the dense path's eigensolver
+            fails (see _krylov_eigenpairs).
         ConfigError: rng neither a Generator nor None, non-finite or
             non-positive bandwidth, or degenerate data under auto bandwidth.
     """
@@ -356,7 +419,7 @@ def diffusion_basis(
     if L is not None and M <= L.shape[1]:
         s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), n)
         U, sigma, _ = np.linalg.svd(s[:, None] * L, full_matrices=False)
-        # column-major like eigsh's vectors: forecasts read phi by columns
+        # column-major like the dense route's vectors: forecasts read phi by columns
         lam, vecs = sigma[:M] ** 2, np.asfortranarray(U[:, :M])
     else:
         s, lam, vecs = _dense_eigenpairs(pts, M, bandwidth)

@@ -210,7 +210,7 @@ class TestMethodCommands:
 
 
 # runs subcommands in one fresh process and prints their exit codes and the
-# scipy modules loaded after the numpy-only ones and after all of them
+# scipy modules loaded after all of them
 _SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -220,16 +220,34 @@ from taperdyn.cli import run
 def codes(*argvs):
     return {a[0]: run([*a, "--outdir", f"{sys.argv[2]}/{a[0]}"]) for a in argvs}
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-numpy_only = codes(["average", "--N", "300"], ["edmd", "--N", "500"],
-                   ["mpedmd", "--N", "500"], ["sindy", "--N", "500"],
+numpy_only = codes(["average", "--N", "300"],
+                   ["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5", "--D", "8"],
+                   ["edmd", "--N", "500"], ["mpedmd", "--N", "500"], ["sindy", "--N", "500"],
                    ["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]])
-after_numpy_only = scipy_modules()
-scipy_backed = codes(["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5",
-                      "--D", "8"])
-print(json.dumps([numpy_only, after_numpy_only, scipy_backed, scipy_modules()]))
+print(json.dumps([numpy_only, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+# the CLI runs with every scipy import refused; prints the exit codes
+_SCIPY_BLOCKED = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"importing {name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.path.insert(0, sys.argv[1])
+from taperdyn.cli import run
+
+argvs = [["average", "--N", "300"],
+         ["dmd", "--N", "200", "--sweep-n", "50,100", "--project-r", "5", "--D", "8"],
+         ["edmd", "--N", "500"], ["mpedmd", "--N", "500"], ["sindy", "--N", "500"],
+         ["specmeas", "--M", "20", "--grid", "256", "--input", sys.argv[3]],
+         ["forecast", "--input", sys.argv[4], "--valid-start", "2000-01",
+          "--valid-end", "2008-12", "--k-max", "8", "--M", "8", "--series-lead", "4"]]
+print(json.dumps({a[0]: run([*a, "--outdir", f"{sys.argv[2]}/{a[0]}"]) for a in argvs}))
 """
 
 
@@ -239,15 +257,24 @@ def test_numpy_only_subcommands_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(src), str(tmp_path),
                            str(tmp_path / "series.csv")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    numpy_only, after_numpy_only, scipy_backed, after_all = json.loads(
-        proc.stdout.splitlines()[-1])
-    assert numpy_only == {"average": EXIT_OK, "edmd": EXIT_OK, "mpedmd": EXIT_OK,
-                          "sindy": EXIT_OK, "specmeas": EXIT_OK}
-    assert after_numpy_only == []
-    # spectrum distances load scipy on first call; peak finding never does
-    assert scipy_backed == {"dmd": EXIT_OK}
-    assert "scipy.optimize" in after_all
-    assert "scipy.signal" not in after_all
+    numpy_only, after_all = json.loads(proc.stdout.splitlines()[-1])
+    assert numpy_only == {"average": EXIT_OK, "dmd": EXIT_OK, "edmd": EXIT_OK,
+                          "mpedmd": EXIT_OK, "sindy": EXIT_OK, "specmeas": EXIT_OK}
+    assert after_all == []
+
+
+def test_subcommands_run_with_scipy_import_refused(tmp_path):
+    # every subcommand but bench; forecast takes the dense diffusion route
+    src = Path(cli.__file__).resolve().parents[1]
+    _series_csv(tmp_path / "series.csv")
+    synth_monthly_csv(tmp_path / "index.csv")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, str(src), str(tmp_path),
+                           str(tmp_path / "series.csv"), str(tmp_path / "index.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        name: EXIT_OK for name in
+        ("average", "dmd", "edmd", "mpedmd", "sindy", "specmeas", "forecast")}, proc.stderr
 
 
 class TestBenchCommand:

@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from taperdyn import (
+    DomainError,
     RngStream,
     ShapeError,
     SizeError,
@@ -18,6 +23,7 @@ from taperdyn import (
     spectrum_distance,
     uniform_taper,
 )
+from taperdyn.dmd import _assignment
 from taperdyn.systems import Trajectory
 
 
@@ -118,6 +124,71 @@ class TestSpectrumDistance:
     def test_zero_for_identical(self, gen):
         values = gen.standard_normal(4) + 1j * gen.standard_normal(4)
         assert spectrum_distance(values, values.copy()) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf)])
+    def test_non_finite_spectra_rejected(self, bad):
+        finite = np.array([0.9, 0.5j, -0.2])
+        for values, reference in (([bad, 0.5j, -0.2], finite), (finite, [0.9, bad, -0.2])):
+            with pytest.raises(DomainError, match="NaN or infinite"):
+                spectrum_distance(np.array(values), reference)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300])
+    def test_extreme_finite_spectra_neither_overflow_nor_underflow(self, gen, scale):
+        values = gen.standard_normal(5) + 1j * gen.standard_normal(5)
+        reference = values + 1e-3 * gen.standard_normal(5)
+        expected = spectrum_distance(values, reference)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectrum_distance(scale * values, scale * reference)
+        assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_huge_eigenvalue_against_unit_reference(self):
+        # |1e200 - 2| dominates: the distance is 1e200 / |(1, 2)|
+        got = spectrum_distance(np.array([1e200, 1.0]), np.array([1.0, 2.0]))
+        assert got == pytest.approx(1e200 / math.sqrt(5.0), rel=1e-15)
+
+    def test_zero_reference_gives_absolute_distance(self):
+        assert spectrum_distance(np.array([3.0, 4.0j]), np.zeros(2)) == 5.0
+
+
+def _scipy_assignment(cost):
+    rows, cols = linear_sum_assignment(cost)
+    assert rows.tolist() == list(range(len(cost)))
+    return cols.tolist()
+
+
+class TestAssignment:
+    """The list solver against scipy.optimize.linear_sum_assignment."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.lists(
+        st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_optimal_cost_matches_scipy(self, rows):
+        cost = np.array(rows)
+        cols = _assignment(rows)
+        assert sorted(cols) == list(range(len(rows)))
+        got = cost[np.arange(len(rows)), cols].sum()
+        want = cost[np.arange(len(rows)), _scipy_assignment(cost)].sum()
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_near_identity_spectra(self):
+        gen = np.random.default_rng(8)
+        for _ in range(200):
+            a = gen.standard_normal(8) + 1j * gen.standard_normal(8)
+            b = a + 1e-3 * (gen.standard_normal(8) + 1j * gen.standard_normal(8))
+            cost = np.abs(a[:, None] - b[None, :]) ** 2
+            assert _assignment(cost.tolist()) == _scipy_assignment(cost)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_tied_costs(self, n):
+        gen = np.random.default_rng(n)
+        for cost in (np.zeros((n, n)), np.ones((n, n)),
+                     *(gen.integers(0, 3, (n, n)).astype(float) for _ in range(50))):
+            assert _assignment(cost.tolist()) == _scipy_assignment(cost)
+
+    def test_single_row(self):
+        assert _assignment([[2.5]]) == _scipy_assignment(np.array([[2.5]])) == [0]
+        assert spectrum_distance(np.array([1.0 + 1.0j]), np.array([1.0])) == 1.0
 
 
 class TestErrorSweep:

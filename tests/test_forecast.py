@@ -12,8 +12,10 @@ import pytest
 import scipy.linalg
 
 from taperdyn import (
+    ConditioningError,
     ConfigError,
     DomainError,
+    NumericalError,
     RngStream,
     ShapeError,
     SizeError,
@@ -86,7 +88,7 @@ def _refuse(*args):
 @pytest.fixture
 def no_dense_kernel(monkeypatch):
     """Fail the test if diffusion_basis builds the dense n x n kernel."""
-    monkeypatch.setattr(forecast_module, "_kernel_lower", _refuse)
+    monkeypatch.setattr(forecast_module, "_kernel_matrix", _refuse)
 
 
 @pytest.fixture
@@ -205,13 +207,61 @@ class TestKernelLower:
         pts = np.random.default_rng(3).standard_normal((n, 3))
         tracemalloc.start()
         try:
-            K = forecast_module._kernel_lower(pts, 1.0)
+            K = forecast_module._kernel_matrix(pts, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - n * n * 8 < 2e6
         full = np.exp(-_pairwise_sq_dists_chunk(pts, pts))
-        np.testing.assert_allclose(np.tril(K), np.tril(full), rtol=1e-13)
+        np.testing.assert_allclose(K, full, rtol=1e-13)
+        # the upper triangle is the lower one mirrored, bit for bit
+        np.testing.assert_array_equal(K, K.T)
+
+
+class TestKrylovEigenpairs:
+    def test_matches_dense_eigh(self):
+        # an operator with a degenerate pair inside the wanted block
+        gen = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(gen.standard_normal((300, 300)))
+        lam = np.sort(np.r_[1.0, 0.6, 0.6, gen.uniform(0.0, 0.5, 297)])[::-1]
+        A = (Q * lam) @ Q.T
+        got, vecs = forecast_module._krylov_eigenpairs(lambda X: A @ X, 300, 4)
+        np.testing.assert_allclose(got, lam[:4], rtol=1e-12)
+        assert _rel(vecs @ vecs.T, Q[:, :4] @ Q[:, :4].T) < 1e-12
+
+    def test_thick_restart_keeps_converging(self):
+        # eigenvalues 0.99^k: a 1% gap after the wanted four needs more
+        # columns than one basis of _KRYLOV_RESTART blocks holds
+        gen = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(gen.standard_normal((400, 400)))
+        lam = 0.99 ** np.arange(400)
+        A = (Q * lam) @ Q.T
+        columns = []
+        got, vecs = forecast_module._krylov_eigenpairs(
+            lambda X: columns.append(X.shape[1]) or A @ X, 400, 4)
+        assert sum(columns) > forecast_module._KRYLOV_RESTART * 6
+        np.testing.assert_allclose(got, lam[:4], rtol=1e-12)
+        assert _rel(vecs @ vecs.T, Q[:, :4] @ Q[:, :4].T) < 1e-11
+
+    def test_operator_that_cannot_converge_raises(self, monkeypatch):
+        # a fresh random block each call: no Krylov space is ever invariant
+        monkeypatch.setattr(forecast_module, "_KRYLOV_MAX_BLOCKS", 30)
+        gen = np.random.default_rng(5)
+        with pytest.raises(NumericalError, match=r"residual \d\.\d+e[+-]\d+ .* after 30 blocks"):
+            forecast_module._krylov_eigenpairs(lambda X: gen.standard_normal(X.shape), 200, 3)
+
+    def test_failed_projected_eigensolve_raises(self, monkeypatch):
+        def eigh(T):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ConditioningError, match="residual inf"):
+            forecast_module._krylov_eigenpairs(lambda X: X, 50, 3)
+
+    def test_nan_operator_raises(self):
+        # numpy's eigh returns NaN here or raises LinAlgError, by the NaNs' places
+        with pytest.raises((NumericalError, ConditioningError), match="residual"):
+            forecast_module._krylov_eigenpairs(lambda X: np.full(X.shape, np.nan), 50, 3)
 
 
 class TestDiffusionBasis:
@@ -229,8 +279,8 @@ class TestDiffusionBasis:
         pts = np.ones((40, 1))
         assert forecast_module._pivoted_cholesky(pts, 1.0, 1).shape == (40, 1)
         dense_builds = []
-        kernel_lower = forecast_module._kernel_lower
-        monkeypatch.setattr(forecast_module, "_kernel_lower",
+        kernel_lower = forecast_module._kernel_matrix
+        monkeypatch.setattr(forecast_module, "_kernel_matrix",
                             lambda *a: dense_builds.append(a) or kernel_lower(*a))
         basis = diffusion_basis(pts, M=3, bandwidth=1.0)
         assert len(dense_builds) == 1
@@ -339,7 +389,7 @@ class TestDiffusionBasis:
         traj = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
                          rng=RngStream(1, "perfbench/ou"))
         with monkeypatch.context() as m:
-            m.setattr(forecast_module, "_kernel_lower", _refuse)
+            m.setattr(forecast_module, "_kernel_matrix", _refuse)
             basis = diffusion_basis(traj.states, M=10, rng=np.random.default_rng([1, 3]))
         monkeypatch.setattr(forecast_module, "_pivoted_cholesky", lambda *a: None)
         dense = diffusion_basis(traj.states, M=10, bandwidth=basis.bandwidth)
@@ -404,13 +454,14 @@ class TestDiffusionBasis:
                      np.array([bad]), 2, pts[:, 0])
 
 
-# fits and forecasts on an n = 8000 OU path in one fresh process and prints
-# the scipy modules loaded
+# fits and forecasts on an n = 8000 OU path (the low-rank route) and builds a
+# p = 3, n = 2000 delay-embedded basis (the dense route) in one fresh
+# process, then prints the scipy modules loaded
 _SCIPY_PROBE = """
 import json, math, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from taperdyn import (RngStream, diffusion_basis, eval_bump, forecast,
+from taperdyn import (RngStream, delay_embed, diffusion_basis, eval_bump, forecast,
                       ou_sample, shift_matrix)
 
 train = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
@@ -418,6 +469,11 @@ train = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
 basis = diffusion_basis(train[:, None], M=10)
 for w in (None, eval_bump):
     forecast(basis, shift_matrix(basis, w), np.array([0.5]), 20, train)
+dense_builds, module = [], sys.modules["taperdyn.forecast"]
+kernel_matrix = module._kernel_matrix
+module._kernel_matrix = lambda *a: dense_builds.append(1) or kernel_matrix(*a)
+embedded = diffusion_basis(delay_embed(train[:2002], 3), M=6)
+assert dense_builds == [1] and embedded.phi.shape == (2000, 6)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
