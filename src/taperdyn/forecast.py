@@ -1,6 +1,7 @@
 """Nonparametric forecasting with a data-driven kernel eigenbasis.
 
-A Gaussian kernel on (delay-embedded) training data is balanced to a
+A Gaussian kernel on (delay-embedded) training data, held as a certified
+low-rank factor or as its stored lower triangle, is balanced to a
 symmetric doubly stochastic operator; its leading eigenvectors give basis
 functions that are exactly orthonormal in the empirical inner product with
 the leading one constant.  One-step transfer is estimated by an (optionally
@@ -51,9 +52,12 @@ LARGE_BASIS_WARN = 30
 _KERNEL_FLOOR = 1e-14
 _BANDWIDTH_SUBSAMPLE = 2048
 # rows per distance band: 32 to 256 rows time the same (_auto_bandwidth 19-35 ms
-# at n = 2000 to 8000, the lower-triangle fill 19-26 ms at p = 3, n = 2000); 64 keeps
-# each band temporary at 1 MB or less
+# at n = 2000 to 8000); 64 keeps each band temporary at 1 MB or less
 _KERNEL_BAND = 64
+# rows per diagonal block of the dense kernel's stored lower triangle: at
+# p = 3, n = 2000, M = 6 on 2 CPUs, build, Sinkhorn and Krylov take 95 ms with
+# 64 rows (16.5 MB stored), 89 ms with 128 (17.1 MB) and 89 ms with 256 (18.2 MB)
+_KERNEL_DIAGONAL = 128
 _LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
 _LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
 # The dense path's block Krylov solver stops once every wanted Ritz residual
@@ -173,18 +177,6 @@ def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray,
     return d2
 
 
-def _lower_bands(pts: np.ndarray, K: np.ndarray | None = None):
-    """(i, j, d2) per band of _KERNEL_BAND rows: d2 = squared distances of
-    rows i..j-1 to rows 0..j-1, the band's part on and below the diagonal,
-    computed in K[i:j, :j] when K is given, else in one reused band buffer."""
-    n = pts.shape[0]
-    buf = np.empty((min(_KERNEL_BAND, n), n)) if K is None else None
-    for i in range(0, n, _KERNEL_BAND):
-        j = min(i + _KERNEL_BAND, n)
-        out = buf[:j - i, :j] if K is None else K[i:j, :j]
-        yield i, j, _pairwise_sq_dists_chunk(pts[i:j], pts[:j], out)
-
-
 def _auto_bandwidth(points: np.ndarray, rng) -> float:
     """The median positive distance over distinct pairs i < j.
 
@@ -201,8 +193,12 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
         sub = points
     m = sub.shape[0]
     positive, size = np.empty(m * (m - 1) // 2), 0
-    mask = np.empty((min(_KERNEL_BAND, m), m), dtype=bool)
-    for i, j, d2 in _lower_bands(sub):
+    buf = np.empty((min(_KERNEL_BAND, m), m))
+    mask = np.empty(buf.shape, dtype=bool)
+    for i in range(0, m, _KERNEL_BAND):
+        j = min(i + _KERNEL_BAND, m)
+        # the band's squared distances on and below the diagonal, in one reused buffer
+        d2 = _pairwise_sq_dists_chunk(sub[i:j], sub[:j], buf[:j - i, :j])
         keep = np.greater(d2, 0.0, out=mask[:j - i, :j])
         # band row r keeps columns c < i + r: pairs i < j once
         keep[:, i:] &= np.tri(j - i, k=-1, dtype=bool)
@@ -221,24 +217,82 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _kernel_matrix(pts: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian kernel, exactly symmetric: its lower triangle mirrored.
+def _kernel_layout(n: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(d, blocks): the rows d of each diagonal block of an n-point kernel, and
+    (i, j, rows, cols) of the blocks K[i:i+rows, j:j+cols] below them.
 
-    Each band of _KERNEL_BAND rows is computed in place in K[i:j, :j], with
-    no band-sized copy and no band outliving the next, then copied above
-    the diagonal: its part left of the diagonal block into K[:i, i:j], and
-    the block's own lower triangle over its upper one.
+    Recursive halving: rows a..b-1 split at the largest m = a + d 2^k below
+    b; K[m:b, a:m] is stored and both halves split again, down to one
+    diagonal block.  The ceil(n / d) diagonal blocks are stored whole, so
+    with n = d (q - 1) + r, 0 < r <= d, the kernel stores
+    (n^2 - (q - 1) d^2 - r^2) / 2 + q d^2 entries.
+    """
+    d = min(n, _KERNEL_DIAGONAL)
+    blocks, ranges = [], [(0, n)]
+    while ranges:
+        a, b = ranges.pop()
+        if b - a > d:
+            m = a + d * 2 ** (((b - a - 1) // d).bit_length() - 1)
+            blocks.append((m, a, b - m, m - a))
+            ranges += [(a, m), (m, b)]
+    return d, blocks
+
+
+def _kernel_matrix(pts: np.ndarray, bandwidth: float):
+    """Gaussian kernel's lower triangle, as (diagonal, below) per _kernel_layout.
+
+    diagonal is the (q, d, d) stack of diagonal blocks, the last one
+    zero-padded, each made exactly symmetric by copying its lower triangle
+    over its upper one; below holds (i, j, K[i:i+rows, j:j+cols]).  Every
+    block is filled in place in bands of _KERNEL_BAND rows, so no temporary
+    outgrows one band.  A band is one product U W^T = (2 x.y - |x|^2 -
+    |y|^2) / eps^2 over p + 2 columns, clipped at 0 and exponentiated: three
+    passes where _pairwise_sq_dists_chunk, whose rounding the bandwidth
+    keeps, takes seven.
     """
     n = pts.shape[0]
-    K = np.empty((n, n))
-    upper = np.triu(np.ones((_KERNEL_BAND, _KERNEL_BAND), dtype=bool), 1)
-    for i, j, band in _lower_bands(pts, K):
-        band /= -bandwidth**2
-        np.exp(band, out=band)
-        K[:i, i:j] = band[:, :i].T
-        block = band[:, i:]
-        np.copyto(block, block.T, where=upper[:j - i, :j - i])
-    return K
+    d, layout = _kernel_layout(n)
+    sq = (pts * pts).sum(axis=1)[:, None]
+    U = np.hstack([pts, sq, np.ones((n, 1))])
+    W = np.hstack([pts * (2.0 / bandwidth**2), np.full((n, 1), -1.0 / bandwidth**2),
+                   sq / -bandwidth**2])
+    diagonal = np.zeros((-(-n // d), d, d))
+    on_diagonal = [(i, i, diagonal[i // d, :min(d, n - i), :min(d, n - i)])
+                   for i in range(0, n, d)]
+    below = [(i, j, np.empty((rows, cols))) for i, j, rows, cols in layout]
+    for i, j, block in on_diagonal + below:
+        for r in range(0, len(block), _KERNEL_BAND):
+            band = np.matmul(U[i + r:i + r + _KERNEL_BAND], W[j:j + block.shape[1]].T,
+                             out=block[r:r + _KERNEL_BAND])
+            np.minimum(band, 0.0, out=band)
+            np.exp(band, out=band)
+        if i == j:
+            np.copyto(block, block.T, where=np.tri(len(block), k=-1, dtype=bool).T)
+    return diagonal, below
+
+
+def _kernel_product(K, X: np.ndarray) -> np.ndarray:
+    """K @ X for a kernel stored by _kernel_matrix; X is a vector or an n x b block.
+
+    One batched product covers the diagonal blocks, and each block below
+    them enters twice, as block @ x and block.T @ x.  A vector takes each
+    block whole, so that BLAS runs the large products on all its threads; a
+    block of columns takes each in bands of _KERNEL_BAND rows, so that the
+    transposed product reads its band from cache.
+    """
+    diagonal, below = K
+    n, (q, d, _) = X.shape[0], diagonal.shape
+    Xp = np.zeros((q * d, *X.shape[1:]))
+    Xp[:n] = X
+    Y = (diagonal @ Xp.reshape(q, d, -1)).reshape(Xp.shape)
+    step = _KERNEL_BAND if X.ndim == 2 else n
+    for i, j, block in below:
+        cols = block.shape[1]
+        for r in range(0, len(block), step):
+            band = block[r:r + step]
+            Y[i + r:i + r + len(band)] += band @ Xp[j:j + cols]
+            Y[j:j + cols] += band.T @ Xp[i + r:i + r + len(band)]
+    return Y[:n]
 
 
 def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray | None:
@@ -267,10 +321,9 @@ def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray
     return rows.T if d.sum() <= _LOWRANK_TOL * n else None
 
 
-def _sinkhorn_scaling(matvec, n: int, tol: float = 1e-10, max_iter: int = 500):
-    """Diagonal s with s_i (K s)_i = 1, balancing a positive kernel."""
-    s = np.full(n, 1.0)
-    s = 1.0 / np.sqrt(np.maximum(matvec(s), 1e-300))
+def _sinkhorn_scaling(matvec, row_sums: np.ndarray, tol: float = 1e-10, max_iter: int = 500):
+    """Diagonal s with s_i (K s)_i = 1, balancing a positive kernel from its row sums K 1."""
+    s = 1.0 / np.sqrt(np.maximum(row_sums, 1e-300))
     for _ in range(max_iter):
         r = s * matvec(s)
         err = float(np.abs(r - 1.0).max())
@@ -335,16 +388,33 @@ def _krylov_eigenpairs(matmul, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
-    """(s, lam, vecs) of the balanced kernel, built in full."""
+    """(s, lam, vecs) of the balanced kernel, its lower triangle built in full.
+
+    Raises:
+        SizeError: the stored triangle is larger than physical memory.
+        ConfigError: M or more points are isolated (each one's kernel row
+            mass off the diagonal is below _KERNEL_FLOOR), so the eigenvalue
+            1 has multiplicity above M and the leading eigenfunctions are
+            not determined.
+    """
     n = pts.shape[0]
-    kernel_bytes, memory = n * n * 8, _physical_memory_bytes()
+    d, layout = _kernel_layout(n)
+    kernel_bytes = 8 * (-(-n // d) * d * d + sum(rows * cols for *_, rows, cols in layout))
+    memory = _physical_memory_bytes()
     if kernel_bytes > memory:
-        raise SizeError(f"the {n} x {n} kernel needs {kernel_bytes} bytes, more "
-                        f"than the {memory} bytes of physical memory")
+        raise SizeError(f"the lower triangle of the {n} x {n} kernel needs {kernel_bytes} "
+                        f"bytes, more than the {memory} bytes of physical memory")
     K = _kernel_matrix(pts, bandwidth)
-    s = _sinkhorn_scaling(lambda v: K @ v, n)
-    # (X^T S K)^T = S K X, as K is exactly symmetric; the row-major product is the faster
-    lam, vecs = _krylov_eigenpairs(lambda X: ((X.T * s) @ K).T * s[:, None], n, M)
+    row_sums = _kernel_product(K, np.ones(n))
+    self_weights = np.diagonal(K[0], axis1=1, axis2=2).ravel()[:n]
+    isolated = int(np.count_nonzero(row_sums - self_weights < _KERNEL_FLOOR))
+    if isolated >= M:
+        raise ConfigError(f"bandwidth {bandwidth:g} isolates {isolated} of {n} training points "
+                          f"(off-diagonal kernel row mass < {_KERNEL_FLOOR:g}), so the {M} "
+                          "leading eigenfunctions are not determined; use a larger bandwidth")
+    s = _sinkhorn_scaling(lambda v: _kernel_product(K, v), row_sums)
+    lam, vecs = _krylov_eigenpairs(lambda X: _kernel_product(K, X * s[:, None]) * s[:, None],
+                                   n, M)
     return s, lam, vecs
 
 
@@ -367,10 +437,11 @@ def diffusion_basis(
     trace bounds ||K - L L^T||_2.  When that bound is at most 1e-16 N (about
     the rounding error of a dense float64 kernel) and M <= r, balancing uses
     the products L (L^T v) and the eigenpairs come from one thin SVD of
-    diag(s) L.  Otherwise the kernel is built in full (one N x N array,
-    its lower triangle mirrored), balanced with K @ v, and a block Krylov
-    solver with Rayleigh-Ritz finds the leading eigenpairs, exactly once
-    its basis spans all N dimensions.
+    diag(s) L.  Otherwise the kernel's lower triangle is built in full
+    (about 4 N^2 bytes, see _kernel_layout), balanced with K @ v, and a
+    block Krylov solver with Rayleigh-Ritz finds the leading eigenpairs,
+    exactly once its basis spans all N dimensions.  The basis keeps a
+    read-only copy of the training points for extension.
 
     Args:
         points: (N, p) training data, or a DelayEmbedding.
@@ -384,16 +455,20 @@ def diffusion_basis(
     Raises:
         ShapeError: training points that are not 1-D or 2-D.
         DomainError: non-finite training points.
-        SizeError: M outside 1..N, or, on the dense path, an N x N kernel
-            larger than the machine's physical memory.
+        SizeError: M outside 1..N, or, on the dense path, a kernel
+            triangle larger than the machine's physical memory.
         NumericalError, ConditioningError: the dense path's eigensolver
             fails (see _krylov_eigenpairs).
         ConfigError: rng neither a Generator nor None, non-finite or
-            non-positive bandwidth, or degenerate data under auto bandwidth.
+            non-positive bandwidth, degenerate data under auto bandwidth,
+            or, on the dense path, a bandwidth that isolates M or more
+            points (see _dense_eigenpairs).
     """
     if rng is not None and not isinstance(rng, np.random.Generator):
         raise ConfigError(f"rng must be a numpy Generator or None, got {type(rng).__name__}")
-    pts = np.asarray(getattr(points, "points", points), dtype=float)
+    # a read-only copy: extension reads it later, and the caller may write to theirs
+    pts = np.array(getattr(points, "points", points), dtype=float)
+    pts.setflags(write=False)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
@@ -417,7 +492,7 @@ def diffusion_basis(
     cap = max(n // _LOWRANK_CAP_DIV, 1)
     L = _pivoted_cholesky(pts, bandwidth, cap) if M <= cap else None
     if L is not None and M <= L.shape[1]:
-        s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), n)
+        s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), L @ (L.T @ np.ones(n)))
         U, sigma, _ = np.linalg.svd(s[:, None] * L, full_matrices=False)
         # column-major like the dense route's vectors: forecasts read phi by columns
         lam, vecs = sigma[:M] ** 2, np.asfortranarray(U[:, :M])

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def _dense_basis(pts, M, bandwidth):
     """Reference basis: full kernel, K @ v Sinkhorn, dense eigh on s K s."""
     n = pts.shape[0]
     K = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / bandwidth**2)
-    s = _sinkhorn_scaling(lambda v: K @ v, n)
+    s = _sinkhorn_scaling(lambda v: K @ v, K @ np.ones(n))
     lam, vecs = scipy.linalg.eigh(s[:, None] * K * s[None, :],
                                   subset_by_index=[n - M, n - 1])
     phi = np.sqrt(n) * vecs[:, ::-1]
@@ -198,11 +199,70 @@ class TestAutoBandwidth:
             _auto_bandwidth(np.full(shape, 0.7), 0)
 
 
+def _mirrored(K, n):
+    """The n x n kernel from its stored lower triangle, each stored entry
+    placed once on or below the diagonal and mirrored above it."""
+    diagonal, below = K
+    d = diagonal.shape[1]
+    full, count = np.zeros((n, n)), np.zeros((n, n), dtype=int)
+    for t, i in enumerate(range(0, n, d)):
+        m = min(d, n - i)
+        full[i:i + m, i:i + m] = np.tril(diagonal[t, :m, :m])
+        count[i:i + m, i:i + m] += np.tri(m, dtype=int)
+    for i, j, block in below:
+        rows, cols = block.shape
+        assert i >= j + cols  # strictly below the diagonal
+        full[i:i + rows, j:j + cols] = block
+        count[i:i + rows, j:j + cols] += 1
+    np.testing.assert_array_equal(count, np.tri(n, dtype=int))
+    return full + np.tril(full, -1).T
+
+
+def _stored_bytes(K):
+    return K[0].nbytes + sum(block.nbytes for _, _, block in K[1])
+
+
 class TestKernelLower:
+    @pytest.mark.parametrize("n, h", [(65, 1.0), (700, 0.5), (2000, 1.0)])
+    def test_entries_match_reference(self, n, h):
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        K = forecast_module._kernel_matrix(pts, h)
+        reference = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / h**2)
+        lower = np.tril_indices(n)
+        np.testing.assert_allclose(_mirrored(K, n)[lower], reference[lower], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 65, 128, 129, 700])
+    def test_diagonal_blocks_exactly_symmetric(self, n):
+        diagonal, _ = forecast_module._kernel_matrix(
+            np.random.default_rng(n).standard_normal((n, 2)), 1.0)
+        np.testing.assert_array_equal(diagonal, diagonal.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("n", [1, 65, 700, 2000])
+    def test_product_matches_mirrored_matrix(self, n):
+        gen = np.random.default_rng(n)
+        K = forecast_module._kernel_matrix(gen.standard_normal((n, 3)), 1.0)
+        full = _mirrored(K, n)
+        for X in (gen.standard_normal(n), gen.standard_normal((n, 8)),
+                  np.asfortranarray(gen.standard_normal((n, 8)))):
+            got, want = forecast_module._kernel_product(K, X), full @ X
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_layout_bytes(self):
+        # with d = min(n, 128) and n = d (q - 1) + r, 0 < r <= d, the kernel
+        # stores (n^2 - d^2 (q - 1) - r^2) / 2 + d^2 q entries
+        for n, q, r in ((1, 1, 1), (127, 1, 127), (128, 1, 128), (129, 2, 1),
+                        (1000, 8, 104), (2000, 16, 80)):
+            K = forecast_module._kernel_matrix(np.zeros((n, 1)), 1.0)
+            d = min(n, 128)
+            entries = (n * n - d * d * (q - 1) - r * r) // 2 + d * d * q
+            assert _stored_bytes(K) == 8 * entries
+
     def test_bands_are_filled_in_place(self):
-        # n = 2000, p = 3: one 64-row band's temporaries are 1 MB each; 1.16 MB
-        # above the n^2 * 8 kernel measured (numpy 2.4) against a bound of
-        # 2 MB, which a band-sized copy or a second live band would exceed
+        # n = 2000, p = 3: the triangle stores 17.1 MB, and one 64-row band's
+        # temporaries are at most 0.5 MB; 0.33 MB above the stored bytes
+        # measured (numpy 2.4) against a bound of 2 MB, which a band-sized
+        # copy per block or a second full-size block would exceed
         n = 2000
         pts = np.random.default_rng(3).standard_normal((n, 3))
         tracemalloc.start()
@@ -211,11 +271,7 @@ class TestKernelLower:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - n * n * 8 < 2e6
-        full = np.exp(-_pairwise_sq_dists_chunk(pts, pts))
-        np.testing.assert_allclose(K, full, rtol=1e-13)
-        # the upper triangle is the lower one mirrored, bit for bit
-        np.testing.assert_array_equal(K, K.T)
+        assert peak - _stored_bytes(K) < 2e6
 
 
 class TestKrylovEigenpairs:
@@ -345,13 +401,81 @@ class TestDiffusionBasis:
             diffusion_basis(pts, M=2, rng=rng)
 
     def test_kernel_larger_than_memory_refused(self, monkeypatch, no_dense_kernel):
+        """The dense path stores the kernel's lower triangle: n = 1000 =
+        128 * 7 + 104 stores (1000^2 - 7 * 128^2 - 104^2) / 2 + 8 * 128^2 =
+        568320 entries, 4546560 bytes, and one byte less memory is refused."""
         # 3-dimensional data: no certified low-rank factor within the cap,
         # so the dense path and its memory check run
-        limit = 1000 * 1000 * 8 - 1
+        limit = 4546560 - 1
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: limit)
         pts = np.random.default_rng(0).standard_normal((1000, 3))
-        with pytest.raises(SizeError, match=f"8000000 bytes.*{limit} bytes"):
+        with pytest.raises(SizeError, match=f"4546560 bytes.*{limit} bytes"):
             diffusion_basis(pts, M=2, bandwidth=1.0)
+
+    def test_kernel_that_fits_memory_is_built(self, monkeypatch):
+        # one byte more memory than the 4546560 bytes above passes the check
+        monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: 4546560 + 1)
+        kernel_matrix, stored = forecast_module._kernel_matrix, []
+
+        def counted(*args):
+            K = kernel_matrix(*args)
+            stored.append(_stored_bytes(K))
+            return K
+
+        monkeypatch.setattr(forecast_module, "_kernel_matrix", counted)
+        basis = diffusion_basis(np.random.default_rng(0).standard_normal((1000, 3)), M=2,
+                                bandwidth=1.0)
+        assert stored == [4546560] and basis.M == 2
+
+    @pytest.mark.parametrize("bandwidth, isolated", [(0.05, 30), (0.1, 5)])
+    def test_isolating_bandwidth_rejected(self, monkeypatch, bandwidth, isolated):
+        # with k isolated points the eigenvalue 1 has multiplicity k + 1, so
+        # k >= M leaves the M leading eigenfunctions undetermined; the check
+        # comes before the Krylov solver, which this test refuses
+        monkeypatch.setattr(forecast_module, "_pivoted_cholesky", lambda *a: None)
+        monkeypatch.setattr(forecast_module, "_krylov_eigenpairs", _refuse)
+        pts = np.random.default_rng(0).standard_normal((700, 2))
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"bandwidth {bandwidth} isolates {isolated} of 700"):
+            diffusion_basis(pts, M=5, bandwidth=bandwidth)
+        assert time.perf_counter() - start < 0.5
+
+    def test_bandwidth_without_isolated_points_converges(self, monkeypatch):
+        # smallest off-diagonal row mass 4.1e-12, above the 1e-14 floor
+        monkeypatch.setattr(forecast_module, "_pivoted_cholesky", lambda *a: None)
+        basis = diffusion_basis(np.random.default_rng(0).standard_normal((700, 2)), M=5,
+                                bandwidth=0.2)
+        gram = basis.phi.T @ basis.phi / basis.n_train
+        assert np.max(np.abs(gram - np.eye(5))) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues[:3], 1.0, atol=1e-12)
+
+    def test_basis_keeps_its_own_points(self):
+        pts = np.random.default_rng(2).standard_normal((100, 1))
+        basis = diffusion_basis(pts, M=4, bandwidth=1.0)
+        before = basis.extend([0.3])[0]
+        assert basis.points is not pts and not basis.points.flags.writeable
+        pts += 5.0
+        assert pts.flags.writeable
+        np.testing.assert_array_equal(basis.extend([0.3])[0], before)
+
+    def test_dense_call_peak_allocation(self, monkeypatch):
+        # p = 3, n = 2000, M = 6: bandwidth pair buffer 16 MB, then the 17.1 MB
+        # triangle and the Krylov basis; 0.618-0.627 x n^2 * 8 measured (numpy
+        # 2.4) against a bound of 0.66 x, which a second 2 MB temporary beside
+        # the triangle, or a full n x n kernel, would exceed
+        n, builds = 2000, []
+        kernel_matrix = forecast_module._kernel_matrix
+        monkeypatch.setattr(forecast_module, "_kernel_matrix",
+                            lambda *a: builds.append(1) or kernel_matrix(*a))
+        pts = delay_embed(_ou_training(n + 2)[:, 0], 3)
+        tracemalloc.start()
+        try:
+            diffusion_basis(pts, M=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert builds == [1]
+        assert peak < 0.66 * n * n * 8
 
     def test_low_rank_route_needs_no_kernel_memory(self, monkeypatch, no_dense_kernel):
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes",
