@@ -51,8 +51,14 @@ LARGE_BASIS_WARN = 30
 
 _KERNEL_FLOOR = 1e-14
 _BANDWIDTH_SUBSAMPLE = 2048
-# rows per distance band: 32 to 256 rows time the same (_auto_bandwidth 19-35 ms
-# at n = 2000 to 8000); 64 keeps each band temporary at 1 MB or less
+# the bandwidth's median is bracketed from 65,536 random pairs, 8 standard
+# deviations of the sample median's rank to either side of it
+_BRACKET_PAIRS = 65536
+_BRACKET_SIGMAS = 8.0
+_SMALLEST_POSITIVE = math.ulp(0.0)
+# rows per distance band: 32 and 64 rows time the same (_auto_bandwidth 21-25 ms
+# at n = 2000 to 8000 on 2 CPUs), 128 and 256 rows 10-30% slower; 64 keeps each
+# band temporary at 1 MB or less
 _KERNEL_BAND = 64
 # rows per diagonal block of the dense kernel's stored lower triangle: at
 # p = 3, n = 2000, M = 6 on 2 CPUs, build, Sinkhorn and Krylov take 95 ms with
@@ -60,6 +66,7 @@ _KERNEL_BAND = 64
 _KERNEL_DIAGONAL = 128
 _LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
 _LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
+_GRAM_BLOCK = 1024     # rows per block of the low-rank route's n x r products
 # The dense path's block Krylov solver stops once every wanted Ritz residual
 # is at most _KRYLOV_TOL times the top Ritz value (1 for the balanced kernel),
 # or once its basis spans R^n.  A basis past _KRYLOV_RESTART blocks restarts
@@ -165,16 +172,81 @@ class DiffusionBasis:
         return (v @ self.phi) / self.kernel_eigenvalues, True
 
 
-def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    # (aa + bb) - 2 A B^T rounded as written, with A B^T formed in out
+def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
+                             sq_a: np.ndarray | None = None,
+                             sq_b: np.ndarray | None = None) -> np.ndarray:
+    """(|a|^2 + |b|^2) - 2 a.b for every row a of A and b of B, clipped at 0.
+
+    sq_a and sq_b are the rows' squared norms, computed here when not given;
+    the product A B^T is formed in out, and the norms' sum in one array
+    filled with the column and added to in place.
+    """
+    sq_a = (A * A).sum(axis=1) if sq_a is None else sq_a
+    sq_b = (B * B).sum(axis=1) if sq_b is None else sq_b
     d2 = np.matmul(A, B.T, out=out)
     d2 *= 2.0
-    np.subtract(aa + bb, d2, out=d2)
+    norms = np.empty_like(d2)
+    norms[...] = sq_a[:, None]
+    norms += sq_b
+    np.subtract(norms, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _median_bracket(sub: np.ndarray, sq: np.ndarray, pairs: int):
+    """(lo, hi, capacity): squared distances that bracket the median over
+    the pairs i < j of sub, and room for about twice the pairs between them.
+
+    _BRACKET_PAIRS pairs i != j drawn from a private default_rng(0) set the
+    bracket _BRACKET_SIGMAS standard deviations of the sample median's rank
+    to either side of it; an edge past the sample is 5e-324 or inf.  The
+    bracket is a guess: the caller counts the exact ranks.
+    """
+    gen = np.random.default_rng(0)
+    m, k, chunk = sub.shape[0], _BRACKET_PAIRS, 4096  # no temporary outgrows 32 KB
+    d2 = np.empty(k)
+    for c in range(0, k, chunk):
+        i = gen.integers(0, m, chunk)
+        j = gen.integers(0, m - 1, chunk)
+        j += j >= i
+        d2[c:c + chunk] = sq[i] + sq[j]
+        d2[c:c + chunk] -= 2.0 * sum(x[i] * x[j] for x in sub.T)
+    # the positive sample between two edge values: rank t sits at index t + 1
+    sample = np.sort(np.concatenate(([_SMALLEST_POSITIVE], d2[d2 > 0.0], [math.inf])))
+    middle, spread = (sample.size - 3) / 2.0, _BRACKET_SIGMAS * math.sqrt(sample.size - 2) / 2.0
+    lo = float(sample[max(math.floor(middle - spread) + 1, 0)])
+    hi = float(sample[min(math.ceil(middle + spread) + 1, sample.size - 1)])
+    inside = int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+    return lo, hi, 2 * inside * pairs // k + _BRACKET_PAIRS
+
+
+def _bracket_pass(sub: np.ndarray, sq: np.ndarray, lo: float, hi: float, capacity: int):
+    """(kept, positive, below) over the pairs i < j of sub, one band of rows at a time.
+
+    positive counts the positive squared distances and below those under
+    lo; kept holds the ones in [lo, hi], or is None when more than capacity
+    of them fall there.
+    """
+    m = sub.shape[0]
+    kept, stored, positive, below = np.empty(capacity), 0, 0, 0
+    buf = np.empty((min(_KERNEL_BAND, m), m))
+    under, upto = np.empty(buf.shape, dtype=bool), np.empty(buf.shape, dtype=bool)
+    on_or_above = ~np.tri(len(buf), k=-1, dtype=bool)
+    for i in range(0, m, _KERNEL_BAND):
+        j = min(i + _KERNEL_BAND, m)
+        d2 = _pairwise_sq_dists_chunk(sub[i:j], sub[:j], buf[:j - i, :j], sq[i:j], sq[:j])
+        # band row r holds the pairs (i + r, c) with c < i + r; zeros mask the rest
+        np.copyto(d2[:, i:], 0.0, where=on_or_above[:j - i, :j - i])
+        nonzero = np.count_nonzero(np.greater(d2, 0.0, out=under[:j - i, :j]))
+        lt, le = np.less(d2, lo, out=under[:j - i, :j]), np.less_equal(d2, hi, out=upto[:j - i, :j])
+        n_lt = np.count_nonzero(lt)  # the zeros too, since lo > 0
+        count = np.count_nonzero(le) - n_lt
+        positive += nonzero
+        below += n_lt - (d2.size - nonzero)
+        if stored + count <= capacity:
+            kept[stored:stored + count] = d2[np.greater(le, lt, out=le)]  # lo <= d2 <= hi
+        stored += count
+    return (kept[:stored] if stored <= capacity else None), positive, below
 
 
 def _auto_bandwidth(points: np.ndarray, rng) -> float:
@@ -182,8 +254,14 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
 
     Each pair is visited once and self-pairs never enter: for p > 1 the
     diagonal of the distance formula holds rounding residues, not zeros.
-    The bands fill one pair buffer, and one in-place selection finds np.median's
-    value bit for bit (for an even count, the mean of the two middle values).
+    With more than 4 _BRACKET_PAIRS pairs, a random sample brackets the
+    median (_median_bracket) and one banded pass counts the pairs below the
+    bracket and keeps those inside it; when the counts put a middle rank
+    outside, or the bracket holds more pairs than it has room for, a second
+    pass keeps every positive pair, in one buffer sized from their count.
+    One in-place selection of the kept pairs finds np.median's value bit
+    for bit (for an even count, the mean of the two middle values).  rng
+    draws the subsample of larger data only.
     """
     n = points.shape[0]
     if n > _BANDWIDTH_SUBSAMPLE:
@@ -192,24 +270,22 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
     else:
         sub = points
     m = sub.shape[0]
-    positive, size = np.empty(m * (m - 1) // 2), 0
-    buf = np.empty((min(_KERNEL_BAND, m), m))
-    mask = np.empty(buf.shape, dtype=bool)
-    for i in range(0, m, _KERNEL_BAND):
-        j = min(i + _KERNEL_BAND, m)
-        # the band's squared distances on and below the diagonal, in one reused buffer
-        d2 = _pairwise_sq_dists_chunk(sub[i:j], sub[:j], buf[:j - i, :j])
-        keep = np.greater(d2, 0.0, out=mask[:j - i, :j])
-        # band row r keeps columns c < i + r: pairs i < j once
-        keep[:, i:] &= np.tri(j - i, k=-1, dtype=bool)
-        count = np.count_nonzero(keep)
-        positive[size:size + count] = d2[keep]
-        size += count
+    sq = (sub * sub).sum(axis=1)
+    pairs = m * (m - 1) // 2
+    everything = (_SMALLEST_POSITIVE, math.inf)
+    bracket = (_median_bracket(sub, sq, pairs) if pairs > 4 * _BRACKET_PAIRS
+               else (*everything, pairs))
+    kept, size, below = _bracket_pass(sub, sq, *bracket)
     if size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
-    positive, h = positive[:size], size // 2
-    positive.partition(h)
-    median = positive[h] if size % 2 else (positive[:h].max() + positive[h]) / 2.0
+    # the middle ranks are h - 1 and h for an even count, h for an odd one
+    h = size // 2
+    if kept is None or below > h - 1 + size % 2 or h >= below + kept.size:
+        del kept  # freed before the second buffer is made
+        kept, size, below = _bracket_pass(sub, sq, *everything, size)
+    h -= below
+    kept.partition(h)
+    median = kept[h] if size % 2 else (kept[:h].max() + kept[h]) / 2.0
     return float(np.sqrt(median))
 
 
@@ -387,6 +463,44 @@ def _krylov_eigenpairs(matmul, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
                          f"{_KRYLOV_TOL:.0e} x {theta[0]:.3e} after {step} blocks")
 
 
+def _gram_eigenpairs(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The M leading eigenpairs of A A^T for a tall n x r A, from r x r matrices.
+
+    eigh(A^T A) = V diag(lam) V^T gives U0 = A V lam^(-1/2), with lam kept
+    at least eps times its largest value, so that rounding residues at or
+    below zero stay finite.  U0's small columns lose their orthogonality to
+    rounding, so one CholeskyQR pass U0^T U0 = R R^T makes Q = U0 R^-T
+    orthonormal, and Rayleigh-Ritz on B = A^T Q, eigh(B^T B) = Y diag(theta)
+    Y^T, gives the eigenpairs (theta, Q Y).  U0 overwrites A in blocks of
+    _GRAM_BLOCK rows once each block's share of U0^T U0 and A^T U0 is
+    summed, and Q enters only through r x r products, so no second n x r
+    array is made.  The vectors are column-major like the dense route's,
+    since forecasts read phi by columns.
+
+    Raises:
+        ConditioningError: an r x r eigensolve or the Cholesky factorization
+            fails (numpy LinAlgError).
+    """
+    r = A.shape[1]
+    try:
+        lam, V = np.linalg.eigh(A.T @ A)
+        X = V / np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1]))
+        W, AtU0 = np.zeros((r, r)), np.zeros((r, r))
+        for k in range(0, A.shape[0], _GRAM_BLOCK):
+            block = A[k:k + _GRAM_BLOCK]
+            U0 = block @ X
+            W += U0.T @ U0
+            AtU0 += block.T @ U0
+            block[...] = U0
+        R_inv_T = np.linalg.inv(np.linalg.cholesky(W)).T
+        B = AtU0 @ R_inv_T
+        theta, Y = np.linalg.eigh(B.T @ B)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"the {r} x {r} Gram eigenproblem of the low-rank kernel "
+                                "factor failed") from exc
+    return theta[:-M - 1:-1], ((R_inv_T @ Y[:, :-M - 1:-1]).T @ A.T).T
+
+
 def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
     """(s, lam, vecs) of the balanced kernel, its lower triangle built in full.
 
@@ -436,11 +550,11 @@ def diffusion_basis(
     tried first.  Its residual is positive semidefinite, so the residual
     trace bounds ||K - L L^T||_2.  When that bound is at most 1e-16 N (about
     the rounding error of a dense float64 kernel) and M <= r, balancing uses
-    the products L (L^T v) and the eigenpairs come from one thin SVD of
-    diag(s) L.  Otherwise the kernel's lower triangle is built in full
-    (about 4 N^2 bytes, see _kernel_layout), balanced with K @ v, and a
-    block Krylov solver with Rayleigh-Ritz finds the leading eigenpairs,
-    exactly once its basis spans all N dimensions.  The basis keeps a
+    the products L (L^T v) and the eigenpairs come from r x r eigenproblems
+    of A = diag(s) L (see _gram_eigenpairs).  Otherwise the kernel's lower
+    triangle is built in full (about 4 N^2 bytes, see _kernel_layout),
+    balanced with K @ v, and a block Krylov solver with Rayleigh-Ritz finds
+    the leading eigenpairs, exactly once its basis spans all N dimensions.  The basis keeps a
     read-only copy of the training points for extension.
 
     Args:
@@ -448,7 +562,7 @@ def diffusion_basis(
         M: number of eigenfunctions to keep (M <= N).
         bandwidth: kernel width eps; None selects the median positive
             distance over the distinct pairs i < j of (a subsample of) the
-            data.
+            data (see _auto_bandwidth).
         rng: generator used only for the bandwidth subsample on large data;
             None draws it from default_rng(0).
 
@@ -457,8 +571,10 @@ def diffusion_basis(
         DomainError: non-finite training points.
         SizeError: M outside 1..N, or, on the dense path, a kernel
             triangle larger than the machine's physical memory.
-        NumericalError, ConditioningError: the dense path's eigensolver
-            fails (see _krylov_eigenpairs).
+        NumericalError: the dense path's eigensolver does not converge
+            (see _krylov_eigenpairs).
+        ConditioningError: an eigensolve or factorization fails on either
+            route (see _krylov_eigenpairs and _gram_eigenpairs).
         ConfigError: rng neither a Generator nor None, non-finite or
             non-positive bandwidth, degenerate data under auto bandwidth,
             or, on the dense path, a bandwidth that isolates M or more
@@ -493,9 +609,8 @@ def diffusion_basis(
     L = _pivoted_cholesky(pts, bandwidth, cap) if M <= cap else None
     if L is not None and M <= L.shape[1]:
         s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), L @ (L.T @ np.ones(n)))
-        U, sigma, _ = np.linalg.svd(s[:, None] * L, full_matrices=False)
-        # column-major like the dense route's vectors: forecasts read phi by columns
-        lam, vecs = sigma[:M] ** 2, np.asfortranarray(U[:, :M])
+        L *= s[:, None]  # diag(s) L in place, which _gram_eigenpairs then overwrites
+        lam, vecs = _gram_eigenpairs(L, M)
     else:
         s, lam, vecs = _dense_eigenpairs(pts, M, bandwidth)
 

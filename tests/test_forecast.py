@@ -130,6 +130,14 @@ def _auto_bandwidth(points, seed):
     return forecast_module._auto_bandwidth(points, np.random.default_rng(seed))
 
 
+def _count_passes(monkeypatch):
+    """The calls of _auto_bandwidth's banded pass over the pairs, as a list."""
+    calls, bracket_pass = [], forecast_module._bracket_pass
+    monkeypatch.setattr(forecast_module, "_bracket_pass",
+                        lambda *a: calls.append(a) or bracket_pass(*a))
+    return calls
+
+
 class TestAutoBandwidth:
     @pytest.mark.parametrize("n", [8000, 1500])
     def test_one_dimensional_matches_full_matrix_median(self, n):
@@ -177,21 +185,107 @@ class TestAutoBandwidth:
         mostly_one[:10] = np.random.default_rng(m).standard_normal((10, 2))
         assert _auto_bandwidth(mostly_one, 0) == _distinct_pairs_bandwidth(mostly_one, 0)
 
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_peak_allocation_is_about_one_pair_buffer(self, p):
-        # one float64 per distinct pair of the subsample, plus one 64-row band's
-        # temporaries: 1.143-1.145 x the buffer measured (numpy 2.4) against a
-        # bound of 1.19 x (4% margin); one more band-sized (1 MB) temporary
-        # would read 1.205 x, and a second buffer-sized array 2 x
-        m = forecast_module._BANDWIDTH_SUBSAMPLE
-        pts = np.random.default_rng(p).standard_normal((8000, p))
+    @pytest.mark.parametrize("n, p", [(8000, 1), (2000, 3)])
+    def test_peak_allocation_is_a_quarter_of_the_pair_buffer(self, n, p):
+        # the pass keeps only the pairs inside the bracket: one 64-row band
+        # with its norms and two masks (2.4 MB) and room for twice the
+        # bracket's expected pairs (1.6 MB); 0.243 and 0.248 x the m(m-1)/2
+        # float64 pair buffer measured (numpy 2.4) against a bound of 0.27 x
+        # (9% margin), which one more band-sized temporary (0.0625 x) or the
+        # former pair buffer (1.14 x) would exceed
+        m = min(n, forecast_module._BANDWIDTH_SUBSAMPLE)
+        pts = np.random.default_rng(p).standard_normal((n, p))
         tracemalloc.start()
         try:
             _auto_bandwidth(pts, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.19 * (m * (m - 1) // 2 * 8)
+        assert peak < 0.27 * (m * (m - 1) // 2 * 8)
+
+    @pytest.mark.parametrize("n", [8000, 2048])
+    def test_caller_rng_draws_the_subsample_only(self, n):
+        # the bracket draws its pairs from a private generator
+        pts = np.random.default_rng(1).standard_normal((n, 1))
+        rng, expected = np.random.default_rng(3), np.random.default_rng(3)
+        if n > forecast_module._BANDWIDTH_SUBSAMPLE:
+            expected.choice(n, size=forecast_module._BANDWIDTH_SUBSAMPLE, replace=False)
+        forecast_module._auto_bandwidth(pts, rng)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    # more than 4 x 65,536 pairs from m = 725: each case takes the bracket
+    @pytest.mark.parametrize("case", ["random walk", "half duplicates", "even pair count",
+                                      "odd pair count"])
+    def test_bracket_holds_the_middle_ranks(self, monkeypatch, case):
+        gen = np.random.default_rng(11)
+        pts = {
+            # time-ordered and at most 2048 points, so no subsample shuffles it
+            "random walk": np.cumsum(gen.standard_normal((2000, 1)), axis=0),
+            # every point twice: 750 of the 1,124,250 pairs are zero
+            "half duplicates": np.repeat(gen.standard_normal((750, 2)), 2, axis=0),
+            "even pair count": gen.standard_normal((1000, 2)),  # 499,500 pairs
+            "odd pair count": gen.standard_normal((1002, 2)),   # 501,501 pairs
+        }[case]
+        passes = _count_passes(monkeypatch)
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+        assert len(passes) == 1
+
+    def test_lattice_with_ties_at_the_median(self, monkeypatch):
+        # integer squared distances: the median, 421 = 14^2 + 15^2, is shared by many pairs
+        pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0)), axis=-1).reshape(-1, 2)
+        d2 = _pairwise_sq_dists_chunk(pts, pts)[np.tril_indices(len(pts), -1)]
+        assert np.median(d2) == 421.0 and np.count_nonzero(d2 == 421.0) > 1000
+        passes = _count_passes(monkeypatch)
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0) == math.sqrt(421.0)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("miss", ["below the median", "above the median", "too many pairs"])
+    def test_missed_bracket_keeps_every_pair(self, monkeypatch, miss):
+        median_bracket = forecast_module._median_bracket
+
+        def missing(sub, sq, pairs):
+            lo, hi, capacity = median_bracket(sub, sq, pairs)
+            return {"below the median": (lo / 4, lo / 2, capacity),
+                    "above the median": (hi * 2, hi * 4, capacity),
+                    "too many pairs": (lo, hi, 10)}[miss]
+
+        monkeypatch.setattr(forecast_module, "_median_bracket", missing)
+        passes = _count_passes(monkeypatch)
+        pts = np.random.default_rng(8).standard_normal((1200, 2))
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+        assert len(passes) == 2
+
+    # the bracket's edges on the middle ranks, and one step past them
+    @pytest.mark.parametrize("m, edges, passes", [
+        (1002, "on", 1), (1002, "past", 2),             # odd count: rank h
+        (1000, "on", 1), (1000, "past low", 2), (1000, "past high", 2),  # h - 1 and h
+    ])
+    def test_bracket_edges_at_the_middle_ranks(self, monkeypatch, m, edges, passes):
+        pts = np.random.default_rng(m).standard_normal((m, 2))
+        ranked = np.sort(_pairwise_sq_dists_chunk(pts, pts)[np.tril_indices(m, -1)])
+        h = ranked.size // 2
+        low, high = ranked[h - 1 + ranked.size % 2], ranked[h]
+        lo, hi = {"on": (low, high), "past": (np.nextafter(low, np.inf), np.inf),
+                  "past low": (np.nextafter(low, np.inf), high),
+                  "past high": (low, np.nextafter(high, 0.0))}[edges]
+        monkeypatch.setattr(forecast_module, "_median_bracket",
+                            lambda sub, sq, pairs: (float(lo), float(hi), pairs))
+        counted = _count_passes(monkeypatch)
+        assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
+        assert len(counted) == passes
+
+    def test_distance_chunk_keeps_the_broadcast_rounding(self):
+        # the former formula, (|a|^2 + |b|^2) - 2 a.b with the norms' sum broadcast
+        gen = np.random.default_rng(2)
+        for rows, cols, p in ((64, 1000, 1), (7, 300, 3), (64, 2048, 8)):
+            A, B = gen.standard_normal((rows, p)), gen.standard_normal((cols, p))
+            aa, bb = (A * A).sum(axis=1)[:, None], (B * B).sum(axis=1)[None, :]
+            want = np.maximum((aa + bb) - 2.0 * (A @ B.T), 0.0)
+            out = np.empty((rows, cols))
+            got = _pairwise_sq_dists_chunk(A, B, out, (A * A).sum(axis=1), (B * B).sum(axis=1))
+            assert got is out
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(_pairwise_sq_dists_chunk(A, B), want)
 
     @pytest.mark.parametrize("shape", [(2, 1), (300, 2), (3000, 1)])
     def test_identical_points_rejected(self, shape):
@@ -318,6 +412,57 @@ class TestKrylovEigenpairs:
         # numpy's eigh returns NaN here or raises LinAlgError, by the NaNs' places
         with pytest.raises((NumericalError, ConditioningError), match="residual"):
             forecast_module._krylov_eigenpairs(lambda X: np.full(X.shape, np.nan), 50, 3)
+
+
+def _low_rank_factor(n):
+    """The low-rank route's A = diag(s) L on n OU training points."""
+    pts = _ou_training(n)
+    L = forecast_module._pivoted_cholesky(pts, forecast_module._auto_bandwidth(pts, None), n // 32)
+    s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), L @ (L.T @ np.ones(n)))
+    return s[:, None] * L
+
+
+class TestGramEigenpairs:
+    def test_low_rank_route_runs_no_svd(self, monkeypatch, no_dense_kernel):
+        monkeypatch.setattr(np.linalg, "svd", _refuse)
+        basis = diffusion_basis(_ou_training(1500), M=6)
+        gram = basis.phi.T @ basis.phi / basis.n_train
+        assert np.max(np.abs(gram - np.eye(6))) < 1e-12
+
+    def test_every_eigenpair_of_the_factor(self):
+        # M = r = 34: the smallest eigenvalue (about 5e-17) is below the
+        # rounding of A^T A, and U0 = A V lam^(-1/2) alone is far from
+        # orthonormal there (0.56 measured); Q Y reads 2e-15
+        A = _low_rank_factor(1500)
+        r = A.shape[1]
+        lam, V = np.linalg.eigh(A.T @ A)
+        U0 = A @ (V / np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1])))
+        assert np.abs(U0.T @ U0 - np.eye(r)).max() > 0.1
+        sigma = np.linalg.svd(A, compute_uv=False)
+        theta, vecs = forecast_module._gram_eigenpairs(A, r)  # overwrites A
+        assert np.abs(vecs.T @ vecs - np.eye(r)).max() < 1e-13
+        assert np.abs(theta - sigma**2).max() < 1e-14
+        assert vecs.flags.f_contiguous
+
+    def test_negative_rounding_residue_stays_finite(self):
+        # a repeated column makes A^T A singular, and its smallest computed
+        # eigenvalue is a negative rounding residue (-4.8e-16); RuntimeWarning
+        # is an error in this suite, so no square root of it may be taken
+        A = _low_rank_factor(1500)
+        A = np.hstack([A, A[:, :1]])
+        assert np.linalg.eigh(A.T @ A)[0][0] < 0
+        sigma = np.linalg.svd(A, compute_uv=False)
+        theta, vecs = forecast_module._gram_eigenpairs(A, 6)
+        np.testing.assert_allclose(theta, sigma[:6] ** 2, rtol=1e-13)
+        assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-13
+
+    def test_failed_cholesky_raises(self, monkeypatch):
+        def cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(ConditioningError, match="34 x 34 Gram eigenproblem"):
+            diffusion_basis(_ou_training(1500), M=6)
 
 
 class TestDiffusionBasis:
@@ -459,10 +604,10 @@ class TestDiffusionBasis:
         np.testing.assert_array_equal(basis.extend([0.3])[0], before)
 
     def test_dense_call_peak_allocation(self, monkeypatch):
-        # p = 3, n = 2000, M = 6: bandwidth pair buffer 16 MB, then the 17.1 MB
-        # triangle and the Krylov basis; 0.618-0.627 x n^2 * 8 measured (numpy
-        # 2.4) against a bound of 0.66 x, which a second 2 MB temporary beside
-        # the triangle, or a full n x n kernel, would exceed
+        # p = 3, n = 2000, M = 6: the bandwidth selection's 4 MB, then the
+        # 17.1 MB triangle and the Krylov basis; 0.628 x n^2 * 8 measured
+        # (numpy 2.4) against a bound of 0.65 x, which a second 2 MB temporary
+        # beside the triangle, or a full n x n kernel, would exceed
         n, builds = 2000, []
         kernel_matrix = forecast_module._kernel_matrix
         monkeypatch.setattr(forecast_module, "_kernel_matrix",
@@ -475,7 +620,7 @@ class TestDiffusionBasis:
         finally:
             tracemalloc.stop()
         assert builds == [1]
-        assert peak < 0.66 * n * n * 8
+        assert peak < 0.65 * n * n * 8
 
     def test_low_rank_route_needs_no_kernel_memory(self, monkeypatch, no_dense_kernel):
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes",
@@ -580,7 +725,10 @@ class TestDiffusionBasis:
 
 # fits and forecasts on an n = 8000 OU path (the low-rank route) and builds a
 # p = 3, n = 2000 delay-embedded basis (the dense route) in one fresh
-# process, then prints the scipy modules loaded
+# process, then prints the growth of the peak RSS across the low-rank basis,
+# in MB, and the scipy modules loaded.  The peak is the kernel's VmHWM, which
+# starts afresh in the new process: ru_maxrss would carry over the peak of
+# the process that started it, and read no growth under a large test run.
 _SCIPY_PROBE = """
 import json, math, sys
 sys.path.insert(0, sys.argv[1])
@@ -588,9 +736,17 @@ import numpy as np
 from taperdyn import (RngStream, delay_embed, diffusion_basis, eval_bump, forecast,
                       ou_sample, shift_matrix)
 
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+
 train = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
                   rng=RngStream(1, "probe")).states[:, 0]
+before = peak_mb()
 basis = diffusion_basis(train[:, None], M=10)
+print(peak_mb() - before)
 for w in (None, eval_bump):
     forecast(basis, shift_matrix(basis, w), np.array([0.5]), 20, train)
 dense_builds, module = [], sys.modules["taperdyn.forecast"]
@@ -607,7 +763,14 @@ def test_low_rank_forecast_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(src)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    *_, growth, modules = proc.stdout.splitlines()
+    assert json.loads(modules) == []
+    # tracemalloc misses what LAPACK and the allocator keep: the low-rank
+    # basis grew the peak RSS by 5.0-6.2 MB (numpy 2.4, OpenBLAS with 2
+    # threads; with and without bytecode caches) against a bound of 8 MB; a
+    # thin SVD of the factor in place of the Gram route read 9.8-10.4 MB,
+    # and the former pair buffer with the SVD 17.1-17.7 MB
+    assert float(growth) < 8.0
 
 
 @pytest.fixture(scope="module")
