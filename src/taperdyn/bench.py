@@ -459,11 +459,12 @@ def run_criterion(key: str) -> BenchResult:
     return CRITERIA[key]()
 
 
-def run_suite(keys=None, echo=print) -> list[BenchResult]:
-    """Run the selected (default: all) criteria, printing one line each."""
+def run_suite(keys=None, echo=print, nino34_csv=None) -> list[BenchResult]:
+    """Run the selected (default: all) criteria, printing one line each;
+    nino34_csv is criterion 12's index CSV (None: nino34_data_path())."""
     results = []
     for key in keys or sorted(CRITERIA, key=int):
-        res = run_criterion(key)
+        res = criterion_12(nino34_csv) if key == "12" else run_criterion(key)
         results.append(res)
         if echo:
             echo(res.line())

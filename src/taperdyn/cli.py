@@ -388,6 +388,8 @@ def _run_sindy(cfg) -> dict:
 def _run_specmeas(cfg) -> dict:
     if not cfg["input"]:
         raise ConfigError("specmeas requires --input (scalar or complex series CSV)")
+    if cfg["format"] not in ("scalar_csv", "complex_csv"):
+        raise ConfigError(f"specmeas reads scalar_csv or complex_csv, not {cfg['format']!r}")
     series = ingest_series(cfg["input"], cfg["format"])
     acs = specmeas_mod.autocorrelations(series, cfg["M"], _weight_fn(cfg))
     if cfg["filter"] not in _FILTERS:
@@ -438,9 +440,7 @@ def _run_forecast(cfg) -> dict:
 
 def _run_bench(cfg) -> dict:
     keys = [k.strip() for k in cfg["only"].split(",") if k.strip()] or None
-    if cfg["nino34"]:
-        os.environ["TAPERDYN_NINO34"] = cfg["nino34"]
-    results = bench.run_suite(keys)
+    results = bench.run_suite(keys, nino34_csv=cfg["nino34"] or None)
     rows = [(r.name, r.status, f"{r.seconds:.2f}", f"{r.budget:g}", r.details)
             for r in results]
     failed = [r for r in results if not r.passed and not r.skipped]

@@ -77,6 +77,8 @@ _GRAM_BLOCK = 1024     # rows per block of the low-rank route's n x r products
 _KRYLOV_TOL = 1e-14
 _KRYLOV_RESTART = 12
 _KRYLOV_MAX_BLOCKS = 500
+_SINKHORN_TOL = 1e-10     # balancing stops once every s_i (K s)_i is this close to 1
+_SINKHORN_MAX_ITER = 500  # and raises after this many sweeps
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,7 @@ class DiffusionBasis:
                 f"expected a point of dimension {self.points.shape[1]}, got {x.shape}")
         if not np.isfinite(x).all():
             raise DomainError(f"extension point contains non-finite values: {x!r}")
-        d2 = ((self.points - x[None, :]) ** 2).sum(axis=1)
-        row = np.exp(-d2 / self.bandwidth**2)
+        row = _kernel_column(self.points, x, self.bandwidth)
         if row.max() < _KERNEL_FLOOR:
             warnings.warn("extension point lies outside the data support; "
                           "falling back to the climatological mode")
@@ -172,30 +173,27 @@ class DiffusionBasis:
         return (v @ self.phi) / self.kernel_eigenvalues, True
 
 
-def _pairwise_sq_dists_chunk(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
-                             sq_a: np.ndarray | None = None,
-                             sq_b: np.ndarray | None = None) -> np.ndarray:
-    """(|a|^2 + |b|^2) - 2 a.b for every row a of A and b of B, clipped at 0.
-
-    sq_a and sq_b are the rows' squared norms, computed here when not given;
-    the product A B^T is formed in out, and the norms' sum in one array
-    filled with the column and added to in place.
-    """
-    sq_a = (A * A).sum(axis=1) if sq_a is None else sq_a
-    sq_b = (B * B).sum(axis=1) if sq_b is None else sq_b
-    d2 = np.matmul(A, B.T, out=out)
-    d2 *= 2.0
-    norms = np.empty_like(d2)
-    norms[...] = sq_a[:, None]
-    norms += sq_b
-    np.subtract(norms, d2, out=d2)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _augmented(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, W) with rows [x, |x|^2, 1] and [-2x, 1, |x|^2]: U W^T holds every
+    pair's squared distance in one product over p + 2 columns, rounded to about
+    eps (|x|^2 + |y|^2), so near pairs may come out negative."""
+    sq = (points * points).sum(axis=1)[:, None]
+    ones = np.ones_like(sq)
+    return np.hstack([points, sq, ones]), np.hstack([-2.0 * points, ones, sq])
 
 
-def _median_bracket(sub: np.ndarray, sq: np.ndarray, pairs: int):
+def _kernel_column(points: np.ndarray, x: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-|y - x|^2 / eps^2) for every row y of points, from exact differences:
+    augmented-product columns carry their rounding into the pivoted Cholesky's
+    residual trace, and on the diffusion-ou path moved to +20 never reach the
+    1e-16 n certificate within the cap (exact differences: rank 37)."""
+    return np.exp(((points - x) ** 2).sum(axis=1) / -bandwidth**2)
+
+
+def _median_bracket(U: np.ndarray, W: np.ndarray, pairs: int):
     """(lo, hi, capacity): squared distances that bracket the median over
-    the pairs i < j of sub, and room for about twice the pairs between them.
+    the pairs i < j of _augmented's (U, W), and room for about twice the
+    pairs between them.
 
     _BRACKET_PAIRS pairs i != j drawn from a private default_rng(0) set the
     bracket _BRACKET_SIGMAS standard deviations of the sample median's rank
@@ -203,14 +201,13 @@ def _median_bracket(sub: np.ndarray, sq: np.ndarray, pairs: int):
     bracket is a guess: the caller counts the exact ranks.
     """
     gen = np.random.default_rng(0)
-    m, k, chunk = sub.shape[0], _BRACKET_PAIRS, 4096  # no temporary outgrows 32 KB
+    m, k, chunk = U.shape[0], _BRACKET_PAIRS, 4096  # no temporary outgrows 32 (p + 2) KB
     d2 = np.empty(k)
     for c in range(0, k, chunk):
         i = gen.integers(0, m, chunk)
         j = gen.integers(0, m - 1, chunk)
         j += j >= i
-        d2[c:c + chunk] = sq[i] + sq[j]
-        d2[c:c + chunk] -= 2.0 * sum(x[i] * x[j] for x in sub.T)
+        np.einsum("ij,ij->i", U.take(i, axis=0), W.take(j, axis=0), out=d2[c:c + chunk])
     # the positive sample between two edge values: rank t sits at index t + 1
     sample = np.sort(np.concatenate(([_SMALLEST_POSITIVE], d2[d2 > 0.0], [math.inf])))
     middle, spread = (sample.size - 3) / 2.0, _BRACKET_SIGMAS * math.sqrt(sample.size - 2) / 2.0
@@ -220,21 +217,21 @@ def _median_bracket(sub: np.ndarray, sq: np.ndarray, pairs: int):
     return lo, hi, 2 * inside * pairs // k + _BRACKET_PAIRS
 
 
-def _bracket_pass(sub: np.ndarray, sq: np.ndarray, lo: float, hi: float, capacity: int):
-    """(kept, positive, below) over the pairs i < j of sub, one band of rows at a time.
+def _bracket_pass(U: np.ndarray, W: np.ndarray, lo: float, hi: float, capacity: int):
+    """(kept, positive, below) over the pairs i < j of _augmented's (U, W), a band at a time.
 
-    positive counts the positive squared distances and below those under
-    lo; kept holds the ones in [lo, hi], or is None when more than capacity
-    of them fall there.
+    positive counts the positive squared distances (a negative residue counts
+    as zero) and below those under lo; kept holds the ones in [lo, hi], or is
+    None when more than capacity of them fall there.
     """
-    m = sub.shape[0]
+    m = U.shape[0]
     kept, stored, positive, below = np.empty(capacity), 0, 0, 0
     buf = np.empty((min(_KERNEL_BAND, m), m))
     under, upto = np.empty(buf.shape, dtype=bool), np.empty(buf.shape, dtype=bool)
     on_or_above = ~np.tri(len(buf), k=-1, dtype=bool)
     for i in range(0, m, _KERNEL_BAND):
         j = min(i + _KERNEL_BAND, m)
-        d2 = _pairwise_sq_dists_chunk(sub[i:j], sub[:j], buf[:j - i, :j], sq[i:j], sq[:j])
+        d2 = np.matmul(U[i:j], W[:j].T, out=buf[:j - i, :j])
         # band row r holds the pairs (i + r, c) with c < i + r; zeros mask the rest
         np.copyto(d2[:, i:], 0.0, where=on_or_above[:j - i, :j - i])
         nonzero = np.count_nonzero(np.greater(d2, 0.0, out=under[:j - i, :j]))
@@ -250,10 +247,10 @@ def _bracket_pass(sub: np.ndarray, sq: np.ndarray, lo: float, hi: float, capacit
 
 
 def _auto_bandwidth(points: np.ndarray, rng) -> float:
-    """The median positive distance over distinct pairs i < j.
+    """The median positive distance over distinct pairs i < j, from U W^T (_augmented).
 
     Each pair is visited once and self-pairs never enter: for p > 1 the
-    diagonal of the distance formula holds rounding residues, not zeros.
+    product's diagonal holds rounding residues, not zeros.
     With more than 4 _BRACKET_PAIRS pairs, a random sample brackets the
     median (_median_bracket) and one banded pass counts the pairs below the
     bracket and keeps those inside it; when the counts put a middle rank
@@ -270,19 +267,19 @@ def _auto_bandwidth(points: np.ndarray, rng) -> float:
     else:
         sub = points
     m = sub.shape[0]
-    sq = (sub * sub).sum(axis=1)
+    U, W = _augmented(sub)
     pairs = m * (m - 1) // 2
     everything = (_SMALLEST_POSITIVE, math.inf)
-    bracket = (_median_bracket(sub, sq, pairs) if pairs > 4 * _BRACKET_PAIRS
+    bracket = (_median_bracket(U, W, pairs) if pairs > 4 * _BRACKET_PAIRS
                else (*everything, pairs))
-    kept, size, below = _bracket_pass(sub, sq, *bracket)
+    kept, size, below = _bracket_pass(U, W, *bracket)
     if size == 0:
         raise ConfigError("auto bandwidth failed: all pairwise distances are zero")
     # the middle ranks are h - 1 and h for an even count, h for an odd one
     h = size // 2
     if kept is None or below > h - 1 + size % 2 or h >= below + kept.size:
         del kept  # freed before the second buffer is made
-        kept, size, below = _bracket_pass(sub, sq, *everything, size)
+        kept, size, below = _bracket_pass(U, W, *everything, size)
     h -= below
     kept.partition(h)
     median = kept[h] if size % 2 else (kept[:h].max() + kept[h]) / 2.0
@@ -321,17 +318,13 @@ def _kernel_matrix(pts: np.ndarray, bandwidth: float):
     zero-padded, each made exactly symmetric by copying its lower triangle
     over its upper one; below holds (i, j, K[i:i+rows, j:j+cols]).  Every
     block is filled in place in bands of _KERNEL_BAND rows, so no temporary
-    outgrows one band.  A band is one product U W^T = (2 x.y - |x|^2 -
-    |y|^2) / eps^2 over p + 2 columns, clipped at 0 and exponentiated: three
-    passes where _pairwise_sq_dists_chunk, whose rounding the bandwidth
-    keeps, takes seven.
+    outgrows one band.  A band is one product U W^T of _augmented's arrays,
+    W scaled by -1/eps^2, clipped at 0 and exponentiated.
     """
     n = pts.shape[0]
     d, layout = _kernel_layout(n)
-    sq = (pts * pts).sum(axis=1)[:, None]
-    U = np.hstack([pts, sq, np.ones((n, 1))])
-    W = np.hstack([pts * (2.0 / bandwidth**2), np.full((n, 1), -1.0 / bandwidth**2),
-                   sq / -bandwidth**2])
+    U, W = _augmented(pts)
+    W *= -1.0 / bandwidth**2
     diagonal = np.zeros((-(-n // d), d, d))
     on_diagonal = [(i, i, diagonal[i // d, :min(d, n - i), :min(d, n - i)])
                    for i in range(0, n, d)]
@@ -388,7 +381,7 @@ def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray
         if r == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(r, cap - r), n))])
         i = int(np.argmax(d))
-        col = np.exp(((pts - pts[i]) ** 2).sum(axis=1) / -bandwidth**2)
+        col = _kernel_column(pts, pts[i], bandwidth)
         col -= rows[:r, i] @ rows[:r]
         col /= math.sqrt(d[i])
         rows[r] = col
@@ -397,13 +390,13 @@ def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray
     return rows.T if d.sum() <= _LOWRANK_TOL * n else None
 
 
-def _sinkhorn_scaling(matvec, row_sums: np.ndarray, tol: float = 1e-10, max_iter: int = 500):
+def _sinkhorn_scaling(matvec, row_sums: np.ndarray):
     """Diagonal s with s_i (K s)_i = 1, balancing a positive kernel from its row sums K 1."""
     s = 1.0 / np.sqrt(np.maximum(row_sums, 1e-300))
-    for _ in range(max_iter):
+    for _ in range(_SINKHORN_MAX_ITER):
         r = s * matvec(s)
         err = float(np.abs(r - 1.0).max())
-        if err < tol:
+        if err < _SINKHORN_TOL:
             return s
         s = s / np.sqrt(r)
     raise ConfigError(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,20 @@ class TestMethodCommands:
         peak_theta = dens[np.argmax(dens[:, 1]), 0]
         assert peak_theta == pytest.approx(alpha, abs=0.05)
 
+    @pytest.mark.parametrize("fmt", ["nino34_csv", "trajectory_csv"])
+    def test_specmeas_refuses_non_series_format(self, tmp_path, monkeypatch, capsys, fmt):
+        # both readers return data that is not a series; refused before the read
+        def must_not_read(*args):
+            raise AssertionError("specmeas read the input before checking its format")
+
+        monkeypatch.setattr(cli, "ingest_series", must_not_read)
+        synth_monthly_csv(tmp_path / "index.csv")
+        out = tmp_path / "x"
+        assert run(["specmeas", "--input", str(tmp_path / "index.csv"), "--format", fmt,
+                    "--outdir", str(out)]) == EXIT_CONFIG
+        assert "scalar_csv or complex_csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_specmeas_missing_input(self, tmp_path):
         assert run(["specmeas", "--outdir", str(tmp_path / "x")]) == EXIT_CONFIG
 
@@ -286,6 +301,19 @@ class TestBenchCommand:
         assert "PASS 4 dmd-exact-recovery" in printed
         lines = read_lines(out / "bench_results.csv")
         assert lines[0].startswith("criterion,status")
+
+    def test_nino34_path_leaves_the_environment_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("TAPERDYN_NINO34", raising=False)
+        monkeypatch.chdir(tmp_path)  # and no data/nino34.csv below it
+        synth_monthly_csv(tmp_path / "index.csv")
+        before = dict(os.environ)
+        # the synthetic index misses the criterion's real-data thresholds
+        assert run(["bench", "--only", "12", "--nino34", str(tmp_path / "index.csv"),
+                    "--outdir", str(tmp_path / "a")]) == EXIT_NUMERICAL
+        assert "FAIL 12 nino34-forecast" in capsys.readouterr().out
+        assert dict(os.environ) == before
+        assert run(["bench", "--only", "12", "--outdir", str(tmp_path / "b")]) == EXIT_OK
+        assert "SKIP 12 nino34-forecast" in capsys.readouterr().out
 
 
 class TestExitCodes:

@@ -34,7 +34,6 @@ from taperdyn import (
 from taperdyn.forecast import (
     DiffusionBasis,
     ShiftMatrix,
-    _pairwise_sq_dists_chunk,
     _sinkhorn_scaling,
 )
 
@@ -65,10 +64,15 @@ class TestDelayEmbed:
 forecast_module = importlib.import_module("taperdyn.forecast")
 
 
+def _exact_sq_dists(A, B):
+    """|a - b|^2 for every row a of A and b of B, from exact differences."""
+    return sum((a[:, None] - b[None, :]) ** 2 for a, b in zip(A.T, B.T))
+
+
 def _dense_basis(pts, M, bandwidth):
     """Reference basis: full kernel, K @ v Sinkhorn, dense eigh on s K s."""
     n = pts.shape[0]
-    K = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / bandwidth**2)
+    K = np.exp(-_exact_sq_dists(pts, pts) / bandwidth**2)
     s = _sinkhorn_scaling(lambda v: K @ v, K @ np.ones(n))
     lam, vecs = scipy.linalg.eigh(s[:, None] * K * s[None, :],
                                   subset_by_index=[n - M, n - 1])
@@ -111,18 +115,32 @@ def _bandwidth_subsample(points, seed):
     return points[gen.choice(n, size=forecast_module._BANDWIDTH_SUBSAMPLE, replace=False)]
 
 
+def _band_products(sub):
+    """The squared distances of _auto_bandwidth's pass as an m x m matrix:
+    each 64-row band of the augmented product U W^T formed as the pass forms
+    it, on and below the diagonal, and mirrored above it.  OpenBLAS rounds a
+    64-row band differently from one whole product when p >= 2."""
+    m, band = sub.shape[0], forecast_module._KERNEL_BAND
+    U, W = forecast_module._augmented(sub)
+    buf, lower = np.empty((min(band, m), m)), np.zeros((m, m))
+    for i in range(0, m, band):
+        j = min(i + band, m)
+        lower[i:j, :j] = np.matmul(U[i:j], W[:j].T, out=buf[:j - i, :j])
+    lower = np.tril(lower)
+    return lower + np.tril(lower, -1).T
+
+
 def _full_matrix_bandwidth(points, seed):
     """The former rule: the median over every positive entry of the full
     distance matrix, so each pair counts twice and diagonal residues enter."""
-    sub = _bandwidth_subsample(points, seed)
-    d2 = _pairwise_sq_dists_chunk(sub, sub)
+    d2 = _band_products(_bandwidth_subsample(points, seed))
     return float(np.sqrt(np.median(d2[d2 > 0])))
 
 
 def _distinct_pairs_bandwidth(points, seed):
-    """The median positive distance over pairs i < j, same distance formula."""
+    """The median positive distance over pairs i < j, same distance products."""
     sub = _bandwidth_subsample(points, seed)
-    d2 = _pairwise_sq_dists_chunk(sub, sub)[np.tril_indices(sub.shape[0], -1)]
+    d2 = _band_products(sub)[np.tril_indices(sub.shape[0], -1)]
     return float(np.sqrt(np.median(d2[d2 > 0])))
 
 
@@ -138,19 +156,41 @@ def _count_passes(monkeypatch):
     return calls
 
 
+class TestAugmented:
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    @pytest.mark.parametrize("offset", [0.0, 20.0])
+    def test_product_matches_exact_differences(self, p, offset):
+        # first-order bounds with u = 2^-53: the product's p + 2 terms sum to
+        # at most 2 (|x|^2 + |y|^2) in magnitude, so the dot rounds by at
+        # most 2 (p + 2) u of that and the two squared norms add p u; the
+        # reference rounds by at most (p + 2) u |x - y|^2 <= 2 (p + 2) u of
+        # it; together (5p + 8) u (|x|^2 + |y|^2); at most 8.8 u measured (p = 8)
+        gen = np.random.default_rng(p)
+        A = gen.standard_normal((300, p)) + offset
+        # near pairs too, where the product's rounding dwarfs the distance
+        B = np.vstack([A[:100] + 1e-6 * gen.standard_normal((100, p)),
+                       gen.standard_normal((200, p)) + offset])
+        U, _ = forecast_module._augmented(A)
+        _, W = forecast_module._augmented(B)
+        scale = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+        error = np.abs(U @ W.T - _exact_sq_dists(A, B))
+        assert np.all(error <= (5 * p + 8) * (np.finfo(float).eps / 2) * scale)
+
+
 class TestAutoBandwidth:
     @pytest.mark.parametrize("n", [8000, 1500])
     def test_one_dimensional_matches_full_matrix_median(self, n):
-        # for p = 1 the full matrix is exactly symmetric with a zero diagonal,
-        # and doubling every value of a multiset keeps its median
+        # for p = 1 the product's diagonal is exactly zero, and doubling
+        # every value of a multiset keeps its median
         pts = _ou_training(n)
+        assert not np.diag(_band_products(_bandwidth_subsample(pts, 5))).any()
         assert _auto_bandwidth(pts, 5) == _full_matrix_bandwidth(pts, 5)
 
     @pytest.mark.parametrize("lags, n", [(2, 1500), (3, 2000), (3, 6000)])
     def test_embedded_data_drop_diagonal_residues(self, lags, n):
         pts = delay_embed(_ou_training(n + lags - 1)[:, 0], lags).points
         sub = _bandwidth_subsample(pts, 5)
-        assert (np.diag(_pairwise_sq_dists_chunk(sub, sub)) > 0).any()
+        assert (np.diag(_band_products(sub)) > 0).any()
         got = _auto_bandwidth(pts, 5)
         assert got == _distinct_pairs_bandwidth(pts, 5)
         assert got != _full_matrix_bandwidth(pts, 5)
@@ -233,7 +273,7 @@ class TestAutoBandwidth:
     def test_lattice_with_ties_at_the_median(self, monkeypatch):
         # integer squared distances: the median, 421 = 14^2 + 15^2, is shared by many pairs
         pts = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0)), axis=-1).reshape(-1, 2)
-        d2 = _pairwise_sq_dists_chunk(pts, pts)[np.tril_indices(len(pts), -1)]
+        d2 = _band_products(pts)[np.tril_indices(len(pts), -1)]
         assert np.median(d2) == 421.0 and np.count_nonzero(d2 == 421.0) > 1000
         passes = _count_passes(monkeypatch)
         assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0) == math.sqrt(421.0)
@@ -243,8 +283,8 @@ class TestAutoBandwidth:
     def test_missed_bracket_keeps_every_pair(self, monkeypatch, miss):
         median_bracket = forecast_module._median_bracket
 
-        def missing(sub, sq, pairs):
-            lo, hi, capacity = median_bracket(sub, sq, pairs)
+        def missing(U, W, pairs):
+            lo, hi, capacity = median_bracket(U, W, pairs)
             return {"below the median": (lo / 4, lo / 2, capacity),
                     "above the median": (hi * 2, hi * 4, capacity),
                     "too many pairs": (lo, hi, 10)}[miss]
@@ -262,30 +302,17 @@ class TestAutoBandwidth:
     ])
     def test_bracket_edges_at_the_middle_ranks(self, monkeypatch, m, edges, passes):
         pts = np.random.default_rng(m).standard_normal((m, 2))
-        ranked = np.sort(_pairwise_sq_dists_chunk(pts, pts)[np.tril_indices(m, -1)])
+        ranked = np.sort(_band_products(pts)[np.tril_indices(m, -1)])
         h = ranked.size // 2
         low, high = ranked[h - 1 + ranked.size % 2], ranked[h]
         lo, hi = {"on": (low, high), "past": (np.nextafter(low, np.inf), np.inf),
                   "past low": (np.nextafter(low, np.inf), high),
                   "past high": (low, np.nextafter(high, 0.0))}[edges]
         monkeypatch.setattr(forecast_module, "_median_bracket",
-                            lambda sub, sq, pairs: (float(lo), float(hi), pairs))
+                            lambda U, W, pairs: (float(lo), float(hi), pairs))
         counted = _count_passes(monkeypatch)
         assert _auto_bandwidth(pts, 0) == _distinct_pairs_bandwidth(pts, 0)
         assert len(counted) == passes
-
-    def test_distance_chunk_keeps_the_broadcast_rounding(self):
-        # the former formula, (|a|^2 + |b|^2) - 2 a.b with the norms' sum broadcast
-        gen = np.random.default_rng(2)
-        for rows, cols, p in ((64, 1000, 1), (7, 300, 3), (64, 2048, 8)):
-            A, B = gen.standard_normal((rows, p)), gen.standard_normal((cols, p))
-            aa, bb = (A * A).sum(axis=1)[:, None], (B * B).sum(axis=1)[None, :]
-            want = np.maximum((aa + bb) - 2.0 * (A @ B.T), 0.0)
-            out = np.empty((rows, cols))
-            got = _pairwise_sq_dists_chunk(A, B, out, (A * A).sum(axis=1), (B * B).sum(axis=1))
-            assert got is out
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(_pairwise_sq_dists_chunk(A, B), want)
 
     @pytest.mark.parametrize("shape", [(2, 1), (300, 2), (3000, 1)])
     def test_identical_points_rejected(self, shape):
@@ -321,7 +348,7 @@ class TestKernelLower:
     def test_entries_match_reference(self, n, h):
         pts = np.random.default_rng(n).standard_normal((n, 3))
         K = forecast_module._kernel_matrix(pts, h)
-        reference = np.exp(-_pairwise_sq_dists_chunk(pts, pts) / h**2)
+        reference = np.exp(-_exact_sq_dists(pts, pts) / h**2)
         lower = np.tril_indices(n)
         np.testing.assert_allclose(_mirrored(K, n)[lower], reference[lower], rtol=1e-13, atol=0)
 
@@ -594,6 +621,11 @@ class TestDiffusionBasis:
         assert np.max(np.abs(gram - np.eye(5))) < 1e-12
         np.testing.assert_allclose(basis.kernel_eigenvalues[:3], 1.0, atol=1e-12)
 
+    def test_balancing_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(forecast_module, "_SINKHORN_MAX_ITER", 2)
+        with pytest.raises(ConfigError, match=r"balancing did not converge \(residual \d"):
+            diffusion_basis(_ou_training(300), M=3, bandwidth=0.5)
+
     def test_basis_keeps_its_own_points(self):
         pts = np.random.default_rng(2).standard_normal((100, 1))
         basis = diffusion_basis(pts, M=4, bandwidth=1.0)
@@ -638,10 +670,21 @@ class TestDiffusionBasis:
             n = pts.shape[0]
             L = forecast_module._pivoted_cholesky(pts, bandwidth, n // 32)
             assert L.shape == (n, rank)
-            K = np.exp(-((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) / bandwidth**2)
+            K = np.exp(-_exact_sq_dists(pts, pts) / bandwidth**2)
             assert np.trace(K - L @ L.T) <= 1e-16 * n
         wide = np.random.default_rng(0).standard_normal((1000, 3))
         assert forecast_module._pivoted_cholesky(wide, 1.0, 1000 // 32) is None
+
+    def test_offset_cloud_takes_the_low_rank_route(self, no_dense_kernel):
+        # exact-difference kernel columns certify the cloud moved to +20 at
+        # rank 35 of a cap of 46, and columns of the augmented product not at
+        # all (see _kernel_column); the kernel is translation invariant
+        pts = _ou_training(1500)
+        basis = diffusion_basis(pts + 20.0, M=6)
+        reference = diffusion_basis(pts, M=6, bandwidth=basis.bandwidth)
+        assert _rel(basis.phi, reference.phi) < 1e-12
+        np.testing.assert_allclose(basis.kernel_eigenvalues, reference.kernel_eigenvalues,
+                                   rtol=1e-12)
 
     def test_matches_dense_reference(self, no_dense_kernel):
         for n in (1500, 4000):
