@@ -461,7 +461,16 @@ def run_criterion(key: str) -> BenchResult:
 
 def run_suite(keys=None, echo=print, nino34_csv=None) -> list[BenchResult]:
     """Run the selected (default: all) criteria, printing one line each;
-    nino34_csv is criterion 12's index CSV (None: nino34_data_path())."""
+    nino34_csv is criterion 12's index CSV (None: nino34_data_path()).
+
+    Raises:
+        IngestError: nino34_csv names a file that does not exist; checked
+            before any criterion runs.
+    """
+    from .errors import IngestError
+
+    if nino34_csv is not None and not Path(nino34_csv).exists():
+        raise IngestError(f"file not found: {nino34_csv}")
     results = []
     for key in keys or sorted(CRITERIA, key=int):
         res = criterion_12(nino34_csv) if key == "12" else run_criterion(key)

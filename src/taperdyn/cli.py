@@ -395,9 +395,10 @@ def _run_specmeas(cfg) -> dict:
     if cfg["filter"] not in _FILTERS:
         raise ConfigError(f"unknown filter {cfg['filter']!r}")
     dens = specmeas_mod.density(acs, _FILTERS[cfg["filter"]])
+    # peak_report checks the grid size, so it runs before the grid is built
+    peaks = specmeas_mod.peak_report(dens, cfg["grid"], cfg["prominence"])
     grid = np.linspace(-np.pi, np.pi, cfg["grid"], endpoint=False)
     vals = dens.eval_grid(grid)
-    peaks = specmeas_mod.peak_report(dens, cfg["grid"], cfg["prominence"])
     return {
         "autocorr.csv": ("n,re,im",
                          [(n, acs.values[acs.M + n].real, acs.values[acs.M + n].imag)

@@ -56,14 +56,11 @@ _BANDWIDTH_SUBSAMPLE = 2048
 _BRACKET_PAIRS = 65536
 _BRACKET_SIGMAS = 8.0
 _SMALLEST_POSITIVE = math.ulp(0.0)
-# rows per distance band: 32 and 64 rows time the same (_auto_bandwidth 21-25 ms
+# rows per distance band, in the bandwidth pass and in the dense kernel's
+# stored lower triangle: 32 and 64 rows time the same (_auto_bandwidth 21-25 ms
 # at n = 2000 to 8000 on 2 CPUs), 128 and 256 rows 10-30% slower; 64 keeps each
 # band temporary at 1 MB or less
 _KERNEL_BAND = 64
-# rows per diagonal block of the dense kernel's stored lower triangle: at
-# p = 3, n = 2000, M = 6 on 2 CPUs, build, Sinkhorn and Krylov take 95 ms with
-# 64 rows (16.5 MB stored), 89 ms with 128 (17.1 MB) and 89 ms with 256 (18.2 MB)
-_KERNEL_DIAGONAL = 128
 _LOWRANK_CAP_DIV = 32  # the low-rank route tries at most n // 32 pivot columns
 _LOWRANK_TOL = 1e-16   # and needs a residual trace of at most 1e-16 per point
 _GRAM_BLOCK = 1024     # rows per block of the low-rank route's n x r products
@@ -290,78 +287,42 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _kernel_layout(n: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """(d, blocks): the rows d of each diagonal block of an n-point kernel, and
-    (i, j, rows, cols) of the blocks K[i:i+rows, j:j+cols] below them.
+def _kernel_matrix(pts: np.ndarray, bandwidth: float) -> list[tuple[int, np.ndarray]]:
+    """Gaussian kernel's lower triangle, as row bands (i, K[i:j, :j]) of _KERNEL_BAND rows.
 
-    Recursive halving: rows a..b-1 split at the largest m = a + d 2^k below
-    b; K[m:b, a:m] is stored and both halves split again, down to one
-    diagonal block.  The ceil(n / d) diagonal blocks are stored whole, so
-    with n = d (q - 1) + r, 0 < r <= d, the kernel stores
-    (n^2 - (q - 1) d^2 - r^2) / 2 + q d^2 entries.
-    """
-    d = min(n, _KERNEL_DIAGONAL)
-    blocks, ranges = [], [(0, n)]
-    while ranges:
-        a, b = ranges.pop()
-        if b - a > d:
-            m = a + d * 2 ** (((b - a - 1) // d).bit_length() - 1)
-            blocks.append((m, a, b - m, m - a))
-            ranges += [(a, m), (m, b)]
-    return d, blocks
-
-
-def _kernel_matrix(pts: np.ndarray, bandwidth: float):
-    """Gaussian kernel's lower triangle, as (diagonal, below) per _kernel_layout.
-
-    diagonal is the (q, d, d) stack of diagonal blocks, the last one
-    zero-padded, each made exactly symmetric by copying its lower triangle
-    over its upper one; below holds (i, j, K[i:i+rows, j:j+cols]).  Every
-    block is filled in place in bands of _KERNEL_BAND rows, so no temporary
-    outgrows one band.  A band is one product U W^T of _augmented's arrays,
-    W scaled by -1/eps^2, clipped at 0 and exponentiated.
+    Each band is one product U W^T of _augmented's arrays, W scaled by
+    -1/eps^2, clipped at 0 and exponentiated in place; its diagonal block
+    K[i:j, i:j] is made exactly symmetric by copying its lower triangle over
+    its upper one.  With n = 64 (q - 1) + r, 0 < r <= 64, the bands store
+    64^2 q (q - 1) / 2 + r n entries.
     """
     n = pts.shape[0]
-    d, layout = _kernel_layout(n)
     U, W = _augmented(pts)
     W *= -1.0 / bandwidth**2
-    diagonal = np.zeros((-(-n // d), d, d))
-    on_diagonal = [(i, i, diagonal[i // d, :min(d, n - i), :min(d, n - i)])
-                   for i in range(0, n, d)]
-    below = [(i, j, np.empty((rows, cols))) for i, j, rows, cols in layout]
-    for i, j, block in on_diagonal + below:
-        for r in range(0, len(block), _KERNEL_BAND):
-            band = np.matmul(U[i + r:i + r + _KERNEL_BAND], W[j:j + block.shape[1]].T,
-                             out=block[r:r + _KERNEL_BAND])
-            np.minimum(band, 0.0, out=band)
-            np.exp(band, out=band)
-        if i == j:
-            np.copyto(block, block.T, where=np.tri(len(block), k=-1, dtype=bool).T)
-    return diagonal, below
+    bands = []
+    for i in range(0, n, _KERNEL_BAND):
+        j = min(i + _KERNEL_BAND, n)
+        band = np.matmul(U[i:j], W[:j].T)
+        np.minimum(band, 0.0, out=band)
+        np.exp(band, out=band)
+        block = band[:, i:]
+        np.copyto(block, block.T, where=np.tri(j - i, k=-1, dtype=bool).T)
+        bands.append((i, band))
+    return bands
 
 
 def _kernel_product(K, X: np.ndarray) -> np.ndarray:
     """K @ X for a kernel stored by _kernel_matrix; X is a vector or an n x b block.
 
-    One batched product covers the diagonal blocks, and each block below
-    them enters twice, as block @ x and block.T @ x.  A vector takes each
-    block whole, so that BLAS runs the large products on all its threads; a
-    block of columns takes each in bands of _KERNEL_BAND rows, so that the
-    transposed product reads its band from cache.
+    Each band enters twice: whole for its own rows, and its part left of its
+    diagonal block, transposed, for the rows above it.
     """
-    diagonal, below = K
-    n, (q, d, _) = X.shape[0], diagonal.shape
-    Xp = np.zeros((q * d, *X.shape[1:]))
-    Xp[:n] = X
-    Y = (diagonal @ Xp.reshape(q, d, -1)).reshape(Xp.shape)
-    step = _KERNEL_BAND if X.ndim == 2 else n
-    for i, j, block in below:
-        cols = block.shape[1]
-        for r in range(0, len(block), step):
-            band = block[r:r + step]
-            Y[i + r:i + r + len(band)] += band @ Xp[j:j + cols]
-            Y[j:j + cols] += band.T @ Xp[i + r:i + r + len(band)]
-    return Y[:n]
+    Y = np.zeros(X.shape)
+    for i, band in K:
+        j = i + len(band)
+        Y[i:j] += band @ X[:j]
+        Y[:i] += band[:, :i].T @ X[i:j]
+    return Y
 
 
 def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray | None:
@@ -505,15 +466,15 @@ def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
             not determined.
     """
     n = pts.shape[0]
-    d, layout = _kernel_layout(n)
-    kernel_bytes = 8 * (-(-n // d) * d * d + sum(rows * cols for *_, rows, cols in layout))
+    kernel_bytes = 8 * sum(min(_KERNEL_BAND, n - i) * min(i + _KERNEL_BAND, n)
+                           for i in range(0, n, _KERNEL_BAND))
     memory = _physical_memory_bytes()
     if kernel_bytes > memory:
         raise SizeError(f"the lower triangle of the {n} x {n} kernel needs {kernel_bytes} "
                         f"bytes, more than the {memory} bytes of physical memory")
     K = _kernel_matrix(pts, bandwidth)
     row_sums = _kernel_product(K, np.ones(n))
-    self_weights = np.diagonal(K[0], axis1=1, axis2=2).ravel()[:n]
+    self_weights = np.concatenate([np.diagonal(band, offset=i) for i, band in K])
     isolated = int(np.count_nonzero(row_sums - self_weights < _KERNEL_FLOOR))
     if isolated >= M:
         raise ConfigError(f"bandwidth {bandwidth:g} isolates {isolated} of {n} training points "
@@ -545,7 +506,7 @@ def diffusion_basis(
     the rounding error of a dense float64 kernel) and M <= r, balancing uses
     the products L (L^T v) and the eigenpairs come from r x r eigenproblems
     of A = diag(s) L (see _gram_eigenpairs).  Otherwise the kernel's lower
-    triangle is built in full (about 4 N^2 bytes, see _kernel_layout),
+    triangle is built in full (about 4 N^2 bytes, see _kernel_matrix),
     balanced with K @ v, and a block Krylov solver with Rayleigh-Ritz finds
     the leading eigenpairs, exactly once its basis spans all N dimensions.  The basis keeps a
     read-only copy of the training points for extension.
@@ -761,11 +722,12 @@ def _month_key(year: int, month: int) -> int:
 
 def _parse_month(text: str) -> int:
     try:
-        y, m = text.split("-")
-        key = _month_key(int(y), int(m))
+        y, m = (int(part) for part in text.split("-"))
     except Exception as exc:
         raise ConfigError(f"month must look like YYYY-MM, got {text!r}") from exc
-    return key
+    if not 1 <= m <= 12:
+        raise ConfigError(f"month must lie in 1..12, got {text!r}")
+    return _month_key(y, m)
 
 
 def nino34_compare(

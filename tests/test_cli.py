@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_monthly_csv
-from taperdyn import cli
+from taperdyn import bench, cli
 from taperdyn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -315,6 +315,21 @@ class TestBenchCommand:
         assert run(["bench", "--only", "12", "--outdir", str(tmp_path / "b")]) == EXIT_OK
         assert "SKIP 12 nino34-forecast" in capsys.readouterr().out
 
+    def test_missing_nino34_path_refused_before_any_criterion(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # an explicit path must exist; only the optional search skips criterion 12
+        def must_not_run(*args):
+            raise AssertionError("a criterion ran before the path check")
+
+        monkeypatch.setattr(bench, "run_criterion", must_not_run)
+        monkeypatch.setattr(bench, "criterion_12", must_not_run)
+        out = tmp_path / "b"
+        assert run(["bench", "--only", "1,12", "--nino34", str(tmp_path / "missing.csv"),
+                    "--outdir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "code=4 kind=IngestError" in err and "missing.csv" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
@@ -365,6 +380,25 @@ class TestOptionValues:
 
 
 class TestBoundaryErrors:
+    @pytest.mark.parametrize("grid", ["-5", "8"])
+    def test_specmeas_grid_below_16_is_size_error(self, tmp_path, capsys, grid):
+        _series_csv(tmp_path / "series.csv")
+        out = tmp_path / "x"
+        assert run(["specmeas", "--input", str(tmp_path / "series.csv"), "--M", "20",
+                    "--grid", grid, "--outdir", str(out)]) == EXIT_VALIDATION
+        assert "code=5 kind=SizeError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forecast_month_outside_the_year(self, tmp_path, capsys):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        out = tmp_path / "out"
+        assert run(["forecast", "--input", str(csv), "--valid-end", "2013-13",
+                    "--outdir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code=3 kind=ConfigError" in err and "'2013-13'" in err
+        assert not out.exists()
+
     def test_dmd_with_no_default_windows_is_validation_error(self, tmp_path, capsys):
         # the default window list range(10, min(501, N), 10) is empty for N = 8
         out = tmp_path / "out"

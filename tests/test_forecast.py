@@ -321,26 +321,20 @@ class TestAutoBandwidth:
 
 
 def _mirrored(K, n):
-    """The n x n kernel from its stored lower triangle, each stored entry
-    placed once on or below the diagonal and mirrored above it."""
-    diagonal, below = K
-    d = diagonal.shape[1]
+    """The n x n kernel from its stored row bands, each stored entry on or
+    below the diagonal placed once and mirrored above it."""
     full, count = np.zeros((n, n)), np.zeros((n, n), dtype=int)
-    for t, i in enumerate(range(0, n, d)):
-        m = min(d, n - i)
-        full[i:i + m, i:i + m] = np.tril(diagonal[t, :m, :m])
-        count[i:i + m, i:i + m] += np.tri(m, dtype=int)
-    for i, j, block in below:
-        rows, cols = block.shape
-        assert i >= j + cols  # strictly below the diagonal
-        full[i:i + rows, j:j + cols] = block
-        count[i:i + rows, j:j + cols] += 1
+    for i, band in K:
+        rows, cols = band.shape
+        assert cols == i + rows  # the band K[i:i + rows, :i + rows]
+        full[i:cols, :cols] += np.tril(band, i)
+        count[i:cols, :cols] += np.tri(rows, cols, i, dtype=int)
     np.testing.assert_array_equal(count, np.tri(n, dtype=int))
     return full + np.tril(full, -1).T
 
 
 def _stored_bytes(K):
-    return K[0].nbytes + sum(block.nbytes for _, _, block in K[1])
+    return sum(band.nbytes for _, band in K)
 
 
 class TestKernelLower:
@@ -352,11 +346,18 @@ class TestKernelLower:
         lower = np.tril_indices(n)
         np.testing.assert_allclose(_mirrored(K, n)[lower], reference[lower], rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("n", [1, 65, 128, 129, 700])
+    def test_negative_residues_clipped(self):
+        # an offset cloud's augmented products leave residues of either sign
+        # on the diagonal; clipped at 0, no kernel entry exceeds 1
+        pts = np.random.default_rng(5).standard_normal((300, 3)) + 20.0
+        for _, band in forecast_module._kernel_matrix(pts, 1.0):
+            assert band.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 700])
     def test_diagonal_blocks_exactly_symmetric(self, n):
-        diagonal, _ = forecast_module._kernel_matrix(
-            np.random.default_rng(n).standard_normal((n, 2)), 1.0)
-        np.testing.assert_array_equal(diagonal, diagonal.transpose(0, 2, 1))
+        K = forecast_module._kernel_matrix(np.random.default_rng(n).standard_normal((n, 2)), 1.0)
+        for i, band in K:
+            np.testing.assert_array_equal(band[:, i:], band[:, i:].T)
 
     @pytest.mark.parametrize("n", [1, 65, 700, 2000])
     def test_product_matches_mirrored_matrix(self, n):
@@ -370,20 +371,19 @@ class TestKernelLower:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_layout_bytes(self):
-        # with d = min(n, 128) and n = d (q - 1) + r, 0 < r <= d, the kernel
-        # stores (n^2 - d^2 (q - 1) - r^2) / 2 + d^2 q entries
-        for n, q, r in ((1, 1, 1), (127, 1, 127), (128, 1, 128), (129, 2, 1),
-                        (1000, 8, 104), (2000, 16, 80)):
+        # with n = 64 (q - 1) + r, 0 < r <= 64, the bands store
+        # 64^2 q (q - 1) / 2 + r n entries
+        for n, q, r in ((1, 1, 1), (63, 1, 63), (64, 1, 64), (65, 2, 1),
+                        (1000, 16, 40), (2000, 32, 16)):
             K = forecast_module._kernel_matrix(np.zeros((n, 1)), 1.0)
-            d = min(n, 128)
-            entries = (n * n - d * d * (q - 1) - r * r) // 2 + d * d * q
-            assert _stored_bytes(K) == 8 * entries
+            assert n == 64 * (q - 1) + r
+            assert _stored_bytes(K) == 8 * (64 * 64 * q * (q - 1) // 2 + r * n)
 
     def test_bands_are_filled_in_place(self):
-        # n = 2000, p = 3: the triangle stores 17.1 MB, and one 64-row band's
-        # temporaries are at most 0.5 MB; 0.33 MB above the stored bytes
-        # measured (numpy 2.4) against a bound of 2 MB, which a band-sized
-        # copy per block or a second full-size block would exceed
+        # n = 2000, p = 3: the bands store 16.5 MB, and one band's temporaries
+        # are at most 0.5 MB; 0.17 MB above the stored bytes measured
+        # (numpy 2.4) against a bound of 2 MB, which a copy of every band or
+        # a full n x n product would exceed
         n = 2000
         pts = np.random.default_rng(3).standard_normal((n, 3))
         tracemalloc.start()
@@ -574,19 +574,19 @@ class TestDiffusionBasis:
 
     def test_kernel_larger_than_memory_refused(self, monkeypatch, no_dense_kernel):
         """The dense path stores the kernel's lower triangle: n = 1000 =
-        128 * 7 + 104 stores (1000^2 - 7 * 128^2 - 104^2) / 2 + 8 * 128^2 =
-        568320 entries, 4546560 bytes, and one byte less memory is refused."""
+        64 * 15 + 40 stores 64^2 * 16 * 15 / 2 + 40 * 1000 = 531520 entries,
+        4252160 bytes, and one byte less memory is refused."""
         # 3-dimensional data: no certified low-rank factor within the cap,
         # so the dense path and its memory check run
-        limit = 4546560 - 1
+        limit = 4252160 - 1
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: limit)
         pts = np.random.default_rng(0).standard_normal((1000, 3))
-        with pytest.raises(SizeError, match=f"4546560 bytes.*{limit} bytes"):
+        with pytest.raises(SizeError, match=f"4252160 bytes.*{limit} bytes"):
             diffusion_basis(pts, M=2, bandwidth=1.0)
 
     def test_kernel_that_fits_memory_is_built(self, monkeypatch):
-        # one byte more memory than the 4546560 bytes above passes the check
-        monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: 4546560 + 1)
+        # one byte more memory than the 4252160 bytes above passes the check
+        monkeypatch.setattr(forecast_module, "_physical_memory_bytes", lambda: 4252160 + 1)
         kernel_matrix, stored = forecast_module._kernel_matrix, []
 
         def counted(*args):
@@ -597,7 +597,7 @@ class TestDiffusionBasis:
         monkeypatch.setattr(forecast_module, "_kernel_matrix", counted)
         basis = diffusion_basis(np.random.default_rng(0).standard_normal((1000, 3)), M=2,
                                 bandwidth=1.0)
-        assert stored == [4546560] and basis.M == 2
+        assert stored == [4252160] and basis.M == 2
 
     @pytest.mark.parametrize("bandwidth, isolated", [(0.05, 30), (0.1, 5)])
     def test_isolating_bandwidth_rejected(self, monkeypatch, bandwidth, isolated):
@@ -637,7 +637,7 @@ class TestDiffusionBasis:
 
     def test_dense_call_peak_allocation(self, monkeypatch):
         # p = 3, n = 2000, M = 6: the bandwidth selection's 4 MB, then the
-        # 17.1 MB triangle and the Krylov basis; 0.628 x n^2 * 8 measured
+        # 16.5 MB triangle and the Krylov basis; 0.610 x n^2 * 8 measured
         # (numpy 2.4) against a bound of 0.65 x, which a second 2 MB temporary
         # beside the triangle, or a full n x n kernel, would exceed
         n, builds = 2000, []
@@ -1030,6 +1030,18 @@ class TestMonthlyPipeline:
         b = nino34_compare(csv, valid_range=("2000-01", "2005-12"), k_max=4, M=6)
         np.testing.assert_array_equal(a[0].rmse, b[0].rmse)
         np.testing.assert_array_equal(a[1].rmse, b[1].rmse)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1920-13", "1..12"), ("1920-00", "1..12"), ("1920-0", "1..12"),
+        ("1920", "YYYY-MM"), ("1920-1-1", "YYYY-MM"), ("1920-x", "YYYY-MM"),
+    ])
+    def test_month_outside_the_year_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"{re.escape(message)}, got '{text}'"):
+            forecast_module._parse_month(text)
+
+    def test_month_keys(self):
+        assert forecast_module._parse_month("1920-01") == 1920 * 12
+        assert forecast_module._parse_month("1920-12") == 1920 * 12 + 11
 
     def test_truth_capped_at_validation_end(self, tmp_path):
         csv = tmp_path / "index.csv"
