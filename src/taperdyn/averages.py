@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError, SizeError
-from .weights import WeightVector, eval_bump, make_weight_vector
+from .weights import WeightVector, check_weights, eval_bump, make_weight_vector
 
 __all__ = ["SweepRow", "birkhoff_average", "convergence_sweep"]
 
@@ -39,10 +39,12 @@ def birkhoff_average(series, weights: WeightVector | None = None):
         weights: a WeightVector whose length matches the series, or None.
 
     Raises:
+        ConfigError: weights neither a WeightVector nor None.
         SizeError: empty series.
         ShapeError: series/weight length mismatch.
         DomainError: the average is not finite.
     """
+    check_weights(weights)
     arr = np.asarray(series)
     if arr.shape[0] == 0:
         raise SizeError("cannot average an empty series")

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import ConditioningError, ConfigError, ShapeError, SizeError
 from .systems import Trajectory
-from .weights import WeightVector
+from .weights import WeightVector, check_weights
 
 __all__ = [
     "Dictionary",
@@ -173,6 +173,7 @@ class DictionaryMatrices:
 
     def _reduce(self, weights: WeightVector | None) -> tuple[np.ndarray, np.ndarray]:
         """linalg._reduce of these rows, computed once while the weights are equal."""
+        check_weights(weights)
         raw = None if weights is None else weights.raw
         # array_equal(None, x) holds for x = None alone, so plain fits key on
         # None; a vector's raw array is its own read-only copy, so it is the key
@@ -223,6 +224,7 @@ def edmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> Koopm
     transition rows inside the same truncated-SVD solve.
 
     Raises:
+        ConfigError: weights neither a WeightVector nor None.
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
     """
@@ -258,6 +260,7 @@ def mpedmd(mats: DictionaryMatrices, weights: WeightVector | None = None) -> Mpe
     degrades silently under rank truncation.
 
     Raises:
+        ConfigError: weights neither a WeightVector nor None.
         ShapeError: weight length differs from the transition count.
         DomainError: Psi or Phi holds NaN or infinity.
         ConditioningError: the eigenvalue ratio of G, sigma_min(R11)^2 /

