@@ -11,12 +11,10 @@ from .averages import SweepRow, birkhoff_average, convergence_sweep
 from .dmd import (
     DmdResult,
     ProjectionBasis,
-    SnapshotPair,
     dmd,
     dmd_error_sweep,
     project,
     random_projection,
-    snapshot_pair,
     spectrum_distance,
 )
 from .edmd import (

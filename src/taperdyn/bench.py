@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg, sindy, specmeas
 from .averages import convergence_sweep
 from .dmd import dmd as dmd_fit
-from .dmd import dmd_error_sweep, project, random_projection, snapshot_pair
+from .dmd import dmd_error_sweep, project, random_projection
 from .edmd import (
     MpedmdResult,
     build_dictionary_matrices,
@@ -121,9 +121,8 @@ def criterion_4() -> BenchResult:
         states[0] = gen.standard_normal(3)
         for n in range(N):
             states[n + 1] = M @ states[n]
-        pair = snapshot_pair(states)
         for weights in (None, make_weight_vector(N, eval_bump)):
-            fit = dmd_fit(pair, weights)
+            fit = dmd_fit(states[:-1], states[1:], weights)
             err = np.linalg.norm(fit.matrix - M) / np.linalg.norm(M)
             worst = max(worst, float(err))
     ok = worst < 1e-9
@@ -380,11 +379,11 @@ def criterion_13() -> BenchResult:
     ok_pinv = True
     for _ in range(10):
         m, n = gen.integers(2, 7), gen.integers(2, 7)
-        A = gen.standard_normal((int(m), int(n)))
-        B = gen.standard_normal((3, int(n)))
-        K = linalg.pinv_lstsq(A.T, B.T).matrix.T
-        if m <= n:  # full row rank almost surely: normal equations apply
-            K_ref = B @ A.T @ np.linalg.inv(A @ A.T)
+        A = gen.standard_normal((int(n), int(m)))
+        B = gen.standard_normal((int(n), 3))
+        K = linalg.pinv_lstsq(A, B).matrix
+        if m <= n:  # full column rank almost surely: normal equations apply
+            K_ref = np.linalg.solve(A.T @ A, A.T @ B)
             ok_pinv &= bool(np.allclose(K, K_ref, rtol=1e-8, atol=1e-10))
     checks.append(("pinv normal-equations oracle", ok_pinv))
 
@@ -392,15 +391,15 @@ def criterion_13() -> BenchResult:
                            rng=RngStream(4, "bench/stlsq"))
     Psi = monomial_dictionary(5, dim=1)(
         data.interior_positions[:, None]).real
-    model = sindy.stlsq(Psi, data.second_derivative[None, :], eta=1e-2,
+    model = sindy.stlsq(Psi, data.second_derivative, eta=1e-2,
                         weights=make_weight_vector(400, eval_bump))
-    refit = sindy.stlsq(Psi, data.second_derivative[None, :], eta=1e-2,
+    refit = sindy.stlsq(Psi, data.second_derivative, eta=1e-2,
                         weights=make_weight_vector(400, eval_bump))
     checks.append(("stlsq deterministic fixed point",
                    bool(np.array_equal(model.active_mask, refit.active_mask)
                         and np.allclose(model.coefficients, refit.coefficients,
                                         rtol=0, atol=0))))
-    scaled = sindy.stlsq(Psi, 10.0 * data.second_derivative[None, :], eta=1e-1,
+    scaled = sindy.stlsq(Psi, 10.0 * data.second_derivative, eta=1e-1,
                          weights=make_weight_vector(400, eval_bump))
     checks.append(("stlsq scaling equivariance",
                    bool(np.allclose(scaled.coefficients,

@@ -31,7 +31,7 @@ from . import sindy as sindy_mod
 from . import specmeas as specmeas_mod
 from .averages import birkhoff_average, convergence_sweep
 from .dmd import dmd as dmd_fit
-from .dmd import dmd_error_sweep, project, random_projection, snapshot_pair
+from .dmd import dmd_error_sweep, project, random_projection
 from .edmd import (
     build_dictionary_matrices,
     fourier_dictionary,
@@ -56,6 +56,7 @@ from .systems import (
     driven_logistic,
     harmonic_series,
     quasiperiodic_field,
+    second_difference,
     standard_map,
 )
 from .weights import eval_bump, make_weight_vector, uniform_taper
@@ -298,7 +299,7 @@ def _run_dmd(cfg) -> dict:
             "N,relerr_matrix_unw,relerr_matrix_w,relerr_eigs_unw,relerr_eigs_w",
             [(r.N, r.relerr_matrix_unw, r.relerr_matrix_w,
               r.relerr_eigs_unw, r.relerr_eigs_w) for r in rows])
-    fit = dmd_fit(snapshot_pair(traj), make_weight_vector(n_pairs, w))
+    fit = dmd_fit(traj.states[:-1], traj.states[1:], make_weight_vector(n_pairs, w))
     outputs["dmd_eigs.csv"] = ("re,im", [(v.real, v.imag) for v in fit.eigenvalues])
     outputs["dmd_matrix.csv"] = matrix_csv(fit.matrix)
     return outputs
@@ -354,24 +355,22 @@ def _run_sindy(cfg) -> dict:
         traj = ingest_series(cfg["input"], "trajectory_csv")
         dictionary = monomial_dictionary(cfg["degree"], dim=traj.dim)
         Psi = dictionary(traj.states[:-1]).real
-        targets = traj.states[1:].T
+        targets = traj.states[1:]
     else:
         if cfg["input"]:
             positions = ingest_series(cfg["input"], "scalar_csv")
             if positions.shape[0] < 5:
                 raise SizeError("need at least 5 position samples")
-            xdd = (positions[2:] + positions[:-2] - 2 * positions[1:-1]) / cfg["dt"]**2
+            targets = second_difference(positions, cfg["dt"])
             interior = positions[1:-1]
         else:
             data = harmonic_series(
                 cfg["amplitude"], cfg["phase"], cfg["dt"], cfg["N"],
                 noise_sigma=cfg["noise_sigma"],
                 rng=RngStream(cfg["seed"], "cli/sindy") if cfg["noise_sigma"] > 0 else None)
-            interior = data.interior_positions
-            xdd = data.second_derivative
+            interior, targets = data.interior_positions, data.second_derivative
         dictionary = monomial_dictionary(cfg["degree"], dim=1)
         Psi = dictionary(interior[:, None]).real
-        targets = xdd[None, :]
     model = sindy_mod.stlsq(Psi, targets, eta=cfg["eta"],
                             weights=make_weight_vector(Psi.shape[0], w))
     diag = [json.dumps({

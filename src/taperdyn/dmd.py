@@ -16,11 +16,9 @@ from .systems import RngStream, Trajectory
 from .weights import WeightVector, eval_bump, make_weight_vector
 
 __all__ = [
-    "SnapshotPair",
     "DmdResult",
     "ProjectionBasis",
     "DmdSweepRow",
-    "snapshot_pair",
     "dmd",
     "random_projection",
     "project",
@@ -29,32 +27,6 @@ __all__ = [
 ]
 
 _UNSCALED_LOW, _UNSCALED_HIGH = 2.0**-500, 2.0**500
-
-
-@dataclass(frozen=True)
-class SnapshotPair:
-    """Snapshot matrices X (columns X_1..X_N) and its one-step shift Y."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        if self.X.shape != self.Y.shape:
-            raise ShapeError(f"X {self.X.shape} and Y {self.Y.shape} must match")
-        if self.X.shape[1] < 2:
-            raise SizeError("need at least 2 snapshot columns")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.X.shape[1]
-
-
-def snapshot_pair(traj: Trajectory | np.ndarray) -> SnapshotPair:
-    """Arrange a trajectory of N+1 states into d x N matrices (X, Y)."""
-    states = np.asarray(getattr(traj, "states", traj))
-    if states.ndim == 1:
-        states = states[:, None]
-    return SnapshotPair(X=states[:-1].T.copy(), Y=states[1:].T.copy())
 
 
 @dataclass(frozen=True)
@@ -70,19 +42,27 @@ class DmdResult:
     modes: np.ndarray
 
 
-def dmd(pair: SnapshotPair, weights: WeightVector | None = None) -> DmdResult:
-    """Fit A minimizing ||Y_w - A X_w||_F with tapered snapshot matrices.
+def dmd(X: np.ndarray, Y: np.ndarray, weights: WeightVector | None = None) -> DmdResult:
+    """Fit A minimizing ||W^(1/2)(Y - X A^T)||_F: row n of Y from row n of X.
 
-    With weights=None this is the classical pseudoinverse fit A = Y pinv(X).
-    The taper multiplies both snapshot matrices by W^(1/2) columnwise, which
-    leaves any exactly consistent linear model unchanged but accelerates
-    convergence of the fit on ergodic data.
+    Samples are rows: X holds the snapshots x_0..x_{N-1} and Y their
+    successors, both N x d.  With weights=None this is the classical fit
+    A^T = pinv(X) Y.  The taper weights the N snapshot pairs, which leaves
+    any exactly consistent linear model unchanged but accelerates
+    convergence of the fit on ergodic data.  The caller's arrays are only read.
 
     Raises:
-        ShapeError: weight length differs from the number of snapshot pairs.
+        ShapeError: X and Y are not 2-D arrays of one shape, or the weight
+            length differs from the number of snapshot pairs.
+        SizeError: fewer than 2 snapshot pairs.
         DomainError: the snapshots hold NaN or infinity.
     """
-    A = linalg.pinv_lstsq(pair.X.T, pair.Y.T, weights).matrix.T
+    X, Y = np.asarray(X), np.asarray(Y)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise ShapeError(f"X {X.shape} and Y {Y.shape} must be N x d arrays of one shape")
+    if X.shape[0] < 2:
+        raise SizeError("need at least 2 snapshot pairs")
+    A = linalg.pinv_lstsq(X, Y, weights).matrix.T
     values, vectors = linalg.eig(A)
     return DmdResult(matrix=A, eigenvalues=values, modes=vectors)
 
@@ -237,16 +217,15 @@ def dmd_error_sweep(
     if len(traj) < benchmark_N + 1:
         raise SizeError(
             f"trajectory has {len(traj)} states; benchmark needs {benchmark_N + 1}")
-    pair_full = snapshot_pair(traj)
-    bench = dmd(
-        SnapshotPair(pair_full.X[:, :benchmark_N], pair_full.Y[:, :benchmark_N]),
-        make_weight_vector(benchmark_N, w))
+    states = traj.states
+    bench = dmd(states[:benchmark_N], states[1:benchmark_N + 1],
+                make_weight_vector(benchmark_N, w))
     bench_norm = np.linalg.norm(bench.matrix)
     rows = []
     for N in sorted(int(n) for n in N_values):
-        sub = SnapshotPair(pair_full.X[:, :N], pair_full.Y[:, :N])
-        unw = dmd(sub, None)
-        wt = dmd(sub, make_weight_vector(N, w))
+        X, Y = states[:N], states[1:N + 1]
+        unw = dmd(X, Y, None)
+        wt = dmd(X, Y, make_weight_vector(N, w))
         rows.append(DmdSweepRow(
             N=N,
             relerr_matrix_unw=float(np.linalg.norm(unw.matrix - bench.matrix) / bench_norm),

@@ -102,15 +102,13 @@ def pinv_lstsq(A: np.ndarray, B: np.ndarray,
     """Minimal-norm minimizer K of ||W^(1/2)(B - A K)||_F by truncated SVD.
 
     Samples are rows: A is n x L, B is n x m, and the diagonal taper W runs
-    over the n rows (K = pinv(A) B when unweighted).  A caller whose samples
-    are columns, fitting B ≈ K A, passes A.T and B.T and transposes the
-    result.  Data with more than _TSQR_ROWS samples are first reduced by a
-    blocked QR (TSQR) to a problem whose size does not grow with the sample
-    count; the truncated SVD then runs on the reduced A, whose singular
-    values are those of the weighted A.  Singular values below
-    DEFAULT_REL_TOL * sigma_max are treated as zero.  An all-zero A yields
-    the zero solution with effective_rank 0, not an error.  The caller's
-    arrays are only read.
+    over the n rows (K = pinv(A) B when unweighted).  Data with more than
+    _TSQR_ROWS samples are first reduced by a blocked QR (TSQR) to a problem
+    whose size does not grow with the sample count; the truncated SVD then
+    runs on the reduced A, whose singular values are those of the weighted
+    A.  Singular values below DEFAULT_REL_TOL * sigma_max are treated as
+    zero.  An all-zero A yields the zero solution with effective_rank 0, not
+    an error.  The caller's arrays are only read.
 
     Args:
         weights: WeightVector over the n samples (its raw values are used;

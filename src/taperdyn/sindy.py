@@ -55,30 +55,33 @@ def stlsq(
     """Sequentially thresholded (optionally taper-weighted) least squares.
 
     Starts from the full weighted least-squares solution of
-    ||W^(1/2)(targets^T - Psi Xi^T)||_F, then alternately zeroes entries with
+    ||W^(1/2)(targets - Psi Xi^T)||_F, then alternately zeroes entries with
     |xi| < eta and refits each output row restricted to its surviving
     columns, until the active mask stops changing or max_iter passes.
 
     Args:
         Psi: N x L dictionary matrix (rows are samples).
-        targets: d x N targets: next states (discrete mode) or derivative
-            estimates (continuous mode), one column per sample.
+        targets: N x d targets, one row per sample: next states (discrete
+            mode) or derivative estimates (continuous mode).  A 1-D array
+            of N values is one output.
         eta: hard threshold; eta = 0 reduces to one unthresholded solve.
         weights: optional taper over the N samples.
         max_iter: defaults to L + 1, which suffices under cumulative pruning.
 
     Raises:
-        ShapeError: sample-count mismatch between Psi, targets, or weights.
+        ConfigError: eta negative or NaN, or max_iter < 1.
+        ShapeError: Psi not 2-D, targets neither 1-D nor 2-D, or a
+            sample-count mismatch between Psi, targets, or weights.
         DomainError: Psi or the targets hold NaN or infinity.
     """
     Psi = np.asarray(Psi)
-    T = np.atleast_2d(np.asarray(targets))
-    if eta < 0:
+    T = np.asarray(targets)
+    T = T[:, None] if T.ndim == 1 else T
+    if not eta >= 0:  # NaN too: it would prune nothing and report convergence
         raise ConfigError(f"eta must be >= 0, got {eta}")
-    N, L = Psi.shape
-    d = T.shape[0]
-    if T.shape[1] != N:
-        raise ShapeError(f"targets have {T.shape[1]} samples, Psi has {N} rows")
+    if Psi.ndim != 2 or T.ndim != 2 or T.shape[0] != Psi.shape[0]:
+        raise ShapeError(f"Psi {Psi.shape} and targets {T.shape} must be N x L and N x d")
+    (N, L), d = Psi.shape, T.shape[1]
     if max_iter is None:
         max_iter = L + 1
     if max_iter < 1:
@@ -86,8 +89,8 @@ def stlsq(
 
     dtype = np.result_type(Psi.dtype, T.dtype, float)
     Xi = np.zeros((d, L), dtype=dtype)
-    # initial unrestricted solve: Xi^T = pinv(Psi) T^T in the weighted norm
-    Xi[:] = linalg.pinv_lstsq(Psi, T.T, weights).matrix.T
+    # initial unrestricted solve: Xi^T = pinv(Psi) T in the weighted norm
+    Xi[:] = linalg.pinv_lstsq(Psi, T, weights).matrix.T
     active = np.ones((d, L), dtype=bool)
     if eta == 0.0:
         return SindyModel(Xi, active, 1, True, ())
@@ -106,7 +109,7 @@ def stlsq(
             cols = np.flatnonzero(active[j])
             if cols.size == 0:
                 continue
-            sol = linalg.pinv_lstsq(Psi[:, cols], T[j:j + 1].T, weights)
+            sol = linalg.pinv_lstsq(Psi[:, cols], T[:, j:j + 1], weights)
             Xi[j, cols] = sol.matrix[:, 0]
     else:
         converged = not (active & (np.abs(Xi) < eta)).any()
@@ -157,7 +160,6 @@ def sindy_error_sweep(
         data = harmonic_series(amplitude, phase, dt, N,
                                noise_sigma=noise_sigma, rng=rng)
         Psi = dictionary(data.interior_positions[:, None]).real
-        targets = data.second_derivative[None, :]
         wv = make_weight_vector(N, w)
         for method, weight_vec, eta_list in (
             ("LS", None, [0.0]),
@@ -166,7 +168,7 @@ def sindy_error_sweep(
             ("wtSINDy", wv, etas),
         ):
             for eta in eta_list:
-                model = stlsq(Psi, targets, eta=eta, weights=weight_vec)
+                model = stlsq(Psi, data.second_derivative, eta=eta, weights=weight_vec)
                 err = float(np.linalg.norm(model.coefficients.real - exact))
                 rows.append(SindySweepRow(N=N, method=method, eta=float(eta),
                                           coeff_error=err))

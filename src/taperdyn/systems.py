@@ -22,6 +22,7 @@ __all__ = [
     "driven_logistic",
     "standard_map",
     "harmonic_series",
+    "second_difference",
     "ou_sample",
     "quasiperiodic_field",
 ]
@@ -239,10 +240,9 @@ class HarmonicSeries:
     """Sampled harmonic motion with finite-difference second derivatives.
 
     positions holds N + 2 samples X_0..X_{N+1}; interior_positions the N
-    samples X_1..X_N; second_derivative the N central-difference values
-    X''_n = (X_{n+1} + X_{n-1} - 2 X_n) / k^2 for n = 1..N.  Noise, when
-    requested, is added to the positions before differencing, so it is
-    amplified by the 1/k^2 of the stencil.
+    samples X_1..X_N; second_derivative their N second_difference values.
+    Noise, when requested, is added to the positions before differencing,
+    so it is amplified by the 1/k^2 of the stencil.
     """
 
     positions: np.ndarray
@@ -263,26 +263,31 @@ def harmonic_series(
     """Harmonic position samples A cos(n k + phase) plus optional noise.
 
     Args:
-        dt: sampling step k > 0.
+        amplitude, phase: finite reals.
+        dt: sampling step k > 0 (see second_difference).
         N: number of interior samples (so N + 2 positions are generated).
-        noise_sigma: standard deviation of iid Gaussian noise on positions.
+        noise_sigma: standard deviation (finite, >= 0) of iid Gaussian noise on positions.
         rng: required when noise_sigma > 0.
 
     Raises:
         SizeError: N < 3.
-        ConfigError: dt <= 0, or noise requested without rng.
+        ConfigError: before any draw, naming a scalar out of range, or noise without rng.
     """
     if N < 3:
         raise SizeError(f"N >= 3 required, got {N}")
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
+    for name, value in (("amplitude", amplitude), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    _check_step(dt)
     n = np.arange(N + 2)
     x = amplitude * np.cos(n * dt + phase)
     if noise_sigma > 0:
         if rng is None:
             raise ConfigError("noise_sigma > 0 requires an RngStream")
         x = x + noise_sigma * rng.generator().standard_normal(N + 2)
-    xdd = (x[2:] + x[:-2] - 2.0 * x[1:-1]) / dt**2
+    xdd = second_difference(x, dt)
     meta = {
         "system": "harmonic_series",
         "amplitude": amplitude, "phase": phase, "noise_sigma": noise_sigma,
@@ -291,6 +296,22 @@ def harmonic_series(
     }
     return HarmonicSeries(positions=x, interior_positions=x[1:-1],
                           second_derivative=xdd, dt=dt, meta=meta)
+
+
+def _check_step(dt: float) -> None:
+    # a step whose square is 0 or inf would turn every difference into inf or 0
+    if not (dt > 0 and 0.0 < dt * dt < math.inf):
+        raise ConfigError(f"dt must be > 0 with a finite nonzero square, got {dt}")
+
+
+def second_difference(x: np.ndarray, dt: float) -> np.ndarray:
+    """(x_{n+1} + x_{n-1} - 2 x_n) / dt^2 at n = 1..N of samples x_0..x_{N+1}.
+
+    Raises:
+        ConfigError: dt is not > 0, or dt^2 is 0 or infinite (NaN included).
+    """
+    _check_step(dt)
+    return (x[2:] + x[:-2] - 2.0 * x[1:-1]) / dt**2
 
 
 def ou_sample(

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synth_monthly_csv
-from taperdyn import bench, cli
+from taperdyn import RngStream, bench, cli
 from taperdyn.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -431,6 +432,27 @@ class TestBoundaryErrors:
         assert "code=3 kind=ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, from_file", [
+        ("noise-sigma", "-1", False), ("noise-sigma", "nan", False),
+        ("phase", "inf", False), ("amplitude", "nan", False), ("dt", "inf", False),
+        ("eta", "nan", False),
+        ("dt", "0", True), ("dt", "-1", True), ("dt", "inf", True), ("dt", "nan", True)])
+    def test_bad_sindy_scalar_is_named_config_error(self, tmp_path, capsys, flag, value,
+                                                    from_file):
+        extra = []
+        if from_file:
+            _positions_csv(tmp_path / "positions.csv")
+            extra = ["--input", str(tmp_path / "positions.csv")]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sindy", f"--{flag}", value, "--N", "200", *extra,
+                        "--outdir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code=3 kind=ConfigError" in err
+        assert f'message="{flag.replace("-", "_")} must be' in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("N", [5, 15])
     def test_average_sweep_on_short_orbit_needs_windows(self, tmp_path, capsys, N):
         # the default windows geomspace(10, N // 10) exist only for N >= 100
@@ -510,16 +532,110 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=[a[0] for a in GOLDEN])
-def test_golden_output_digests(tmp_path, argv):
-    extra = []
-    if argv[0] == "specmeas":
-        _series_csv(tmp_path / "series.csv")
-        extra = ["--input", str(tmp_path / "series.csv")]
-    out = tmp_path / "out"
-    assert run([*argv, *extra, "--outdir", str(out)]) == EXIT_OK
+def _positions_csv(path):
+    # noisy harmonic positions, k = 0.01, one value per row
+    noise = RngStream(5, "tests/positions").generator().standard_normal(1202)
+    x = 2.0 * np.cos(0.01 * np.arange(1202) + 0.7) + 1e-7 * noise
+    path.write_text("x\n" + "".join(f"{v!r}\n" for v in x.tolist()))
+
+
+def _trajectory_csv(path):
+    # a noisy contracting rotation in R^3, one state per row
+    gen = RngStream(6, "tests/trajectory").generator()
+    c, s = np.cos(0.3), np.sin(0.3)
+    A = np.array([[0.98 * c, -0.98 * s, 0.0], [0.98 * s, 0.98 * c, 0.0], [0.0, 0.0, 0.9]])
+    states = np.empty((401, 3))
+    states[0] = [1.0, 0.0, 0.5]
+    for n in range(400):
+        states[n + 1] = A @ states[n] + 1e-3 * gen.standard_normal(3)
+    path.write_text("# system=rotation dt=0.5 seed=6\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in states.tolist()))
+
+
+# the input files of the golden runs, written by the tests
+_INPUTS = {"series.csv": _series_csv, "positions.csv": _positions_csv,
+           "trajectory.csv": _trajectory_csv}
+
+# SHA-256 of every output of the runs whose data come from --input
+INPUT_GOLDEN = {
+    "sindy-continuous": (
+        ("sindy", "--dt", "0.01", "--eta", "1e-2", "--input", "positions.csv"), {
+            "sindy_diagnostics.jsonl":
+                "458b103734cb1400bc68434a3a2cdeb1a156b3bc555b13a113476fd6b7f52eb9",
+            "sindy_xi.csv": "5c9914b316678b94c75444c5128561c6e8752583ff91f562d865de282a2ddc6d",
+        }),
+    "sindy-discrete": (
+        ("sindy", "--mode", "discrete", "--degree", "2", "--eta", "1e-2",
+         "--input", "trajectory.csv"), {
+            "sindy_diagnostics.jsonl":
+                "92ce55d90bc201a208ae5cbca4b06c4872be38a84736c3676adf3634d424465f",
+            "sindy_xi.csv": "ca95556a6cb68887b2007a2ab5572609f7dda5e805b554c8268ada5e50009693",
+        }),
+    "dmd": (
+        ("dmd", "--project-r", "0", "--sweep-n", "50,100,200", "--input", "trajectory.csv"), {
+            "dmd_eigs.csv": "6b43478814c84daadeef0c60fec4bc11b4d234769ef37aa992f2151626646a58",
+            "dmd_matrix.csv": "32b981dd3f3ec286c9f586d547beeddcaa33520ae4b24fec224f7e36c5ec2fbd",
+            "dmd_sweep.csv": "1d7f71378f2273b0cb42de889c114c6774da6c77d0ab4bb671c3fbb8c07e5a40",
+        }),
+}
+
+
+def _output_digests(out):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     manifest = json.loads((out / "manifest.json").read_text())
     del digests["manifest.json"]
-    assert digests == GOLDEN[argv]
     assert manifest["outputs"] == digests
+    return digests
+
+
+def _golden_argv(argv, tmp_path):
+    """argv of one golden run with its input files written under tmp_path."""
+    if argv[0] == "specmeas":
+        argv = (*argv, "--input", "series.csv")
+    for name, write in _INPUTS.items():
+        write(tmp_path / name)
+    return [str(tmp_path / a) if a in _INPUTS else a for a in argv]
+
+
+@pytest.mark.parametrize("case", list(INPUT_GOLDEN))
+def test_input_golden_output_digests(tmp_path, case):
+    argv, golden = INPUT_GOLDEN[case]
+    out = tmp_path / "out"
+    assert run([*_golden_argv(argv, tmp_path), "--outdir", str(out)]) == EXIT_OK
+    assert _output_digests(out) == golden
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=[a[0] for a in GOLDEN])
+def test_golden_output_digests(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run([*_golden_argv(argv, tmp_path), "--outdir", str(out)]) == EXIT_OK
+    assert _output_digests(out) == GOLDEN[argv]
+
+
+# runs each argv of a JSON list into its own outdir; prints the exit codes
+_GOLDEN_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from taperdyn.cli import run
+
+argvs = json.loads(sys.argv[3])
+print(json.dumps([run([*a, "--outdir", f"{sys.argv[2]}/{i}"]) for i, a in enumerate(argvs)]))
+"""
+
+
+def test_golden_outputs_do_not_depend_on_blas_threads(tmp_path):
+    runs = list(GOLDEN.items()) + list(INPUT_GOLDEN.values())
+    argvs = json.dumps([_golden_argv(argv, tmp_path) for argv, _ in runs])
+    src = Path(cli.__file__).resolve().parents[1]
+    digests = {}
+    for threads in ("1", "2"):
+        # the variable reaches the child processes only
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, str(src),
+                               str(tmp_path / threads), argvs],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * len(runs), proc.stderr
+        digests[threads] = [_output_digests(tmp_path / threads / str(i))
+                            for i in range(len(runs))]
+    assert digests["1"] == digests["2"] == [golden for _, golden in runs]

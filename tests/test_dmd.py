@@ -16,14 +16,15 @@ from taperdyn import (
     dmd_error_sweep,
     eval_bump,
     make_weight_vector,
+    pinv_lstsq,
     project,
     quasiperiodic_field,
     random_projection,
-    snapshot_pair,
     spectrum_distance,
     uniform_taper,
 )
 from taperdyn.dmd import _assignment
+from taperdyn.linalg import _TSQR_ROWS
 from taperdyn.systems import Trajectory
 
 
@@ -50,15 +51,14 @@ class TestDmd:
     def test_exact_linear_recovery_any_weights(self, gen):
         M = gen.standard_normal((3, 3)) * 0.4 + np.eye(3)
         states = iterate(M, gen.standard_normal(3), 12)
-        pair = snapshot_pair(states)
         for weights in (None, make_weight_vector(12, eval_bump)):
-            fit = dmd(pair, weights)
+            fit = dmd(states[:-1], states[1:], weights)
             assert np.linalg.norm(fit.matrix - M) / np.linalg.norm(M) < 1e-9
 
     def test_constant_snapshots_projection(self):
         c = np.array([1.0, 2.0, -1.0])
         states = np.tile(c, (8, 1))
-        fit = dmd(snapshot_pair(states))
+        fit = dmd(states[:-1], states[1:])
         np.testing.assert_allclose(fit.matrix, np.outer(c, c) / (c @ c), atol=1e-12)
         assert fit.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         # leading mode is parallel to c
@@ -68,23 +68,46 @@ class TestDmd:
 
     def test_rotation_spectrum(self):
         states, _ = rotation_states(0.7, 40)
-        fit = dmd(snapshot_pair(states))
+        fit = dmd(states[:-1], states[1:])
         expected = np.array([np.exp(1j * 0.7), np.exp(-1j * 0.7)])
         assert spectrum_distance(fit.eigenvalues, expected) < 1e-10
         assert np.max(np.abs(np.abs(fit.eigenvalues) - 1.0)) <= 1e-8
 
     def test_uniform_weights_reduce_to_classical(self, gen):
         states = gen.standard_normal((30, 4))
-        pair = snapshot_pair(states)
-        classical = dmd(pair, None)
-        uniform = dmd(pair, make_weight_vector(29, uniform_taper))
+        classical = dmd(states[:-1], states[1:], None)
+        uniform = dmd(states[:-1], states[1:], make_weight_vector(29, uniform_taper))
         diff = np.linalg.norm(uniform.matrix - classical.matrix)
         assert diff <= 1e-13 * np.linalg.norm(classical.matrix)
 
     def test_weight_length_mismatch(self, gen):
-        pair = snapshot_pair(gen.standard_normal((10, 2)))
+        states = gen.standard_normal((10, 2))
         with pytest.raises(ShapeError):
-            dmd(pair, make_weight_vector(5, uniform_taper))
+            dmd(states[:-1], states[1:], make_weight_vector(5, uniform_taper))
+
+    @pytest.mark.parametrize("N", [7, _TSQR_ROWS + 9])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_equal_to_the_least_squares_kernel(self, gen, N, weighted):
+        # rows in, rows out: dmd is pinv_lstsq(X, Y, w) transposed, to the bit
+        X, Y = gen.standard_normal((N, 3)), gen.standard_normal((N, 3))
+        weights = make_weight_vector(N, eval_bump) if weighted else None
+        np.testing.assert_array_equal(dmd(X, Y, weights).matrix,
+                                      pinv_lstsq(X, Y, weights).matrix.T)
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.ones(5), np.ones(5)),
+        (np.ones((5, 2)), np.ones((4, 2))),
+        (np.ones((5, 2)), np.ones((5, 3))),
+        (np.ones((5, 2, 1)), np.ones((5, 2, 1))),
+    ], ids=["1-D", "unequal-rows", "unequal-columns", "3-D"])
+    def test_snapshots_must_be_rows_of_one_shape(self, X, Y):
+        with pytest.raises(ShapeError, match="must be N x d arrays of one shape"):
+            dmd(X, Y)
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_fewer_than_two_pairs_is_a_size_error(self, N):
+        with pytest.raises(SizeError, match="at least 2 snapshot pairs"):
+            dmd(np.ones((N, 2)), np.ones((N, 2)))
 
 
 class TestRandomProjection:

@@ -21,7 +21,6 @@ from taperdyn import (
     make_weight_vector,
     monomial_dictionary,
     mpedmd,
-    snapshot_pair,
     standard_map,
     uniform_taper,
     WeightVector,
@@ -82,9 +81,8 @@ class TestBuildMatrices:
     def test_identity_matches_snapshots(self, gen):
         states = gen.standard_normal((20, 3))
         mats = build_dictionary_matrices(Trajectory(states), identity_dictionary(3))
-        pair = snapshot_pair(states)
-        np.testing.assert_allclose(mats.Psi, pair.X.T, atol=1e-15)
-        np.testing.assert_allclose(mats.Phi, pair.Y.T, atol=1e-15)
+        np.testing.assert_allclose(mats.Psi, states[:-1], atol=1e-15)
+        np.testing.assert_allclose(mats.Phi, states[1:], atol=1e-15)
 
     def test_constant_trajectory_identical_rows(self):
         states = np.tile([0.5, 1.0], (10, 1))
@@ -232,7 +230,7 @@ class TestEdmd:
         states = gen.standard_normal((40, 3))
         mats = build_dictionary_matrices(states, identity_dictionary(3))
         K = edmd(mats, None).matrix
-        A = dmd(snapshot_pair(states)).matrix
+        A = dmd(states[:-1], states[1:]).matrix
         np.testing.assert_allclose(K, A.T, atol=1e-10)
 
     def test_uniform_equals_unweighted(self, gen):

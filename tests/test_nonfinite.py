@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from taperdyn import (
     DictionaryMatrices,
     DomainError,
-    SnapshotPair,
     WeightVector,
     dmd,
     edmd,
@@ -30,10 +29,10 @@ FITTERS = ("dmd", "edmd", "mpedmd", "stlsq")
 
 
 def _fit(fitter, first, second, weights):
-    if fitter == "dmd":  # snapshots are columns
-        return dmd(SnapshotPair(first.T.copy(), second.T.copy()), weights)
+    if fitter == "dmd":
+        return dmd(first, second, weights)
     if fitter == "stlsq":
-        return stlsq(first, second.T, eta=0.1, weights=weights)
+        return stlsq(first, second, eta=0.1, weights=weights)
     mats = DictionaryMatrices(first.astype(complex), second.astype(complex))
     return (edmd if fitter == "edmd" else mpedmd)(mats, weights)
 
@@ -94,7 +93,7 @@ def test_bad_raw_weights_are_named(bad, everywhere):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_target_data_raise_domain_error(bad):
-    targets = np.ones((1, 5))
-    targets[0, 2] = bad
+    targets = np.ones(5)
+    targets[2] = bad
     with pytest.raises(DomainError, match="NaN or infinity"):
         stlsq(np.eye(5, 3), targets, eta=0.1)

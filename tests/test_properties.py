@@ -6,7 +6,6 @@ import pytest
 
 from taperdyn import (
     DictionaryMatrices,
-    SnapshotPair,
     Trajectory,
     WeightVector,
     autocorrelations,
@@ -64,15 +63,15 @@ def _fit_and_inputs(name, weighted):
     g = np.random.default_rng(7)
     w = _bump(300) if weighted else None
     if name == "dmd":
-        X, Y = g.standard_normal((3, 300)), g.standard_normal((3, 300))
-        return lambda: dmd(SnapshotPair(X, Y), w), [X, Y]
+        X, Y = g.standard_normal((300, 3)), g.standard_normal((300, 3))
+        return lambda: dmd(X, Y, w), [X, Y]
     if name in ("edmd", "mpedmd"):
         Psi = g.standard_normal((300, 3)) + 1j * g.standard_normal((300, 3))
         Phi = g.standard_normal((300, 3)) + 1j * g.standard_normal((300, 3))
         fit = edmd if name == "edmd" else mpedmd
         return lambda: fit(DictionaryMatrices(Psi, Phi), w), [Psi, Phi]
     if name == "stlsq":
-        Psi, T = g.standard_normal((300, 4)), g.standard_normal((1, 300))
+        Psi, T = g.standard_normal((300, 4)), g.standard_normal((300, 2))
         return lambda: stlsq(Psi, T, eta=0.5, weights=w), [Psi, T]
     if name == "birkhoff_average":
         series = g.standard_normal((300, 2))

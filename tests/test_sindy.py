@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taperdyn import (
+    ConfigError,
     RngStream,
     ShapeError,
     dmd,
@@ -14,10 +15,10 @@ from taperdyn import (
     monomial_dictionary,
     pinv_lstsq,
     sindy_error_sweep,
-    snapshot_pair,
     stlsq,
     uniform_taper,
 )
+from taperdyn.linalg import _TSQR_ROWS
 
 
 @pytest.fixture
@@ -28,22 +29,22 @@ def gen():
 def harmonic_design(N, sigma=0.0, rng=None, degree=5, k=0.01):
     data = harmonic_series(2.0, 0.7, k, N, noise_sigma=sigma, rng=rng)
     Psi = monomial_dictionary(degree, dim=1)(data.interior_positions[:, None]).real
-    return Psi, data.second_derivative[None, :]
+    return Psi, data.second_derivative
 
 
 class TestStlsq:
     def test_eta_zero_is_plain_least_squares(self, gen):
         Psi = gen.standard_normal((50, 4))
-        T = gen.standard_normal((2, 50))
+        T = gen.standard_normal((50, 2))
         model = stlsq(Psi, T, eta=0.0)
-        direct = pinv_lstsq(Psi, T.T).matrix.T
+        direct = pinv_lstsq(Psi, T).matrix.T
         np.testing.assert_allclose(model.coefficients, direct, atol=1e-12)
         assert model.converged
         assert model.active_mask.all()
 
     def test_huge_eta_zeroes_everything(self, gen):
         Psi = gen.standard_normal((50, 4))
-        T = gen.standard_normal((1, 50))
+        T = gen.standard_normal((50, 1))
         model = stlsq(Psi, T, eta=1e6)
         np.testing.assert_array_equal(model.coefficients, 0.0)
         assert model.zeroed_rows == (0,)
@@ -62,7 +63,7 @@ class TestStlsq:
 
     def test_converged_entries_exceed_eta(self, gen):
         Psi = gen.standard_normal((200, 6))
-        T = gen.standard_normal((3, 200))
+        T = gen.standard_normal((200, 3))
         model = stlsq(Psi, T, eta=0.05)
         assert model.converged
         active_values = np.abs(model.coefficients[model.active_mask])
@@ -78,7 +79,7 @@ class TestStlsq:
         # the surviving coefficients solve the restricted weighted problem
         cols = np.flatnonzero(model.active_mask[0])
         sw = np.sqrt(wv.raw)
-        restricted = pinv_lstsq(Psi[:, cols] * sw[:, None], T.T * sw[:, None]).matrix
+        restricted = pinv_lstsq(Psi[:, cols] * sw[:, None], T[:, None] * sw[:, None]).matrix
         np.testing.assert_allclose(model.coefficients[0, cols], restricted[:, 0],
                                    rtol=1e-12)
 
@@ -87,7 +88,7 @@ class TestStlsq:
     def test_scaling_equivariance(self, c, seed):
         g = np.random.default_rng(seed)
         Psi = g.standard_normal((60, 5))
-        T = g.standard_normal((2, 60))
+        T = g.standard_normal((60, 2))
         base = stlsq(Psi, T, eta=0.02)
         scaled = stlsq(Psi, c * T, eta=c * 0.02)
         np.testing.assert_allclose(scaled.coefficients, c * base.coefficients,
@@ -96,21 +97,61 @@ class TestStlsq:
     def test_discrete_identity_dictionary_matches_dmd(self, gen):
         states = gen.standard_normal((40, 3))
         Psi = states[:-1]
-        model = stlsq(Psi, states[1:].T, eta=0.0, weights=make_weight_vector(39, uniform_taper))
-        A = dmd(snapshot_pair(states), make_weight_vector(39, uniform_taper)).matrix
+        model = stlsq(Psi, states[1:], eta=0.0, weights=make_weight_vector(39, uniform_taper))
+        A = dmd(Psi, states[1:], make_weight_vector(39, uniform_taper)).matrix
         np.testing.assert_allclose(model.coefficients.real, A, atol=1e-10)
 
     def test_errors(self, gen):
         Psi = gen.standard_normal((30, 4))
         with pytest.raises(ShapeError):
-            stlsq(Psi, gen.standard_normal((2, 29)), eta=0.1)
+            stlsq(Psi, gen.standard_normal((29, 2)), eta=0.1)
         with pytest.raises(ShapeError):
-            stlsq(Psi, gen.standard_normal((2, 30)), eta=0.1,
+            stlsq(Psi, gen.standard_normal((30, 2)), eta=0.1,
                   weights=make_weight_vector(29, uniform_taper))
+
+    @pytest.mark.parametrize("Psi, targets", [
+        (np.ones((30, 4)), np.ones(29)), (np.ones((30, 4)), np.ones((2, 30))),
+        (np.ones((30, 4)), np.ones((30, 2, 1))), (np.ones(30), np.ones(30))],
+        ids=["1-D-short", "columns", "3-D", "1-D-dictionary"])
+    def test_samples_must_be_rows(self, Psi, targets):
+        with pytest.raises(ShapeError, match="must be N x L and N x d"):
+            stlsq(Psi, targets, eta=0.1)
+
+    @pytest.mark.parametrize("N", [50, _TSQR_ROWS + 9])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_equal_to_the_least_squares_kernel(self, gen, N, weighted):
+        # eta = 0 is one solve: the coefficients are pinv_lstsq's, transposed
+        Psi, T = gen.standard_normal((N, 4)), gen.standard_normal((N, 2))
+        weights = make_weight_vector(N, eval_bump) if weighted else None
+        np.testing.assert_array_equal(stlsq(Psi, T, eta=0.0, weights=weights).coefficients,
+                                      pinv_lstsq(Psi, T, weights).matrix.T)
+
+    def test_each_output_refits_its_own_targets(self, gen):
+        Psi = gen.standard_normal((200, 6))
+        Xi = np.array([[1.0, 0.0, 0.5, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0, 0.0, 0.3]])
+        T = Psi @ Xi.T + 0.01 * gen.standard_normal((200, 2))
+        model = stlsq(Psi, T, eta=0.1)
+        for j in range(2):
+            single = stlsq(Psi, T[:, j], eta=0.1)
+            np.testing.assert_array_equal(model.active_mask[j], single.active_mask[0])
+            np.testing.assert_allclose(model.coefficients[j], single.coefficients[0],
+                                       rtol=1e-12, atol=0)
+
+    def test_one_dimensional_targets_are_one_output(self, gen):
+        Psi, t = gen.standard_normal((40, 4)), gen.standard_normal(40)
+        flat, column = stlsq(Psi, t, eta=0.3), stlsq(Psi, t[:, None], eta=0.3)
+        assert flat.coefficients.shape == (1, 4)
+        np.testing.assert_array_equal(flat.coefficients, column.coefficients)
+        np.testing.assert_array_equal(flat.active_mask, column.active_mask)
+
+    @pytest.mark.parametrize("eta", [-0.1, np.nan])
+    def test_eta_must_be_non_negative(self, gen, eta):
+        with pytest.raises(ConfigError, match="eta must be >= 0"):
+            stlsq(gen.standard_normal((30, 4)), gen.standard_normal(30), eta=eta)
 
     def test_max_iter_termination_state(self, gen):
         Psi = gen.standard_normal((100, 6))
-        T = gen.standard_normal((1, 100))
+        T = gen.standard_normal((100, 1))
         model = stlsq(Psi, T, eta=0.2, max_iter=1)
         assert model.iterations <= 1
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from taperdyn import (
     standard_map,
 )
 from taperdyn import systems
-from taperdyn.systems import standard_map_batch
+from taperdyn.systems import second_difference, standard_map_batch
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -260,6 +261,39 @@ class TestHarmonicSeries:
             harmonic_series(1.0, 0.0, -0.1, 10)
         with pytest.raises(ConfigError):
             harmonic_series(1.0, 0.0, 0.1, 10, noise_sigma=0.5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("amplitude", math.nan), ("amplitude", math.inf), ("phase", math.inf),
+        ("phase", -math.inf), ("dt", 0.0), ("dt", math.inf), ("dt", math.nan),
+        ("dt", 1e-200), ("noise_sigma", -1.0), ("noise_sigma", math.nan),
+        ("noise_sigma", math.inf)])
+    def test_bad_scalar_named_before_any_draw(self, name, value):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew before checking the scalars")
+
+        args = dict(amplitude=2.0, phase=0.7, dt=0.01, noise_sigma=1e-3)
+        args[name] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=name):
+                harmonic_series(N=10, rng=NoDraws(), **args)
+
+
+class TestSecondDifference:
+    def test_is_the_stencil_of_harmonic_series(self):
+        data = harmonic_series(2.0, 0.7, 0.01, 300, noise_sigma=1e-4, rng=RngStream(2, "sd"))
+        x = data.positions
+        np.testing.assert_array_equal(second_difference(x, 0.01), data.second_derivative)
+        np.testing.assert_array_equal(data.second_derivative,
+                                      (x[2:] + x[:-2] - 2.0 * x[1:-1]) / 0.01**2)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, -math.inf, math.nan, 1e-200, 1e200])
+    def test_step_without_a_finite_nonzero_square_is_refused(self, dt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dt must be > 0"):
+                second_difference(np.arange(6.0), dt)
 
 
 class TestOuSample:
