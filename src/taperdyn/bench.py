@@ -45,12 +45,18 @@ __all__ = ["BenchResult", "CRITERIA", "run_criterion", "run_suite", "nino34_data
 
 @dataclass
 class BenchResult:
+    """One criterion's outcome.  seconds is wall time, the quantity its budget
+    gates; cpu_seconds is this process's CPU time over the same span (every
+    thread's, none of a subprocess's), which shows whether a slow run was
+    starved of CPU or did more work."""
+
     name: str
     passed: bool
     skipped: bool
     seconds: float
     budget: float
     details: str
+    cpu_seconds: float
 
     @property
     def status(self) -> str:
@@ -58,14 +64,20 @@ class BenchResult:
 
     def line(self) -> str:
         return (f"{self.status} {self.name} ({self.seconds:.1f}s, "
-                f"budget {self.budget:g}s): {self.details}")
+                f"cpu {self.cpu_seconds:.1f}s, budget {self.budget:g}s): {self.details}")
+
+
+def _clock() -> tuple[float, float]:
+    """Wall and CPU time at a criterion's start, for _result."""
+    return time.perf_counter(), time.process_time()
 
 
 def _result(name, budget, t0, ok, details, skipped=False):
-    seconds = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0[0]
     passed = bool(ok) and seconds <= budget and not skipped
-    return BenchResult(name=name, passed=passed, skipped=skipped,
-                       seconds=seconds, budget=budget, details=details)
+    return BenchResult(name=name, passed=passed, skipped=skipped, seconds=seconds,
+                       budget=budget, details=details,
+                       cpu_seconds=time.process_time() - t0[1])
 
 
 def _logistic_errors(eps: float, N_values, benchmark_N: int = 1_000_000):
@@ -76,7 +88,7 @@ def _logistic_errors(eps: float, N_values, benchmark_N: int = 1_000_000):
 
 def criterion_1() -> BenchResult:
     """Periodic regime: tapered average hits machine precision, plain is O(1/N)."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     errs = _logistic_errors(0.0, [100_000])
     eu, ew = errs[100_000]
     ok = ew < 1e-12 and 1e-8 <= eu <= 1e-2
@@ -86,7 +98,7 @@ def criterion_1() -> BenchResult:
 
 def criterion_2() -> BenchResult:
     """Quasiperiodic regime: tapered average wins by >= 1e4."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     errs = _logistic_errors(0.01, [100_000])
     eu, ew = errs[100_000]
     ok = ew < 1e-10 and eu >= 1e4 * max(ew, 1e-300)
@@ -96,7 +108,7 @@ def criterion_2() -> BenchResult:
 
 def criterion_3() -> BenchResult:
     """Chaotic regime: both averages converge at nearly the same rate."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     errs = _logistic_errors(0.1, [1_000, 10_000, 100_000])
     ratios = {N: max(eu / ew, ew / eu) for N, (eu, ew) in errs.items()}
     ok = all(r <= 10.0 for r in ratios.values())
@@ -107,7 +119,7 @@ def criterion_3() -> BenchResult:
 
 def criterion_4() -> BenchResult:
     """Exact linear data: weighting cannot change the recovered generator."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     gen = RngStream(11, "bench/dmd-exact").generator()
     angle = 0.7
     block = np.array([[math.cos(angle), -math.sin(angle), 0.0],
@@ -132,7 +144,7 @@ def criterion_4() -> BenchResult:
 
 def criterion_5() -> BenchResult:
     """Projected quasiperiodic field: tapered propagator error drops >= 100x."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     traj = quasiperiodic_field(D=20, N=1001, seed=123)
     basis = random_projection(20, 11, seed=7)
     proj = project(traj, basis)
@@ -173,7 +185,7 @@ def _standard_map_edmd_errors(lambda_mode, n_ic: int, N_small: int,
 
 def criterion_6() -> BenchResult:
     """Quasiperiodic standard map: tapered Koopman fit >= 10x more accurate."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     eu, ew = _standard_map_edmd_errors(0.25, n_ic=20, N_small=10_000,
                                        N_bench=1_000_000, seed=42)
     ok = ew * 10.0 <= eu
@@ -184,7 +196,7 @@ def criterion_6() -> BenchResult:
 
 def criterion_7() -> BenchResult:
     """Chaotic and stochastic regimes: both fits converge at the same rate."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     eu_c, ew_c = _standard_map_edmd_errors(5.0, n_ic=8, N_small=100_000,
                                            N_bench=500_000, seed=43)
     eu_s, ew_s = _standard_map_edmd_errors("uniform_resample", n_ic=8,
@@ -199,7 +211,7 @@ def criterion_7() -> BenchResult:
 
 def criterion_8() -> BenchResult:
     """Harmonic surrogate: sparse recovery of x'' = -x, with and without noise."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     amplitude, k = 2.0, 0.01
 
     def fit_errors(N, sigma, rng):
@@ -226,7 +238,7 @@ def criterion_8() -> BenchResult:
 
 def criterion_9() -> BenchResult:
     """Rotation spectral measure: exact lag coefficients and a Dirac peak."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     alpha = (math.sqrt(2.0) * 2.0 * math.pi) % (2.0 * math.pi)
     N, M = 100_000, 100
     theta = (np.arange(N) * alpha) % (2.0 * math.pi)
@@ -251,7 +263,7 @@ def criterion_9() -> BenchResult:
 
 def criterion_10() -> BenchResult:
     """Measure-preserving fit: rotation eigenvalues and exact unitarity."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     alpha = (math.sqrt(2.0) * 2.0 * math.pi) % (2.0 * math.pi)
     N = 10_000
     theta = (0.3 + np.arange(N + 1) * alpha) % (2.0 * math.pi)
@@ -283,7 +295,7 @@ def _unitarity_residual(res: MpedmdResult) -> float:
 
 def criterion_11() -> BenchResult:
     """Conditional-mean forecasts of the OU process track x0 exp(-k tau)."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     theta_rate, diffusion, tau = 1.0, math.sqrt(2.0), 0.1
     n_train, n_starts, k_max = 20_000, 120, 20
     traj = ou_sample(theta_rate, diffusion, x0=0.0, dt=tau,
@@ -294,11 +306,8 @@ def criterion_11() -> BenchResult:
     basis = diffusion_basis(train[:, None], M=10,
                                rng=RngStream(2024, "bench/ou-bw").generator())
     shift = shift_matrix(basis, None)
-    g = train
     x0s = path[n_train:n_train + n_starts]
-    preds = np.empty((n_starts, k_max + 1))
-    for i, x0 in enumerate(x0s):
-        preds[i], _ = forecast_point(basis, shift, np.array([x0]), k_max, g)
+    preds, _ = forecast_point(basis, shift, x0s[:, None], k_max, train)
     worst = 0.0
     for k in range(1, k_max + 1):
         truth = x0s * math.exp(-theta_rate * k * tau)
@@ -316,14 +325,14 @@ def nino34_data_path() -> Path | None:
     candidates = [Path(env)] if env else []
     candidates.append(Path("data") / "nino34.csv")
     for p in candidates:
-        if p is not None and p.exists():
+        if p.exists():
             return p
     return None
 
 
 def criterion_12(csv_path=None) -> BenchResult:
     """Directional checks of the monthly-index forecast rerun (needs user data)."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     path = Path(csv_path) if csv_path else nino34_data_path()
     if path is None or not path.exists():
         return _result(
@@ -363,7 +372,7 @@ def _cli_env() -> dict:
 
 def criterion_13() -> BenchResult:
     """Property spot-checks and byte-identical rerun of a CLI pipeline."""
-    t0 = time.perf_counter()
+    t0 = _clock()
     checks: list[tuple[str, bool]] = []
 
     for N in (2, 3, 17, 1000):

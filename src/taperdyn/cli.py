@@ -441,14 +441,14 @@ def _run_forecast(cfg) -> dict:
 def _run_bench(cfg) -> dict:
     keys = [k.strip() for k in cfg["only"].split(",") if k.strip()] or None
     results = bench.run_suite(keys, nino34_csv=cfg["nino34"] or None)
-    rows = [(r.name, r.status, f"{r.seconds:.2f}", f"{r.budget:g}", r.details)
-            for r in results]
+    rows = [(r.name, r.status, f"{r.seconds:.2f}", f"{r.budget:g}", r.details,
+             f"{r.cpu_seconds:.2f}") for r in results]
     failed = [r for r in results if not r.passed and not r.skipped]
     if failed:
         raise NumericalError(
             f"{len(failed)} benchmark criteria failed: "
             + "; ".join(r.name for r in failed))
-    return {"bench_results.csv": ("criterion,status,seconds,budget,details", rows)}
+    return {"bench_results.csv": ("criterion,status,seconds,budget,details,cpu_seconds", rows)}
 
 
 _RUNNERS = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -303,6 +304,15 @@ class TestBenchCommand:
         lines = read_lines(out / "bench_results.csv")
         assert lines[0].startswith("criterion,status")
 
+    def test_cpu_seconds_beside_wall_seconds(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["bench", "--only", "4", "--outdir", str(out)]) == EXIT_OK
+        assert re.search(r"PASS 4 \S+ \(\d+\.\ds, cpu \d+\.\ds, budget 1s\)",
+                         capsys.readouterr().out)
+        header, row = read_lines(out / "bench_results.csv")
+        assert header == "criterion,status,seconds,budget,details,cpu_seconds"
+        assert float(row.rsplit(",", 1)[1]) >= 0.0
+
     def test_nino34_path_leaves_the_environment_alone(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TAPERDYN_NINO34", raising=False)
         monkeypatch.chdir(tmp_path)  # and no data/nino34.csv below it
@@ -398,6 +408,25 @@ class TestBoundaryErrors:
                     "--outdir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "code=3 kind=ConfigError" in err and "'2013-13'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--valid-start", "2005-01", "--valid-end", "2004-12"],
+         "validation range 2005-01..2004-12"),
+        (["--train-start", "1950-01", "--train-end", "1940-12"],
+         "training range 1950-01..1940-12"),
+    ])
+    def test_forecast_reversed_range_is_config_error(self, tmp_path, capsys, flags, message):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code = run(["forecast", "--input", str(csv), *flags, "--outdir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code=3 kind=ConfigError" in err and f"{message} ends before it starts" in err
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_dmd_with_no_default_windows_is_validation_error(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from taperdyn import (
     skill,
     uniform_taper,
 )
+from taperdyn.dataio import read_nino34_csv
 from taperdyn.forecast import (
     DiffusionBasis,
     ShiftMatrix,
@@ -58,6 +60,14 @@ class TestDelayEmbed:
             delay_embed([1.0, 2.0], 0)
         with pytest.raises(SizeError):
             delay_embed([1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("lags", [2.5, 2.0, True, "2", None])
+    def test_lags_not_an_integer_is_a_size_error(self, lags):
+        with pytest.raises(SizeError, match="lags must be an integer"):
+            delay_embed([1.0, 2.0, 3.0], lags)
+
+    def test_numpy_integer_lags_accepted(self):
+        assert delay_embed([1.0, 2.0, 3.0], np.int64(2)).lags == 2
 
 
 # the package exports a function named forecast, which hides the module
@@ -541,6 +551,11 @@ class TestDiffusionBasis:
         mag = basis.phi[:, 1] ** 2 + basis.phi[:, 2] ** 2
         assert mag.std() / mag.mean() < 0.1
 
+    @pytest.mark.parametrize("M", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_m_not_an_integer_is_a_size_error(self, M, no_kernel):
+        with pytest.raises(SizeError, match="M must be an integer"):
+            diffusion_basis(np.linspace(0.0, 1.0, 50), M=M, bandwidth=0.3)
+
     def test_m_too_large(self):
         with pytest.raises(SizeError):
             diffusion_basis(np.random.default_rng(0).standard_normal((10, 1)), M=11)
@@ -888,6 +903,145 @@ class TestFactorExtension:
         np.testing.assert_allclose(basis.extend([2.0])[0], [1.0])
 
 
+@pytest.fixture(scope="module")
+def embedded_basis():
+    """p = 3, n = 2000: a dense-route basis (no factor)."""
+    basis = diffusion_basis(delay_embed(_ou_training(2002)[:, 0], 3), M=6)
+    assert basis.factor is None
+    return basis
+
+
+def _worst(batch, rows):
+    """The largest difference between a batch and its per-start rows, relative
+    to the largest entry of the rows."""
+    rows = np.array(rows)
+    return np.abs(batch - rows).max() / np.abs(rows).max()
+
+
+def _outside_warnings(record):
+    return [str(w.message) for w in record if "outside the data support" in str(w.message)]
+
+
+class TestBatchedExtension:
+    def test_low_rank_batch_rows_match_single_starts(self, ou_benchmark_basis):
+        basis, train = ou_benchmark_basis, ou_benchmark_basis.points[:, 0]
+        starts = np.random.default_rng(11).standard_normal((60, 1))
+        C, ok = basis.extend(starts)
+        assert C.shape == (60, basis.M) and ok.shape == (60,) and ok.dtype == bool and ok.all()
+        assert _worst(C, [basis.extend(x)[0] for x in starts]) <= 1e-14
+        for w in (None, eval_bump):
+            shift = shift_matrix(basis, w)
+            preds, ok = forecast(basis, shift, starts, 20, train)
+            assert preds.shape == (60, 21) and ok.all()
+            assert _worst(preds, [forecast(basis, shift, x, 20, train)[0] for x in starts]) <= 1e-14
+
+    def test_dense_batch_rows_match_single_starts(self, embedded_basis):
+        basis = embedded_basis
+        g = basis.points[:, -1]
+        starts = np.vstack([basis.points[::97], basis.points[5:8] + 0.05])
+        C, ok = basis.extend(starts)
+        assert ok.all()
+        assert _worst(C, [basis.extend(x)[0] for x in starts]) <= 1e-14
+        shift = shift_matrix(basis, eval_bump)
+        preds, ok = forecast(basis, shift, starts, 12, g)
+        assert preds.shape == (len(starts), 13) and ok.all()
+        assert _worst(preds, [forecast(basis, shift, x, 12, g)[0] for x in starts]) <= 1e-14
+
+    def test_single_start_keeps_its_shapes(self, ou_benchmark_basis):
+        basis = ou_benchmark_basis
+        c, ok = basis.extend(np.array([0.4]))
+        assert c.shape == (basis.M,) and ok is True
+        preds, ok = forecast(basis, shift_matrix(basis), 0.4, 5, basis.points[:, 0])
+        assert preds.shape == (6,) and ok is True
+        C, ok = basis.extend(np.array([[0.4]]))
+        assert C.shape == (1, basis.M) and ok.shape == (1,)
+        np.testing.assert_array_equal(C[0], c)
+
+    def test_mixed_batch_one_warning(self, ou_benchmark_basis, kernel_rows):
+        # certified, uncertified but inside the support (see
+        # test_uncertified_points_take_the_exact_row), and far outside
+        basis, train = ou_benchmark_basis, ou_benchmark_basis.points[:, 0]
+        starts = np.array([[0.3], [5.0], [40.0], [-0.7], [-60.0], [4.0]])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            C, ok = basis.extend(starts)
+        assert ok.tolist() == [True, True, False, True, False, True]
+        assert _outside_warnings(record) == [
+            "2 of 6 extension points lie outside the data support; "
+            "falling back to the climatological mode"]
+        # one block of factor columns, then one block of exact rows for the other three
+        assert kernel_rows == [basis.factor[0].shape[0], basis.n_train]
+        for i in (2, 4):
+            assert C[i, 0] == basis.phi[0, 0] and not C[i, 1:].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            singles = [basis.extend(x)[0] for x in starts]
+            preds, mask = forecast(basis, shift_matrix(basis), starts, 8, train)
+            single_preds = [forecast(basis, shift_matrix(basis), x, 8, train)[0]
+                            for x in starts]
+        assert _worst(C, singles) <= 1e-14
+        assert mask.tolist() == ok.tolist()
+        assert _worst(preds, single_preds) <= 1e-14
+
+    def test_exact_rows_come_in_bounded_blocks(self, embedded_basis, monkeypatch):
+        basis = embedded_basis
+        starts = basis.points[3::41] + 0.01
+        whole, _ = basis.extend(starts)
+        sizes = []
+        column = forecast_module._kernel_column
+
+        def record(points, X, bandwidth):
+            sizes.append(X.size * len(points) * 8)
+            return column(points, X, bandwidth)
+
+        monkeypatch.setattr(forecast_module, "_kernel_column", record)
+        # room for the differences of 5 rows per block
+        monkeypatch.setattr(forecast_module, "_ROW_BLOCK_BYTES", 5 * 8 * basis.points.size + 7)
+        C, ok = basis.extend(starts)
+        assert len(sizes) == -(-len(starts) // 5)
+        assert max(sizes) <= 5 * 8 * basis.points.size
+        assert ok.all() and _worst(C, whole) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 1, 3), (2, 3, 1)])
+    def test_wrong_point_dimension_is_a_shape_error(self, embedded_basis, shape):
+        with pytest.raises(ShapeError, match="dimension 3"):
+            embedded_basis.extend(np.zeros(shape))
+        with pytest.raises(ShapeError, match="dimension 3"):
+            forecast(embedded_basis, shift_matrix(embedded_basis), np.zeros(shape), 2,
+                     embedded_basis.points[:, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_anywhere_is_a_domain_error(self, ou_benchmark_basis,
+                                                          embedded_basis, bad):
+        for basis in (ou_benchmark_basis, embedded_basis):
+            starts = basis.points[:5].copy()
+            starts[3, -1] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                basis.extend(starts)
+            with pytest.raises(DomainError, match="non-finite"):
+                forecast(basis, shift_matrix(basis), starts, 2, basis.points[:, 0])
+
+    def test_empty_batch_is_a_size_error(self, ou_benchmark_basis, embedded_basis):
+        for basis in (ou_benchmark_basis, embedded_basis):
+            empty = np.empty((0, basis.points.shape[1]))
+            with pytest.raises(SizeError, match="no points"):
+                basis.extend(empty)
+            with pytest.raises(SizeError, match="no points"):
+                forecast(basis, shift_matrix(basis), empty, 2, basis.points[:, 0])
+
+    def test_caller_starts_unchanged_and_writeable(self, ou_benchmark_basis, embedded_basis):
+        for basis in (ou_benchmark_basis, embedded_basis):
+            starts = np.vstack([basis.points[:4] + 0.01, basis.points[:1] + 1e3])
+            before = starts.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                basis.extend(starts)
+                forecast(basis, shift_matrix(basis), starts, 3, basis.points[:, 0])
+            np.testing.assert_array_equal(starts, before)
+            assert starts.flags.writeable
+            starts[0, 0] = 1.0
+
+
 # fits and forecasts on an n = 8000 OU path (the low-rank route) and builds a
 # p = 3, n = 2000 delay-embedded basis (the dense route) in one fresh
 # process, then prints the growth of the peak RSS across the low-rank basis,
@@ -1059,6 +1213,18 @@ class TestForecast:
             rel = np.linalg.norm(preds[:, k] - truth) / np.linalg.norm(truth)
             assert rel < 0.2
 
+    @pytest.mark.parametrize("k_max", [2.0, 2.5, True, "2"])
+    def test_k_max_not_an_integer_is_a_config_error(self, ou_basis, monkeypatch, k_max):
+        monkeypatch.setattr(DiffusionBasis, "extend", _refuse)  # checked before extending
+        with pytest.raises(ConfigError, match="k_max must be an integer"):
+            forecast(ou_basis, shift_matrix(ou_basis), np.array([0.1]), k_max,
+                     ou_basis.points[:, 0])
+
+    def test_numpy_integer_k_max_accepted(self, ou_basis):
+        preds, _ = forecast(ou_basis, shift_matrix(ou_basis), np.array([0.1]), np.int32(3),
+                            ou_basis.points[:, 0])
+        assert preds.shape == (4,)
+
     def test_observable_length_checked(self):
         pts = np.random.default_rng(4).standard_normal((50, 1))
         basis = diffusion_basis(pts, M=3, bandwidth=1.0)
@@ -1200,6 +1366,82 @@ class TestMonthlyPipeline:
         # the last start has no truth at any lead inside the window
         assert np.isnan(details["truth"][-1]).all()
         assert res_u.n_pairs[0] == 11
+
+    @pytest.mark.parametrize("ranges, message", [
+        ({"valid_range": ("2005-01", "2004-12")}, "validation range 2005-01..2004-12"),
+        ({"train_range": ("1950-01", "1940-12")}, "training range 1950-01..1940-12"),
+    ])
+    def test_reversed_range_rejected_before_the_basis(self, tmp_path, monkeypatch,
+                                                      ranges, message):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        monkeypatch.setattr(forecast_module, "diffusion_basis", _refuse)
+        with pytest.raises(ConfigError, match=f"{message} ends before it starts"):
+            nino34_compare(csv, **ranges)
+
+    def test_validation_start_before_the_window_rejected_before_the_basis(
+            self, tmp_path, monkeypatch):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        monkeypatch.setattr(forecast_module, "diffusion_basis", _refuse)
+        with pytest.raises(SizeError, match="validation start precedes the file"):
+            nino34_compare(csv, valid_range=("1920-03", "1930-12"), lags=6)
+
+    def test_one_month_validation_range(self, tmp_path):
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        _, _, details = nino34_compare(csv, valid_range=("2005-06", "2005-06"), k_max=3, M=6)
+        assert details["start_months"] == [(2005, 6)]
+        assert details["predictions_weighted"].shape == (1, 3)
+        assert np.isnan(details["truth"]).all()
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"valid_range": ("2000-01", "2010-12"), "k_max": 6, "M": 8},
+        {"lags": 3, "M": 20, "k_max": 12, "valid_range": ("1990-01", "2015-12")},
+    ])
+    def test_details_match_per_start_forecasts(self, tmp_path, kwargs):
+        # the loop nino34_compare ran before it made one call per shift matrix
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        values = read_nino34_csv(csv)[1]
+        cfg = {"train_range": ("1920-01", "1999-12"), "valid_range": ("2000-01", "2013-12"),
+               "lags": 6, "M": 14, "k_max": 16, **kwargs}
+        _, _, details = nino34_compare(csv, **cfg)
+        lags, k_max = cfg["lags"], cfg["k_max"]
+        t0, t1, v0, v1 = (forecast_module._parse_month(m) - 1920 * 12
+                          for m in (*cfg["train_range"], *cfg["valid_range"]))
+        basis = diffusion_basis(delay_embed(values[t0:t1 + 1], lags), M=cfg["M"])
+        g = basis.points[:, -1]
+        for key, w in (("predictions_unweighted", None), ("predictions_weighted", eval_bump)):
+            shift = shift_matrix(basis, w)
+            ref = [forecast(basis, shift, values[s - lags + 1:s + 1], k_max, g)[0][1:]
+                   for s in range(v0, v1 + 1)]
+            assert _worst(details[key], ref) <= 1e-13
+        truth = np.full((v1 - v0 + 1, k_max), np.nan)
+        for i, s in enumerate(range(v0, v1 + 1)):
+            ahead = min(k_max, v1 - s)
+            truth[i, :ahead] = values[s + 1:s + 1 + ahead]
+        np.testing.assert_array_equal(details["truth"], truth)
+        assert details["fallback_starts"] == 0
+
+    def test_fallback_starts_counted_from_the_mask(self, tmp_path):
+        csv = tmp_path / "index.csv"
+        values = synth_monthly_csv(csv)
+        lines = csv.read_text().splitlines()
+        # two validation months far outside the training data
+        for i in (2003 - 1920) * 12 + 4, (2003 - 1920) * 12 + 9:
+            year, month, _ = lines[i + 1].split(",")
+            lines[i + 1] = f"{year},{month},{values[i] + 1e3}"
+        csv.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            _, _, details = nino34_compare(csv, valid_range=("2003-01", "2003-12"),
+                                           lags=1, M=6, k_max=2)
+        assert details["fallback_starts"] == 2
+        assert _outside_warnings(record) == [
+            "2 of 12 extension points lie outside the data support; "
+            "falling back to the climatological mode"] * 2  # one per shift matrix
 
     def test_range_outside_file(self, tmp_path):
         csv = tmp_path / "index.csv"
