@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all taperdyn modules."""
+"""Exception hierarchy shared by all taperdyn modules, and the integer check
+that raises it."""
+
+import operator
+
+import numpy as np
 
 
 class TaperdynError(Exception):
@@ -36,3 +41,13 @@ class NumericalError(TaperdynError, ArithmeticError):
 
 class IngestError(TaperdynError, ValueError):
     """A data file failed to parse or validate; message carries location detail."""
+
+
+def as_integer(value, name: str, error: type[Exception]) -> int:
+    """value as an int; a bool or a value without __index__ raises error."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

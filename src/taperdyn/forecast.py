@@ -13,7 +13,6 @@ lead-time RMSE and correlation against a climatology baseline.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     SizeError,
+    as_integer,
 )
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -80,16 +80,6 @@ _SINKHORN_TOL = 1e-10     # balancing stops once every s_i (K s)_i is this close
 _SINKHORN_MAX_ITER = 500  # and raises after this many sweeps
 
 
-def _integer(value, name: str, error: type[Exception]) -> int:
-    """value as an int; a bool or a value without __index__ raises error."""
-    if isinstance(value, (bool, np.bool_)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class DelayEmbedding:
     """Delay vectors of a scalar series.
@@ -119,7 +109,7 @@ def delay_embed(series, lags: int) -> DelayEmbedding:
         SizeError: lags not an integer >= 1, or series shorter than lags.
     """
     s = np.asarray(series, dtype=float).ravel()
-    lags = _integer(lags, "lags", SizeError)
+    lags = as_integer(lags, "lags", SizeError)
     if lags < 1:
         raise SizeError(f"lags >= 1 required, got {lags}")
     if s.shape[0] < lags:
@@ -226,8 +216,11 @@ def _kernel_column(points: np.ndarray, X: np.ndarray, bandwidth: float) -> np.nd
     x, an S x n block for an S x p block X.  From exact differences:
     augmented-product columns carry their rounding into the pivoted Cholesky's
     residual trace, and on the diffusion-ou path moved to +20 never reach the
-    1e-16 n certificate within the cap (exact differences: rank 37)."""
-    return np.exp(((points - X[..., None, :]) ** 2).sum(axis=-1) / -bandwidth**2)
+    1e-16 n certificate within the cap (exact differences: rank 37).  A finite
+    point so far out that its squared distance overflows gets exp(-inf) = 0,
+    which sends it to the caller's out-of-support fallback."""
+    with np.errstate(over="ignore"):
+        return np.exp(((points - X[..., None, :]) ** 2).sum(axis=-1) / -bandwidth**2)
 
 
 def _median_bracket(U: np.ndarray, W: np.ndarray, pairs: int):
@@ -593,7 +586,7 @@ def diffusion_basis(
     if not np.all(np.isfinite(pts)):
         raise DomainError("training points contain non-finite values")
     n = pts.shape[0]
-    M = _integer(M, "M", SizeError)
+    M = as_integer(M, "M", SizeError)
     if M < 1 or M > n:
         raise SizeError(f"need 1 <= M <= {n}, got M={M}")
     if M > LARGE_BASIS_WARN:
@@ -692,7 +685,7 @@ def forecast(
         DomainError: non-finite shift matrix entries or observable values.
         ShapeError, SizeError, DomainError: starts that extend refuses.
     """
-    k_max = _integer(k_max, "k_max", ConfigError)
+    k_max = as_integer(k_max, "k_max", ConfigError)
     if k_max < 0:
         raise ConfigError(f"k_max must be >= 0, got {k_max}")
     A = np.asarray(shift.matrix, dtype=float)

@@ -28,14 +28,20 @@ __all__ = [
 # everything above eps-level noise.
 DEFAULT_REL_TOL = 1e-12
 
-# Samples per block of the TSQR reduction.  On a weighted 1e5 x 9 complex
-# EDMD fit (2 vCPU AMD EPYC, OpenBLAS) 4096-8192 rows ran fastest, 14 ms
-# against 33 ms for the thin SVD of the whole matrix; 256 rows took 19 ms and
-# 65536 rows 22 ms.  With the dictionary evaluated per block (2 vCPU Xeon,
-# median of 12: edmd and mpedmd on a 1e5-step standard-map orbit and two
-# 1e4-step windows) 2048, 4096 and 8192 rows took 84, 83 and 84 ms and 1024
-# rows 91 ms.
+# Samples per block of the TSQR reduction, and rows per sub-block of its
+# batched block QR (_block_factor); one pair for real and complex data.
+# Measured on 2 vCPUs (Intel Xeon, OpenBLAS 0.3.31 at its default 2 threads),
+# medians of 21 interleaved runs, per 1e5 rows of an 18-column block:
+# Householder QR of whole 4096-row real blocks took 20.9 ms (12.2 ms in a
+# one-thread process), and batched 128-, 256- and 512-row sub-blocks 11.9,
+# 10.4 and 12.0 ms.  Complex blocks took 22.7 ms whole and 29.8, 28.9 and
+# 49.1 ms in sub-blocks.  On the standard-map fits (medians of 11: tapered
+# edmd and mpedmd of a 1e5-step orbit and plain edmd of its 1e4-step
+# prefix, 3x3 Fourier dictionary) 2048, 4096 and 8192 rows took 27.0, 26.0
+# and 28.3 ms with 256-row sub-blocks, and 128- and 512-row sub-blocks
+# 29.1 ms each at 4096 rows.
 _TSQR_ROWS = 4096
+_SUB_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,10 @@ def _reduce(rows, n: int, weights: WeightVector | None):
     Up to one block of samples the weighted data are the reduced problem.
     Longer data are walked in blocks of _TSQR_ROWS samples: each block of
     [W^½A | W^½B] is copied into one reused buffer and replaced by its R
-    factor, and the stacked R factors are factored once more (TSQR).  Since
-    [W^½A | W^½B] = Q [R_A | R_B] with orthonormal Q, ||W^½B - W^½A K|| =
-    ||R_B - R_A K|| for every K, and R_A has the singular values of W^½A.
+    factor (_block_factor), and the stacked R factors are factored once more
+    (TSQR).  Since [W^½A | W^½B] = Q [R_A | R_B] with orthonormal Q,
+    ||W^½B - W^½A K|| = ||R_B - R_A K|| for every K, and R_A has the
+    singular values of W^½A.  Real data stay real throughout.
     This is the one place where a taper enters a fit.
 
     Raises:
@@ -88,13 +95,24 @@ def _reduce(rows, n: int, weights: WeightVector | None):
                 block[:, :L], block[:, L:] = A, B
                 if raw is not None:
                     block *= np.sqrt(raw[start:stop])[:, None]
-                factors.append(np.linalg.qr(block, mode="r"))
+                factors.append(_block_factor(block))
             R = np.linalg.qr(np.vstack(factors), mode="r")
             A, B = R[:, :L], R[:, L:]
     # NaN and inf survive the reduction, so the small factor shows them
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DomainError("least-squares data hold NaN or infinity")
     return A, B
+
+
+def _block_factor(block: np.ndarray) -> np.ndarray:
+    """R factor of one TSQR block.  Its whole _SUB_ROWS-row sub-blocks are
+    factored in one batched QR call, and their stacked R factors together
+    with the leftover rows are factored once more.  A block at least
+    _SUB_ROWS columns wide is factored whole."""
+    cols = block.shape[1]
+    whole = len(block) - len(block) % _SUB_ROWS if cols < _SUB_ROWS else 0
+    sub = np.linalg.qr(block[:whole].reshape(-1, _SUB_ROWS, cols), mode="r")
+    return np.linalg.qr(np.vstack((sub.reshape(-1, cols), block[whole:])), mode="r")
 
 
 def pinv_lstsq(A: np.ndarray, B: np.ndarray,

@@ -778,6 +778,20 @@ class TestDiffusionBasis:
         assert c[0] == pytest.approx(basis.phi[0, 0])
         np.testing.assert_array_equal(c[1:], 0.0)
 
+    def test_huge_point_falls_back_without_overflow(self):
+        # its squared distance overflows to inf; exp(-inf) = 0 takes the
+        # climatological fallback with its counting warning and no other
+        pts = np.random.default_rng(2).standard_normal((400, 2))
+        basis = diffusion_basis(pts, M=4, bandwidth=0.5)
+        assert basis.factor is None
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            c, ok = basis.extend(np.array([1e200, 0.0]))
+        assert [str(w.message) for w in record] == [
+            "1 of 1 extension points lie outside the data support; "
+            "falling back to the climatological mode"]
+        assert not ok and c[0] == basis.phi[0, 0] and not c[1:].any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_extension_rejects_non_finite_point(self, bad):
         pts = np.random.default_rng(0).standard_normal((100, 1))
@@ -871,6 +885,16 @@ class TestFactorExtension:
             c, ok = basis.extend([40.0])
         assert not ok
         assert c[0] == basis.phi[0, 0] and not c[1:].any()
+
+    def test_huge_point_falls_back_without_overflow(self, ou_benchmark_basis):
+        basis = ou_benchmark_basis
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            c, ok = basis.extend([1e200])
+        assert [str(w.message) for w in record] == [
+            "1 of 1 extension points lie outside the data support; "
+            "falling back to the climatological mode"]
+        assert not ok and c[0] == basis.phi[0, 0] and not c[1:].any()
 
     def test_certified_forecasts_build_no_training_row(self, ou_benchmark_basis,
                                                        no_training_row):

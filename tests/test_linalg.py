@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -18,8 +19,12 @@ from taperdyn import (
     pinv_lstsq,
     standard_map,
 )
-from taperdyn.linalg import _TSQR_ROWS
+from taperdyn.linalg import _SUB_ROWS, _TSQR_ROWS
 from taperdyn.weights import eval_bump
+
+
+# the module, which holds the private block factor
+linalg_module = importlib.import_module("taperdyn.linalg")
 
 
 @pytest.fixture
@@ -129,6 +134,29 @@ class TestTsqrAgainstSvd:
         assert err <= 1e-12
         np.testing.assert_allclose(sol.singular_values, S_ref, rtol=0,
                                    atol=1e-13 * S_ref[0])
+
+    @pytest.mark.parametrize("rows", [1, _SUB_ROWS - 1, _SUB_ROWS, 3 * _SUB_ROWS + 7, _TSQR_ROWS])
+    @pytest.mark.parametrize("cols", [18, _SUB_ROWS + 2])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_block_factor_keeps_the_gram_matrix(self, rows, cols, complex_data):
+        # R* R = X* X: batched sub-blocks, leftover rows and wide blocks alike
+        X = np.hstack(_tall_problem(rows, rows, cols - 2, 2, complex_data))
+        R = linalg_module._block_factor(X)
+        assert R.dtype == X.dtype and R.shape == (min(rows, cols), cols)
+        assert np.array_equal(np.triu(R), R)
+        gram = X.conj().T @ X
+        assert np.linalg.norm(R.conj().T @ R - gram) <= 1e-13 * np.linalg.norm(gram)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_wide_data(self, complex_data):
+        # more columns than a sub-block has rows: the blocks are factored whole
+        N, L = _TSQR_ROWS + 700, _SUB_ROWS + 4
+        A, B = _tall_problem(N, N, L, 3, complex_data)
+        weights = make_weight_vector(N, eval_bump)
+        sol = pinv_lstsq(A, B, weights)
+        K_ref, rank_ref, _ = _svd_reference(A, B, weights=weights)
+        assert sol.effective_rank == rank_ref
+        assert np.linalg.norm(sol.matrix - K_ref) <= 1e-12 * np.linalg.norm(K_ref)
 
     @pytest.mark.parametrize("N", [500, 3 * _TSQR_ROWS + 1])
     def test_truncation(self, gen, N):
