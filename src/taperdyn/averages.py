@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, as_windows
 from .weights import WeightVector, check_weights, eval_bump, make_weight_vector
 
 __all__ = ["SweepRow", "birkhoff_average", "convergence_sweep"]
@@ -90,25 +90,18 @@ def convergence_sweep(
         w: taper profile; defaults to the exponential bump.
 
     Raises:
-        SizeError: no window lengths, the orbit is shorter than benchmark_N,
-            or some N exceeds it.
+        SizeError: no window lengths, a window or benchmark_N that is not an
+            integer >= 2, an orbit shorter than benchmark_N, or a window above it.
     """
-    states = getattr(orbit, "states", orbit)
-    states = np.asarray(states)
-    if len(N_values) == 0:
-        raise SizeError("convergence sweep needs at least one window length")
+    states = np.asarray(getattr(orbit, "states", orbit))
+    windows = as_windows(N_values, 2, benchmark_N)
     if benchmark_N > states.shape[0]:
         raise SizeError(
             f"benchmark_N={benchmark_N} exceeds orbit length {states.shape[0]}")
-    if max(N_values) > benchmark_N:
-        raise SizeError(
-            f"max(N_values)={max(N_values)} exceeds benchmark_N={benchmark_N}")
     series = np.asarray(observable(states[:benchmark_N]))
     benchmark = birkhoff_average(series, make_weight_vector(benchmark_N, w))
     rows = []
-    for N in sorted(int(n) for n in N_values):
-        if N < 2:
-            raise SizeError(f"sweep window N={N} is too short")
+    for N in windows:
         window = series[:N]
         bu = birkhoff_average(window)
         bw = birkhoff_average(window, make_weight_vector(N, w))

@@ -50,6 +50,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     SizeError,
+    as_integer,
 )
 from .systems import (
     RngStream,
@@ -252,10 +253,7 @@ def _weight_fn(cfg):
 def _run_average(cfg) -> dict:
     if cfg["system"] != "driven-logistic":
         raise ConfigError(f"unknown system {cfg['system']!r}")
-    if cfg["eps"] < 0:
-        raise ConfigError(f"eps must be >= 0, got {cfg['eps']}")
-    if cfg["N"] < 2:
-        raise ConfigError(f"N must be >= 2, got {cfg['N']}")
+    as_integer(cfg["N"], "N", ConfigError, 2)  # driven_logistic checks eps
     orbit = driven_logistic(cfg["eps"], cfg["x0"], cfg["theta0"], cfg["N"])
     w = _weight_fn(cfg)
     outputs = {}
@@ -264,8 +262,7 @@ def _run_average(cfg) -> dict:
             raise ConfigError(
                 f"N={cfg['N']} is too short for the default windows 10..N/10; "
                 "pass --sweep-n")
-        sweep_n = cfg["sweep_n"] or tuple(
-            int(v) for v in np.unique(np.geomspace(10, cfg["N"] // 10, 12, dtype=int)))
+        sweep_n = cfg["sweep_n"] or np.unique(np.geomspace(10, cfg["N"] // 10, 12, dtype=int))
         rows = convergence_sweep(orbit, lambda s: s[:, 0], sweep_n, cfg["N"], w)
         outputs["average_sweep.csv"] = (
             "N,err_unweighted,err_weighted",

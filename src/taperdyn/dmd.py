@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, as_integer, as_windows
 from .systems import RngStream, Trajectory
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -83,9 +83,10 @@ def random_projection(D: int, r: int, seed: int) -> ProjectionBasis:
     """Orthonormal basis U (D x r) from the QR of a seeded Gaussian matrix.
 
     Raises:
-        ShapeError: r > D.
+        ShapeError: D or r not an integer >= 1, or r > D.
     """
-    if r > D or r < 1:
+    D, r = as_integer(D, "D", ShapeError, 1), as_integer(r, "r", ShapeError, 1)
+    if r > D:
         raise ShapeError(f"need 1 <= r <= D, got r={r}, D={D}")
     gen = RngStream(seed, "random_projection").generator()
     G = gen.standard_normal((D, r))
@@ -206,14 +207,10 @@ def dmd_error_sweep(
     Frobenius norm (and spectrum distance) to the weighted fit at benchmark_N.
 
     Raises:
-        SizeError: no window lengths, a benchmark shorter than the largest
-            requested window, or a trajectory shorter than benchmark_N + 1 states.
+        SizeError: no window lengths, a window or benchmark_N not an integer
+            >= 2, a window above benchmark_N, or fewer than benchmark_N + 1 states.
     """
-    if len(N_values) == 0:
-        raise SizeError("DMD error sweep needs at least one window length")
-    if max(N_values) > benchmark_N:
-        raise SizeError(
-            f"max(N_values)={max(N_values)} exceeds benchmark_N={benchmark_N}")
+    windows = as_windows(N_values, 2, benchmark_N)
     if len(traj) < benchmark_N + 1:
         raise SizeError(
             f"trajectory has {len(traj)} states; benchmark needs {benchmark_N + 1}")
@@ -222,7 +219,7 @@ def dmd_error_sweep(
                 make_weight_vector(benchmark_N, w))
     bench_norm = np.linalg.norm(bench.matrix)
     rows = []
-    for N in sorted(int(n) for n in N_values):
+    for N in windows:
         X, Y = states[:N], states[1:N + 1]
         unw = dmd(X, Y, None)
         wt = dmd(X, Y, make_weight_vector(N, w))

@@ -72,14 +72,6 @@ class Dictionary:
         return out if self._to_complex is None else self._to_complex(out)
 
 
-def _sizes(first: int, name: str, dim: int) -> tuple[int, int]:
-    """(first, dim) as ints, checked to be at least 0 and 1."""
-    first, dim = as_integer(first, name, ConfigError), as_integer(dim, "dim", ConfigError)
-    if first < 0 or dim < 1:
-        raise ConfigError(f"{name} >= 0 and dim >= 1 required")
-    return first, dim
-
-
 def _as_complex(features: np.ndarray) -> np.ndarray:
     return features.astype(complex)
 
@@ -97,7 +89,8 @@ def fourier_dictionary(max_index: int, dim: int = 2) -> Dictionary:
     standard-map orbits, plain and tapered, erred about ten times more
     against a 32-digit reference (README).
     """
-    max_index, dim = _sizes(max_index, "max_index", dim)
+    max_index = as_integer(max_index, "max_index", ConfigError, 0)
+    dim = as_integer(dim, "dim", ConfigError, 1)
     size = (2 * max_index + 1) ** dim
     c = size // 2
 
@@ -148,7 +141,8 @@ def monomial_dictionary(max_degree: int, dim: int = 1) -> Dictionary:
     For dim = 1 this is (1, x, x^2, ..., x^max_degree).  The features are
     the monomials themselves.
     """
-    max_degree, dim = _sizes(max_degree, "max_degree", dim)
+    max_degree = as_integer(max_degree, "max_degree", ConfigError, 0)
+    dim = as_integer(dim, "dim", ConfigError, 1)
     exps = np.array(_monomial_exponents(max_degree, dim))
 
     def evaluate(states):
@@ -166,9 +160,7 @@ def monomial_dictionary(max_degree: int, dim: int = 1) -> Dictionary:
 
 def identity_dictionary(dim: int) -> Dictionary:
     """The state coordinates themselves; reduces EDMD to a transposed DMD fit."""
-    dim = as_integer(dim, "dim", ConfigError)
-    if dim < 1:
-        raise ConfigError("dim >= 1 required")
+    dim = as_integer(dim, "dim", ConfigError, 1)
 
     def evaluate(states):
         return states.copy()  # the fits freeze what evaluate returns
@@ -220,7 +212,12 @@ class DictionaryMatrices:
     Phi = property(lambda self: self._pair[1])
 
     def prefix(self, N: int) -> "DictionaryMatrices":
-        """First N transitions, read from the same data; used by window sweeps."""
+        """First N transitions, read from the same data; used by window sweeps.
+
+        Raises:
+            SizeError: N not an integer in 1..n_pairs.
+        """
+        N = as_integer(N, "N", SizeError, 1)
         if N > self.n_pairs:
             raise SizeError(f"prefix {N} exceeds {self.n_pairs} rows")
         return object.__new__(DictionaryMatrices)._read(self._rows, N, self._to_complex,

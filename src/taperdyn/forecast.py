@@ -106,17 +106,18 @@ def delay_embed(series, lags: int) -> DelayEmbedding:
     lags = 1 is the identity embedding.
 
     Raises:
+        ShapeError: series neither (N,) nor (N, 1).
         SizeError: lags not an integer >= 1, or series shorter than lags.
     """
-    s = np.asarray(series, dtype=float).ravel()
-    lags = as_integer(lags, "lags", SizeError)
-    if lags < 1:
-        raise SizeError(f"lags >= 1 required, got {lags}")
+    s = np.asarray(series, dtype=float)
+    if s.ndim != 1 and s.shape[1:] != (1,):
+        raise ShapeError(f"series must have shape (N,) or (N, 1), got {s.shape}")
+    lags = as_integer(lags, "lags", SizeError, 1)
     if s.shape[0] < lags:
         raise SizeError(f"series of length {s.shape[0]} is shorter than lags={lags}")
     n = s.shape[0] - lags + 1
     idx = np.arange(n)[:, None] + np.arange(lags)[None, :]
-    return DelayEmbedding(points=s[idx], lags=lags)
+    return DelayEmbedding(points=s.ravel()[idx], lags=lags)
 
 
 @dataclass(frozen=True)
@@ -586,8 +587,8 @@ def diffusion_basis(
     if not np.all(np.isfinite(pts)):
         raise DomainError("training points contain non-finite values")
     n = pts.shape[0]
-    M = as_integer(M, "M", SizeError)
-    if M < 1 or M > n:
+    M = as_integer(M, "M", SizeError, 1)
+    if M > n:
         raise SizeError(f"need 1 <= M <= {n}, got M={M}")
     if M > LARGE_BASIS_WARN:
         warnings.warn(
@@ -685,9 +686,7 @@ def forecast(
         DomainError: non-finite shift matrix entries or observable values.
         ShapeError, SizeError, DomainError: starts that extend refuses.
     """
-    k_max = as_integer(k_max, "k_max", ConfigError)
-    if k_max < 0:
-        raise ConfigError(f"k_max must be >= 0, got {k_max}")
+    k_max = as_integer(k_max, "k_max", ConfigError, 0)
     A = np.asarray(shift.matrix, dtype=float)
     if A.shape != (basis.M, basis.M):
         raise ShapeError(f"shift matrix has shape {A.shape}, the basis needs {(basis.M,) * 2}")
@@ -808,6 +807,7 @@ def nino34_compare(
     from .dataio import read_nino34_csv
 
     months, values = read_nino34_csv(csv_path)
+    lags, k_max = as_integer(lags, "lags", SizeError, 1), as_integer(k_max, "k_max", ConfigError, 0)
     t0, t1 = (_parse_month(s) for s in train_range)
     v0, v1 = (_parse_month(s) for s in valid_range)
     for name, (first, last), backwards in (("training", train_range, t1 < t0),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .edmd import monomial_dictionary
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, as_integer, as_windows
 from .systems import RngStream, harmonic_series
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -69,7 +69,7 @@ def stlsq(
         max_iter: defaults to L + 1, which suffices under cumulative pruning.
 
     Raises:
-        ConfigError: eta negative or NaN, or max_iter < 1.
+        ConfigError: eta negative or NaN, or max_iter not an integer >= 1.
         ShapeError: Psi not 2-D, targets neither 1-D nor 2-D, or a
             sample-count mismatch between Psi, targets, or weights.
         DomainError: Psi or the targets hold NaN or infinity.
@@ -82,10 +82,7 @@ def stlsq(
     if Psi.ndim != 2 or T.ndim != 2 or T.shape[0] != Psi.shape[0]:
         raise ShapeError(f"Psi {Psi.shape} and targets {T.shape} must be N x L and N x d")
     (N, L), d = Psi.shape, T.shape[1]
-    if max_iter is None:
-        max_iter = L + 1
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = L + 1 if max_iter is None else as_integer(max_iter, "max_iter", ConfigError, 1)
 
     dtype = np.result_type(Psi.dtype, T.dtype, float)
     Xi = np.zeros((d, L), dtype=dtype)
@@ -119,7 +116,7 @@ def stlsq(
 
 def harmonic_oscillator_exact(L: int = 6) -> np.ndarray:
     """Exact monomial coefficients of x'' = -x: [0, -1, 0, ..., 0]."""
-    xi = np.zeros((1, L))
+    xi = np.zeros((1, as_integer(L, "L", ConfigError, 2)))
     xi[0, 1] = -1.0
     return xi
 
@@ -152,11 +149,14 @@ def sindy_error_sweep(
     the thresholded variants (SINDy, wtSINDy) at each eta; the reported error
     is the Frobenius distance to the exact coefficients [0, -1, 0, ...].
     Thresholded rows carry their eta; the LS rows carry eta = 0.
+
+    Raises:
+        SizeError: no window lengths, or one that is not an integer >= 3.
     """
     dictionary = monomial_dictionary(degree, dim=1)
     exact = harmonic_oscillator_exact(dictionary.size)
     rows: list[SindySweepRow] = []
-    for N in sorted(int(n) for n in N_values):
+    for N in as_windows(N_values, 3):
         data = harmonic_series(amplitude, phase, dt, N,
                                noise_sigma=noise_sigma, rng=rng)
         Psi = dictionary(data.interior_positions[:, None]).real

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, as_integer
 from .weights import eval_bump, make_weight_vector
 
 __all__ = [
@@ -43,7 +43,7 @@ class AutocorrelationSet:
     M: int
 
     def lag(self, n: int) -> complex:
-        if abs(n) > self.M:
+        if abs(as_integer(n, "lag n", DomainError)) > self.M:
             raise DomainError(f"lag {n} outside [-{self.M}, {self.M}]")
         return complex(self.values[self.M + n])
 
@@ -62,13 +62,12 @@ def autocorrelations(
     are filled by conjugate symmetry, which therefore holds exactly.
 
     Raises:
-        DomainError: M < 0, or the series holds NaN or inf.
+        DomainError: M not an integer >= 0, or the series holds NaN or inf.
         SizeError: M >= N - 1, so some window would have fewer than 2 samples.
     """
     s = np.asarray(series, dtype=complex).ravel()
     N = s.shape[0]
-    if M < 0:
-        raise DomainError(f"M must be >= 0, got {M}")
+    M = as_integer(M, "M", DomainError, 0)
     if M >= N - 1:
         raise SizeError(f"need M <= N - 2 (got M={M}, N={N})")
     if not np.isfinite(s).all():
@@ -225,11 +224,10 @@ def peak_report(
     theta; a flat density yields an empty list.
 
     Raises:
-        SizeError: grid_size < 16.
+        SizeError: grid_size not an integer >= 16.
         DomainError: min_prominence negative or not finite.
     """
-    if grid_size < 16:
-        raise SizeError(f"grid_size >= 16 required, got {grid_size}")
+    grid_size = as_integer(grid_size, "grid_size", SizeError, 16)
     if not (np.isfinite(min_prominence) and min_prominence >= 0):
         raise DomainError(f"min_prominence must be finite and >= 0, got {min_prominence}")
     grid = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SizeError
+from .errors import ConfigError, ShapeError, SizeError, as_integer
 
 __all__ = [
     "Trajectory",
@@ -45,10 +45,16 @@ class RngStream:
 
     Child streams are derived by hashing (seed, label path), so adding a new
     labeled consumer never perturbs the draws of existing ones.
+
+    Raises:
+        ConfigError: seed not an integer (1.0 would give another stream than 1).
     """
 
     seed: int
     label: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed", ConfigError))
 
     def split(self, label: str) -> "RngStream":
         """Derive an independent child stream for the given label."""
@@ -106,8 +112,7 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
     quasiperiodic response, eps = 0.1 chaos.  The loop runs on Python
     floats: a numpy-scalar x0 would make every step numpy scalar arithmetic.
     """
-    if N < 2:
-        raise SizeError(f"N >= 2 required, got {N}")
+    N = as_integer(N, "N", SizeError, 2)
     x0 = float(x0)
     if not (math.isfinite(eps) and eps >= 0):
         raise ConfigError(f"eps must be finite and >= 0, got {eps}")
@@ -190,6 +195,7 @@ def standard_map(
     This is the one-IC case of standard_map_batch.
 
     Raises:
+        SizeError: N not an integer >= 2.
         ConfigError: unknown mode, stochastic mode without rng, or a
             non-finite lambda or initial condition.
     """
@@ -215,10 +221,9 @@ def standard_map_batch(
 
     Raises:
         ShapeError: p0 and theta0 are not 1-D arrays of equal length.
-        ConfigError: as standard_map.
+        SizeError, ConfigError: as standard_map.
     """
-    if N < 2:
-        raise SizeError(f"N >= 2 required, got {N}")
+    N = as_integer(N, "N", SizeError, 2)
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     if p0.ndim != 1 or p0.shape != theta0.shape:
@@ -270,11 +275,10 @@ def harmonic_series(
         rng: required when noise_sigma > 0.
 
     Raises:
-        SizeError: N < 3.
+        SizeError: N not an integer >= 3.
         ConfigError: before any draw, naming a scalar out of range, or noise without rng.
     """
-    if N < 3:
-        raise SizeError(f"N >= 3 required, got {N}")
+    N = as_integer(N, "N", SizeError, 3)
     for name, value in (("amplitude", amplitude), ("phase", phase)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -329,16 +333,16 @@ def ou_sample(
     dt/substeps.  The stationary variance approaches diffusion^2/(2 theta_rate).
 
     Raises:
-        ConfigError: a non-finite argument, theta_rate, diffusion or dt <= 0,
-            substeps < 1, or 1 - theta_rate*dt/substeps <= 0 (unstable step).
+        SizeError: N not an integer >= 2.
+        ConfigError: substeps not an integer >= 1, a non-finite argument, theta_rate,
+            diffusion or dt <= 0, or 1 - theta_rate*dt/substeps <= 0 (unstable step).
     """
-    if N < 2:
-        raise SizeError(f"N >= 2 required, got {N}")
-    if not all(map(math.isfinite, (theta_rate, diffusion, x0, dt))):
-        raise ConfigError("theta_rate, diffusion, x0 and dt must be finite, got "
-                          f"{theta_rate}, {diffusion}, {x0}, {dt}")
-    if theta_rate <= 0 or diffusion <= 0 or dt <= 0 or substeps < 1:
-        raise ConfigError("theta_rate, diffusion, dt must be > 0 and substeps >= 1")
+    N = as_integer(N, "N", SizeError, 2)
+    substeps = as_integer(substeps, "substeps", ConfigError, 1)
+    if not (all(map(math.isfinite, (theta_rate, diffusion, x0, dt)))
+            and theta_rate > 0 and diffusion > 0 and dt > 0):
+        raise ConfigError("theta_rate, diffusion and dt must be finite and > 0, and x0 "
+                          f"finite, got {theta_rate}, {diffusion}, {dt} and {x0}")
     h = dt / substeps
     decay = 1.0 - theta_rate * h
     if decay <= 0.0:
@@ -378,10 +382,7 @@ def quasiperiodic_field(
     Used as the bundled stand-in for near-periodic high-dimensional snapshot
     data in the propagator error sweeps.
     """
-    if N < 2:
-        raise SizeError(f"N >= 2 required, got {N}")
-    if D < 1:
-        raise ConfigError("D must be >= 1")
+    N, D = as_integer(N, "N", SizeError, 2), as_integer(D, "D", ConfigError, 1)
     harmonics = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [2, 0], [0, 2]])
     gen = RngStream(seed, "quasiperiodic_field").generator()
     coef = gen.standard_normal((D, len(harmonics)))

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightError, DomainError, ShapeError, SizeError
+from .errors import (ConfigError, DegenerateWeightError, DomainError, ShapeError, SizeError,
+                     as_integer)
 
 __all__ = [
     "WeightVector",
@@ -116,12 +117,11 @@ def make_weight_vector(N: int, w: Callable) -> WeightVector:
     """Sample a taper w (vectorised over arrays) at n/N, n = 0..N-1, and normalize.
 
     Raises:
-        SizeError: if N < 2.
+        SizeError: N not an integer >= 2.
         DegenerateWeightError: if the taper returns the wrong shape, or
             WeightVector refuses the samples.
     """
-    if N < 2:
-        raise SizeError(f"weight vector needs N >= 2, got {N}")
+    N = as_integer(N, "N", SizeError, 2)
     x = np.arange(N, dtype=float)
     x /= N
     raw = np.asarray(w(x), dtype=float)

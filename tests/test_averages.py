@@ -101,6 +101,19 @@ class TestConvergenceSweep:
         with pytest.raises(SizeError, match="at least one window"):
             convergence_sweep(orbit, lambda s: s[:, 0], windows, 100)
 
+    @pytest.mark.parametrize("windows", [[10.7], [20, 1], [True], ["10"], [20, 101]])
+    def test_windows_must_be_integers_in_range(self, windows):
+        orbit = driven_logistic(0.0, 0.25, 0.0, 200)
+        with pytest.raises(SizeError):
+            convergence_sweep(orbit, lambda s: s[:, 0], windows, 100)
+
+    def test_numpy_windows_are_bit_identical(self):
+        orbit = driven_logistic(0.01, 0.25, 0.0, 100)
+        rows = convergence_sweep(orbit, lambda s: s[:, 0], [10, 50], 100)
+        for windows in (np.array([50, 10]), (np.int32(50), np.int64(10))):
+            numpy_rows = convergence_sweep(orbit, lambda s: s[:, 0], windows, np.int64(100))
+            assert numpy_rows == rows and all(type(row.N) is int for row in numpy_rows)
+
 
 @pytest.fixture
 def gen():

@@ -247,3 +247,16 @@ class TestErrorSweep:
         traj = quasiperiodic_field(5, 101, seed=4)
         with pytest.raises(SizeError, match="at least one window"):
             dmd_error_sweep(traj, windows, 100)
+
+    @pytest.mark.parametrize("windows", [[10.7], [20, 1], [True], ["10"], [20, 101]])
+    def test_windows_must_be_integers_in_range(self, windows):
+        traj = quasiperiodic_field(5, 201, seed=4)
+        with pytest.raises(SizeError):
+            dmd_error_sweep(traj, windows, 100)
+
+    def test_numpy_windows_are_bit_identical(self):
+        traj = quasiperiodic_field(5, 101, seed=4)
+        rows = dmd_error_sweep(traj, [10, 50], 100)
+        for windows in (np.array([50, 10]), (np.int32(50), np.int64(10))):
+            numpy_rows = dmd_error_sweep(traj, windows, np.int64(100))
+            assert numpy_rows == rows and all(type(row.N) is int for row in numpy_rows)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from taperdyn import (
     NumericalError,
     RngStream,
     ShapeError,
+    SizeError,
     build_dictionary_matrices,
     dmd,
     edmd,
@@ -62,6 +64,22 @@ class TestDictionaries:
             vals[:, 0], np.exp(-1j * (states[:, 0] + states[:, 1])), atol=1e-12)
         np.testing.assert_allclose(vals[:, 4], 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("max_index, dim", [(1, 1), (1, 2), (2, 2), (1, 3)])
+    def test_fourier_feature_layout(self, gen, max_index, dim):
+        # the order is part of the accuracy contract (README): columns Re psi_j,
+        # Im psi_j for j < c, then the constant; TestEdmdReference measures it
+        d = fourier_dictionary(max_index, dim=dim)
+        c = d.size // 2
+        states = gen.uniform(0, TWO_PI, (40, dim))
+        ks = np.array(list(itertools.product(range(-max_index, max_index + 1), repeat=dim)))
+        psi = np.exp(1j * states @ ks.T)
+        features = d.evaluate(states)
+        assert features.dtype == float and features.shape == (40, d.size)
+        np.testing.assert_allclose(features[:, 0:-1:2], psi[:, :c].real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(features[:, 1:-1:2], psi[:, :c].imag, rtol=0, atol=1e-14)
+        assert np.all(features[:, -1] == 1.0)
+        np.testing.assert_array_equal(d(states), d._to_complex(features))
+
     def test_monomials_1d(self):
         d = monomial_dictionary(5, dim=1)
         assert d.size == 6
@@ -89,6 +107,12 @@ class TestDictionaries:
         (identity_dictionary, (2.0,)), (monomial_dictionary, (2, True)),
         (identity_dictionary, (np.bool_(True),)), (fourier_dictionary, ("1",)),
         (fourier_dictionary, (-1,)), (monomial_dictionary, (1, 0)), (identity_dictionary, (0,)),
+        (fourier_dictionary, (1, True)), (fourier_dictionary, (1, "2")),
+        (fourier_dictionary, (1, 0)), (monomial_dictionary, ("2",)),
+        (monomial_dictionary, (True,)), (monomial_dictionary, (-1,)),
+        (monomial_dictionary, (2, 2.5)), (monomial_dictionary, (2, "2")),
+        (identity_dictionary, (2.5,)), (identity_dictionary, (True,)),
+        (identity_dictionary, ("3",)),
     ])
     def test_sizes_must_be_integers_in_range(self, factory, args):
         with pytest.raises(ConfigError):
@@ -98,6 +122,10 @@ class TestDictionaries:
         assert fourier_dictionary(np.int64(1), dim=np.int32(2)).size == 9
         assert monomial_dictionary(np.uint8(2), dim=np.int64(2)).size == 6
         assert identity_dictionary(np.int16(3)).size == 3
+        states = np.random.default_rng(3).uniform(0, TWO_PI, (20, 2))
+        for factory, size in ((fourier_dictionary, 1), (monomial_dictionary, 2)):
+            numpy_features = factory(np.int64(size), dim=np.int32(2)).evaluate(states)
+            assert numpy_features.tobytes() == factory(size, dim=2).evaluate(states).tobytes()
 
     @pytest.mark.parametrize("n", [50, _TSQR_ROWS + 50])
     @pytest.mark.parametrize("dictionary, bad", [
@@ -134,6 +162,15 @@ class TestBuildMatrices:
         states = gen.standard_normal((30, 2))
         mats = build_dictionary_matrices(states, identity_dictionary(2))
         assert mats.prefix(10).n_pairs == 10
+
+    @pytest.mark.parametrize("N", [-3, 0, 30, 2.5, 10.0, True, "10", None])
+    def test_prefix_outside_one_to_n_pairs_is_a_size_error(self, gen, N):
+        # prefix(-3) read transitions 0..26, and prefix(0) fitted a zero matrix
+        mats = build_dictionary_matrices(gen.standard_normal((30, 2)), identity_dictionary(2))
+        with pytest.raises(SizeError):
+            mats.prefix(N)
+        for valid in (1, 29, np.int64(29)):
+            assert type(mats.prefix(valid).n_pairs) is int
 
 
 DICTIONARIES = {"fourier": fourier_dictionary(1, dim=2),
@@ -453,20 +490,35 @@ class TestMpedmd:
             mpedmd(mats)
 
 
-def _mpedmd_reference(mats, weights):
-    """K = G^-½ polar(G^-½ A G^-½) G^½ with G = Psi* W Psi, A = Psi* W Phi,
-    in 50-digit arithmetic from the float64 dictionary values."""
-    mp = pytest.importorskip("mpmath").mp
+def _moments(mp, mats, weights):
+    """G = Psi* W Psi and A = Psi* W Phi at mp's working precision, from the
+    float64 dictionary values, with the weights normalized to sum 1."""
     N, L = mats.Psi.shape
+    raw = [mp.mpf(1)] * N if weights is None else [mp.mpf(float(v)) for v in weights.raw]
+    total = mp.fsum(raw)
+    w = [r / total for r in raw]
+    wpsi = [[w_n * mp.mpc(complex(v)).conjugate() for w_n, v in zip(w, col)]
+            for col in mats.Psi.T]
+    psi = [[mp.mpc(complex(v)) for v in col] for col in mats.Psi.T]
+    phi = [[mp.mpc(complex(v)) for v in col] for col in mats.Phi.T]
+    G = mp.matrix([[mp.fdot(wpsi[i], psi[j]) for j in range(L)] for i in range(L)])
+    A = mp.matrix([[mp.fdot(wpsi[i], phi[j]) for j in range(L)] for i in range(L)])
+    return G, A
+
+
+def _edmd_reference(mats, weights):
+    """K = G^-1 A (see _moments) in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath").mp
     with mp.workdps(50):
-        raw = [mp.mpf(1)] * N if weights is None else [mp.mpf(float(v)) for v in weights.raw]
-        total = mp.fsum(raw)
-        wpsi = [[raw[n] / total * mp.mpc(complex(v)).conjugate() for n, v in enumerate(col)]
-                for col in mats.Psi.T]
-        psi = [[mp.mpc(complex(v)) for v in col] for col in mats.Psi.T]
-        phi = [[mp.mpc(complex(v)) for v in col] for col in mats.Phi.T]
-        G = mp.matrix([[mp.fdot(wpsi[i], psi[j]) for j in range(L)] for i in range(L)])
-        A = mp.matrix([[mp.fdot(wpsi[i], phi[j]) for j in range(L)] for i in range(L)])
+        G, A = _moments(mp, mats, weights)
+        return np.array((G**-1 * A).tolist(), dtype=complex)
+
+
+def _mpedmd_reference(mats, weights):
+    """K = G^-½ polar(G^-½ A G^-½) G^½ (see _moments) in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        G, A = _moments(mp, mats, weights)
         E, Q = mp.eighe(G)
         G_half = Q * mp.diag([mp.sqrt(e) for e in E]) * Q.H
         G_inv_half = Q * mp.diag([1 / mp.sqrt(e) for e in E]) * Q.H
@@ -476,6 +528,21 @@ def _mpedmd_reference(mats, weights):
 
 def _relerr(K, ref):
     return np.linalg.norm(K - ref) / np.linalg.norm(ref)
+
+
+class TestEdmdReference:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_island_orbit_above_one_block(self, weighted):
+        # the real Fourier features reduced through TSQR blocks on a lambda =
+        # 0.25 island orbit, where Householder QR is sensitive to their order:
+        # 1.5e-14 plain and 6.4e-15 tapered measured, and 3.3e-13 and 1.5e-13
+        # with the constant feature moved to the middle column
+        n = _TSQR_ROWS + 904
+        mats = build_dictionary_matrices(standard_map(0.25, 0.5, math.pi, n + 1),
+                                         fourier_dictionary(1, dim=2))
+        weights = make_weight_vector(n, eval_bump) if weighted else None
+        assert _relerr(edmd(mats, weights).matrix, _edmd_reference(mats, weights)) <= 5e-14
 
 
 class TestMpedmdReference:

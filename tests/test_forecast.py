@@ -61,13 +61,26 @@ class TestDelayEmbed:
         with pytest.raises(SizeError):
             delay_embed([1.0, 2.0], 3)
 
-    @pytest.mark.parametrize("lags", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("lags", [2.5, 2.0, True, "2", None, 0, -1])
     def test_lags_not_an_integer_is_a_size_error(self, lags):
         with pytest.raises(SizeError, match="lags must be an integer"):
             delay_embed([1.0, 2.0, 3.0], lags)
 
     def test_numpy_integer_lags_accepted(self):
-        assert delay_embed([1.0, 2.0, 3.0], np.int64(2)).lags == 2
+        emb = delay_embed([1.0, 2.0, 3.0], np.int64(2))
+        assert type(emb.lags) is int
+        assert emb.points.tobytes() == delay_embed([1.0, 2.0, 3.0], 2).points.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1)])
+    def test_one_column_series(self, shape):
+        emb = delay_embed(np.arange(5.0).reshape(shape), 2)
+        np.testing.assert_array_equal(emb.points, [[0, 1], [1, 2], [2, 3], [3, 4]])
+
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 5), (5, 1, 1), ()])
+    def test_series_of_several_columns_is_a_shape_error(self, shape):
+        # raveling (5, 2) would embed [0, 1], [1, 2], ... across the columns
+        with pytest.raises(ShapeError, match=r"\(N,\) or \(N, 1\)"):
+            delay_embed(np.arange(float(np.prod(shape))).reshape(shape), 2)
 
 
 # the package exports a function named forecast, which hides the module
@@ -551,10 +564,16 @@ class TestDiffusionBasis:
         mag = basis.phi[:, 1] ** 2 + basis.phi[:, 2] ** 2
         assert mag.std() / mag.mean() < 0.1
 
-    @pytest.mark.parametrize("M", [2.5, 2.0, True, np.bool_(True), "2"])
+    @pytest.mark.parametrize("M", [2.5, 2.0, True, np.bool_(True), "2", 0, -1])
     def test_m_not_an_integer_is_a_size_error(self, M, no_kernel):
         with pytest.raises(SizeError, match="M must be an integer"):
             diffusion_basis(np.linspace(0.0, 1.0, 50), M=M, bandwidth=0.3)
+
+    def test_numpy_integer_m_is_bit_identical(self):
+        pts = np.linspace(0.0, 1.0, 50)
+        basis = diffusion_basis(pts, M=np.int64(3), bandwidth=0.3)
+        assert type(basis.M) is int
+        assert basis.phi.tobytes() == diffusion_basis(pts, M=3, bandwidth=0.3).phi.tobytes()
 
     def test_m_too_large(self):
         with pytest.raises(SizeError):
@@ -1237,7 +1256,7 @@ class TestForecast:
             rel = np.linalg.norm(preds[:, k] - truth) / np.linalg.norm(truth)
             assert rel < 0.2
 
-    @pytest.mark.parametrize("k_max", [2.0, 2.5, True, "2"])
+    @pytest.mark.parametrize("k_max", [2.0, 2.5, True, "2", -1])
     def test_k_max_not_an_integer_is_a_config_error(self, ou_basis, monkeypatch, k_max):
         monkeypatch.setattr(DiffusionBasis, "extend", _refuse)  # checked before extending
         with pytest.raises(ConfigError, match="k_max must be an integer"):
@@ -1245,9 +1264,10 @@ class TestForecast:
                      ou_basis.points[:, 0])
 
     def test_numpy_integer_k_max_accepted(self, ou_basis):
-        preds, _ = forecast(ou_basis, shift_matrix(ou_basis), np.array([0.1]), np.int32(3),
-                            ou_basis.points[:, 0])
+        args = ou_basis, shift_matrix(ou_basis), np.array([0.1])
+        preds, _ = forecast(*args, np.int32(3), ou_basis.points[:, 0])
         assert preds.shape == (4,)
+        assert preds.tobytes() == forecast(*args, 3, ou_basis.points[:, 0])[0].tobytes()
 
     def test_observable_length_checked(self):
         pts = np.random.default_rng(4).standard_normal((50, 1))
@@ -1410,6 +1430,19 @@ class TestMonthlyPipeline:
         monkeypatch.setattr(forecast_module, "diffusion_basis", _refuse)
         with pytest.raises(SizeError, match="validation start precedes the file"):
             nino34_compare(csv, valid_range=("1920-03", "1930-12"), lags=6)
+
+    @pytest.mark.parametrize("counts, error", [
+        ({"k_max": 2.5}, ConfigError), ({"k_max": -1}, ConfigError),
+        ({"lags": "6"}, SizeError), ({"lags": 0}, SizeError), ({"lags": True}, SizeError),
+    ])
+    def test_counts_rejected_before_the_basis(self, tmp_path, monkeypatch, counts, error):
+        # k_max = 2.5 was refused by forecast after the basis was built, and
+        # lags = "6" raised TypeError
+        csv = tmp_path / "index.csv"
+        synth_monthly_csv(csv)
+        monkeypatch.setattr(forecast_module, "diffusion_basis", _refuse)
+        with pytest.raises(error, match="must be an integer"):
+            nino34_compare(csv, **counts)
 
     def test_one_month_validation_range(self, tmp_path):
         csv = tmp_path / "index.csv"

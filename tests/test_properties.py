@@ -1,11 +1,19 @@
 """Properties shared across estimator families: a uniform taper reproduces the
-plain estimate, and no fitter changes its caller's arrays or makes them
-read-only."""
+plain estimate, no fitter changes its caller's arrays or makes them
+read-only, and every count argument is checked the same way."""
+import warnings
+
 import numpy as np
 import pytest
 
 from taperdyn import (
+    ConfigError,
     DictionaryMatrices,
+    DomainError,
+    RngStream,
+    ShapeError,
+    SizeError,
+    TaperdynError,
     Trajectory,
     WeightVector,
     autocorrelations,
@@ -13,20 +21,31 @@ from taperdyn import (
     build_dictionary_matrices,
     convergence_sweep,
     delay_embed,
+    density,
     diffusion_basis,
     dmd,
     dmd_error_sweep,
+    driven_logistic,
     edmd,
     eval_bump,
     forecast,
     fourier_dictionary,
+    harmonic_oscillator_exact,
+    harmonic_series,
     make_weight_vector,
     mpedmd,
+    ou_sample,
+    peak_report,
     pinv_lstsq,
+    quasiperiodic_field,
+    random_projection,
     shift_matrix,
+    sindy_error_sweep,
+    standard_map,
     stlsq,
     uniform_taper,
 )
+from taperdyn.systems import standard_map_batch
 
 
 class TestUniformTaperIsPlain:
@@ -121,3 +140,94 @@ def test_inputs_neither_changed_nor_frozen(name, weighted):
     for array, copy in zip(arrays, before):
         np.testing.assert_array_equal(array, copy)
         assert array.flags.writeable
+
+
+_G = np.random.default_rng(11)
+_SERIES = np.exp(1j * (0.3 + 2.0 * np.arange(200)))
+_PSI, _TARGETS = _G.standard_normal((100, 4)), _G.standard_normal((100, 2))
+_MATS = build_dictionary_matrices(_G.standard_normal((31, 2)), fourier_dictionary(1, dim=2))
+_ORBIT = driven_logistic(0.01, 0.25, 0.0, 60)
+_FIELD = quasiperiodic_field(3, 61, seed=5)
+
+
+def _ou(N, substeps):
+    return ou_sample(1.0, 1.0, 0.2, 0.1, N, substeps=substeps, rng=RngStream(2, "count"))
+
+
+# every count argument of the public API that no other test table covers:
+# (call of the count, the error its bad values raise, its minimum, a valid value)
+COUNTS = {
+    "driven_logistic-N": (lambda v: driven_logistic(0.01, 0.25, 0.0, v).states,
+                          SizeError, 2, 40),
+    "standard_map-N": (lambda v: standard_map(0.25, 0.5, 1.0, v).states, SizeError, 2, 40),
+    "standard_map_batch-N": (lambda v: standard_map_batch(0.25, [0.5, 1.0], [1.0, 2.0], v),
+                             SizeError, 2, 40),
+    "harmonic_series-N": (lambda v: harmonic_series(2.0, 0.7, 0.01, v).second_derivative,
+                          SizeError, 3, 40),
+    "ou_sample-N": (lambda v: _ou(v, 3).states, SizeError, 2, 40),
+    "ou_sample-substeps": (lambda v: _ou(40, v).states, ConfigError, 1, 3),
+    "quasiperiodic_field-D": (lambda v: quasiperiodic_field(v, 40, seed=5).states,
+                              ConfigError, 1, 3),
+    "quasiperiodic_field-N": (lambda v: quasiperiodic_field(3, v, seed=5).states,
+                              SizeError, 2, 40),
+    "make_weight_vector-N": (lambda v: make_weight_vector(v, eval_bump).normalized,
+                             SizeError, 2, 40),
+    "autocorrelations-M": (lambda v: autocorrelations(_SERIES, v), DomainError, 0, 8),
+    "peak_report-grid_size": (lambda v: peak_report(density(autocorrelations(_SERIES, 8)), v),
+                              SizeError, 16, 64),
+    "stlsq-max_iter": (lambda v: stlsq(_PSI, _TARGETS, 0.3, max_iter=v), ConfigError, 1, 2),
+    "harmonic_oscillator_exact-L": (harmonic_oscillator_exact, ConfigError, 2, 6),
+    "random_projection-D": (lambda v: random_projection(v, 2, seed=3).U, ShapeError, 1, 5),
+    "random_projection-r": (lambda v: random_projection(5, v, seed=3).U, ShapeError, 1, 2),
+    "prefix-N": (lambda v: edmd(_MATS.prefix(v)).matrix, SizeError, 1, 20),
+    "convergence_sweep-benchmark_N": (
+        lambda v: convergence_sweep(_ORBIT, lambda s: s[:, 0], [10, 20], v), SizeError, 2, 40),
+    "dmd_error_sweep-benchmark_N": (lambda v: dmd_error_sweep(_FIELD, [10, 20], v),
+                                    SizeError, 2, 40),
+}
+
+
+def _bits(value):
+    """Every array's dtype, shape and bytes and every scalar's type and repr,
+    through dataclasses, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value).__name__, [_bits(getattr(value, f)) for f in value.__dataclass_fields__]
+    return type(value).__name__, repr(value)
+
+
+@pytest.mark.parametrize("case", ["float", "bool", "string", "below-minimum"])
+@pytest.mark.parametrize("call, error, minimum, valid", COUNTS.values(), ids=COUNTS)
+def test_bad_count_raises_the_sites_error(call, error, minimum, valid, case):
+    bad = {"float": 2.5, "bool": True, "string": "3", "below-minimum": minimum - 1}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        with pytest.raises(TaperdynError) as info:
+            call(bad)
+    assert info.type is error
+    assert "must be an integer" in str(info.value)
+
+
+@pytest.mark.parametrize("call, error, minimum, valid", COUNTS.values(), ids=COUNTS)
+def test_numpy_integer_count_is_bit_identical(call, error, minimum, valid):
+    expected = _bits(call(valid))
+    for kind in (np.int64, np.int32, np.uint16):
+        assert _bits(call(kind(valid))) == expected
+
+
+@pytest.mark.parametrize("windows, message", [
+    ([], "a sweep needs at least one window length"),
+    ([10.7], "window N must be an integer >= "),  # the SINDy sweep's minimum is 3
+    ([20, 41], "window N=41 exceeds benchmark_N=40"),
+], ids=["none", "float", "above"])
+def test_sweeps_refuse_windows_alike(windows, message):
+    sweeps = [lambda: convergence_sweep(_ORBIT, lambda s: s[:, 0], windows, 40),
+              lambda: dmd_error_sweep(_FIELD, windows, 40)]
+    if max(windows, default=0) <= 40:  # the SINDy sweep has no benchmark window
+        sweeps.append(lambda: sindy_error_sweep(windows, [1e-2]))
+    for sweep in sweeps:
+        with pytest.raises(SizeError, match=message):
+            sweep()

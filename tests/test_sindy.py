@@ -7,6 +7,7 @@ from taperdyn import (
     ConfigError,
     RngStream,
     ShapeError,
+    SizeError,
     dmd,
     eval_bump,
     harmonic_oscillator_exact,
@@ -175,6 +176,17 @@ class TestErrorSweep:
         by_method = {r.method: r.coeff_error for r in rows}
         assert by_method["LS"] == by_method["wtLS"]
         assert by_method["SINDy"] == by_method["wtSINDy"]
+
+    @pytest.mark.parametrize("windows", [[], np.array([], dtype=int), [10.7], [100, 2],
+                                         [True], ["100"]])
+    def test_windows_must_be_integers_in_range(self, windows):
+        with pytest.raises(SizeError):
+            sindy_error_sweep(windows, [1e-2])
+
+    def test_numpy_windows_are_bit_identical(self):
+        rows = sindy_error_sweep([100, 300], [1e-2])
+        numpy_rows = sindy_error_sweep(np.array([300, 100]), [1e-2])
+        assert numpy_rows == rows and all(type(row.N) is int for row in numpy_rows)
 
     def test_rows_cover_methods_and_etas(self):
         rows = sindy_error_sweep([300], [1e-2, 1e-4])

@@ -77,6 +77,14 @@ class TestAutocorrelations:
         assert acs.lag(3) == np.conj(acs.lag(-3))
         with pytest.raises(DomainError):
             acs.lag(6)
+        assert acs.lag(np.int64(-3)) == acs.lag(-3)
+
+    @pytest.mark.parametrize("n", [2.5, 1.0, True, "1", None])
+    def test_lag_not_an_integer_is_a_domain_error(self, n):
+        # 2.5 raised IndexError, True read lag 1 and "1" raised TypeError
+        acs = autocorrelations(np.ones(50, dtype=complex), 5)
+        with pytest.raises(DomainError, match="lag n must be an integer"):
+            acs.lag(n)
 
     def test_size_errors(self):
         series = np.ones(10, dtype=complex)

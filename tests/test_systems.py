@@ -109,6 +109,19 @@ class TestRngStream:
     def test_split_paths_are_stable(self):
         assert RngStream(7).split("a").split("b").label == "a/b"
 
+    @pytest.mark.parametrize("seed", [1.0, 1.5, True, np.bool_(False), "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float seed would hash as "1.0" and draw another stream than seed 1
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RngStream(seed, "x")
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_seed_draws_the_same_stream(self, kind):
+        stream = RngStream(kind(7), "x")
+        assert type(stream.seed) is int and stream == RngStream(7, "x")
+        np.testing.assert_array_equal(stream.split("y").generator().random(5),
+                                      RngStream(7, "x").split("y").generator().random(5))
+
 
 class TestDrivenLogistic:
     def test_zero_stays_zero(self):
