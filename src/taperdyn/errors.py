@@ -57,10 +57,16 @@ def as_integer(value, name: str, error: type[Exception], minimum: int | None = N
 
 
 def as_windows(N_values, minimum: int, benchmark_N=None) -> list[int]:
-    """A sweep's window lengths N_values, sorted.  SizeError unless there is
-    at least one, and each window, and benchmark_N when given, is an integer
-    of at least minimum, with no window above benchmark_N."""
-    windows = sorted(as_integer(N, "window N", SizeError, minimum) for N in N_values)
+    """A sweep's window lengths N_values, sorted.  SizeError unless N_values
+    is iterable, there is at least one window, and each window, and
+    benchmark_N when given, is an integer of at least minimum, with no
+    window above benchmark_N."""
+    try:
+        values = iter(N_values)
+    except TypeError:
+        raise SizeError("window lengths must be an iterable of integers, "
+                        f"got {N_values!r}") from None
+    windows = sorted(as_integer(N, "window N", SizeError, minimum) for N in values)
     if not windows:
         raise SizeError("a sweep needs at least one window length")
     if benchmark_N is not None and windows[-1] > as_integer(

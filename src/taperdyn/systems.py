@@ -10,6 +10,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 _NORMALS_PER_DRAW = 1 << 20     # ou_sample noise block: 8 MB of float64
+_KICK_ROWS = 4096               # standard_map_batch resampled kicks: rows per draw
 
 
 def _mod_tau(x: float) -> float:
@@ -68,20 +70,33 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered state snapshots, one row per step.
 
     states has shape (N, d); dt is the sampling interval (1.0 for maps);
-    meta records the generating system and its parameters.
+    seed is the generating stream's seed or None; meta records the
+    generating system and its parameters.  Instances compare and hash by
+    identity.
+
+    Raises:
+        SizeError: fewer than 2 states.
+        ConfigError: a non-finite state, dt not finite and > 0, or seed
+            neither None nor an integer.
     """
 
     states: np.ndarray
     dt: float = 1.0
     seed: int | None = None
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        dt = self.dt
+        if isinstance(dt, bool) or not (isinstance(dt, Real) and math.isfinite(dt) and dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
+        object.__setattr__(self, "dt", float(dt))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", as_integer(self.seed, "seed", ConfigError))
         states = np.asarray(self.states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
@@ -130,38 +145,30 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
         "system": "driven_logistic", "eps": eps, "x0": x0, "theta0": theta0})
 
 
-def _kicks(lambda_mode, rng: RngStream | None, shape):
-    """Validate a lambda mode: the fixed kick as a float, or the drawn kicks."""
+def _lambda(lambda_mode, rng: RngStream | None):
+    """Validate a lambda mode: the fixed kick as a float, or None to resample."""
     if isinstance(lambda_mode, str):
         if lambda_mode != "uniform_resample":
             raise ConfigError(f"unknown lambda mode: {lambda_mode!r}")
         if rng is None:
             raise ConfigError("uniform_resample mode requires an RngStream")
-        return rng.generator().uniform(0.0, 5.0, shape)
+        return None
     lam = float(lambda_mode)
     if not math.isfinite(lam):
         raise ConfigError(f"invalid lambda: {lambda_mode!r}")
     return lam
 
 
-def _standard_map_orbit(kicks, p0: float, theta0: float, N: int):
-    """One standard-map orbit as (p, theta) float64 arrays of length N.
+def _orbit_steps(kicks, cp: float, cth: float, p, theta, n: int):
+    """Advance one standard-map orbit from (cp, cth) by one step per kick,
+    writing step n, n + 1, ... into p[n], theta[n], ...; returns the last state.
 
-    kicks is the fixed lambda (float) or the N - 1 per-step kicks.  The loop
-    runs on Python floats: numpy ufuncs on a handful of elements cost more
-    per step than the arithmetic itself.  `% TWO_PI` plus the inline guard
-    is _mod_tau without a function call per coordinate.
+    The loop runs on Python floats: numpy ufuncs on a handful of elements
+    cost more per step than the arithmetic itself.  `% TWO_PI` plus the
+    inline guard is _mod_tau without a function call per coordinate.
     """
-    if isinstance(kicks, float):
-        kicks = itertools.repeat(kicks, N - 1)
-    else:
-        kicks = memoryview(np.ascontiguousarray(kicks))
     sin = math.sin
-    p = array("d", [0.0]) * N
-    theta = array("d", [0.0]) * N
-    p[0] = cp = _mod_tau(p0)
-    theta[0] = cth = _mod_tau(theta0)
-    for n, lam in enumerate(kicks, 1):
+    for n, lam in enumerate(kicks, n):
         cp = (cp + lam * sin(cth)) % TWO_PI
         if cp >= TWO_PI:
             cp = 0.0
@@ -170,7 +177,7 @@ def _standard_map_orbit(kicks, p0: float, theta0: float, N: int):
             cth = 0.0
         p[n] = cp
         theta[n] = cth
-    return np.frombuffer(p), np.frombuffer(theta)
+    return cp, cth
 
 
 def standard_map(
@@ -214,10 +221,14 @@ def standard_map_batch(
 ) -> np.ndarray:
     """Standard-map orbits for a batch of initial conditions.
 
-    Returns an array of shape (N, n_ic, 2), with the update rule and
-    stochastic convention of standard_map.  The resample mode draws all
-    kicks in one (N - 1, n_ic) block, so IC i consumes column i; the batch
-    then runs the scalar kernel once per IC.
+    Returns a C-ordered array of shape (N, n_ic, 2), with the update rule
+    and stochastic convention of standard_map.  Each orbit writes its
+    (p, theta) straight into the output.  The resample mode draws the
+    (N - 1) x n_ic kicks from one generator in blocks of _KICK_ROWS rows
+    and carries each orbit's state across blocks; PCG64 yields the same
+    values however a draw is split, so IC i consumes column i of the whole
+    block.  The batch holds 16 N n_ic bytes of output plus one kick block
+    (8 _KICK_ROWS n_ic bytes, and one column of it as Python floats).
 
     Raises:
         ShapeError: p0 and theta0 are not 1-D arrays of equal length.
@@ -230,13 +241,25 @@ def standard_map_batch(
         raise ShapeError("p0 and theta0 must be 1-D arrays of equal length, "
                          f"got shapes {p0.shape} and {theta0.shape}")
     n_ic = p0.shape[0]
-    kicks = _kicks(lambda_mode, rng, (N - 1, n_ic))
+    lam = _lambda(lambda_mode, rng)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(theta0))):
         raise ConfigError("initial conditions must be finite")
     out = np.empty((N, n_ic, 2))
-    for i, (p, theta) in enumerate(zip(p0.tolist(), theta0.tolist())):
-        column = kicks if isinstance(kicks, float) else kicks[:, i]
-        out[:, i, 0], out[:, i, 1] = _standard_map_orbit(column, p, theta, N)
+    flat = memoryview(out.reshape(-1))
+    # orbit i's p and theta at step n, as strided views of the output
+    views = [(flat[2 * i::2 * n_ic], flat[2 * i + 1::2 * n_ic]) for i in range(n_ic)]
+    states = [(_mod_tau(p), _mod_tau(theta)) for p, theta in zip(p0.tolist(), theta0.tolist())]
+    for (p, theta), (cp, cth) in zip(views, states):
+        p[0], theta[0] = cp, cth
+    if lam is not None:
+        for (p, theta), (cp, cth) in zip(views, states):
+            _orbit_steps(itertools.repeat(lam, N - 1), cp, cth, p, theta, 1)
+        return out
+    gen = rng.generator()
+    for start in range(1, N, _KICK_ROWS):
+        kicks = gen.uniform(0.0, 5.0, (min(_KICK_ROWS, N - start), n_ic))
+        for i, (p, theta) in enumerate(views):
+            states[i] = _orbit_steps(kicks[:, i].tolist(), *states[i], p, theta, start)
     return out
 
 

@@ -3,13 +3,14 @@
 A taper is any vectorised nonnegative function on [0, 1].  The exponential
 bump vanishes with all derivatives at 0 and 1, which is what drives the fast
 convergence of tapered time averages on regular dynamics.  Weight vectors
-sample a taper at the points n/N, n = 0..N-1, and carry both the raw values
-and their normalization.
+sample a taper at the points n/N, n = 0..N-1, and carry the raw values;
+their normalization is derived on read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,14 +71,17 @@ def exponential_bump() -> Callable:
     return eval_bump
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Taper weights sampled along a window of length N.
 
-    raw[n] = w(n/N) for n = 0..N-1; normalized is raw divided by its sum.
-    The vector owns a read-only copy of raw, checked once here, so the
-    caller's array stays writeable and later writes to it do not reach the
-    vector.  Instances are immutable and safe to share across threads.
+    raw[n] = w(n/N) for n = 0..N-1.  The vector owns a read-only copy of
+    raw, checked once here, so the caller's array stays writeable and later
+    writes to it do not reach the vector.  normalized, raw divided by its
+    sum, is derived on its first read and kept, read-only; the fits read raw
+    alone, so a vector of N samples holds 8 N bytes until then.  Instances
+    are immutable, compare and hash by identity, and are safe to share
+    across threads.
 
     Raises:
         ShapeError: raw is not 1-D.
@@ -98,13 +102,21 @@ class WeightVector:
             raise DegenerateWeightError(f"weights must be finite and non-negative (sum {alpha})")
         if alpha <= 0.0:
             raise DegenerateWeightError(f"weights sum to {alpha}; cannot normalize")
-        for name, values in (("raw", raw), ("normalized", raw / alpha)):
-            values.setflags(write=False)
-            # a view of a read-only array cannot be made writeable again
-            object.__setattr__(self, name, values.view())
+        object.__setattr__(self, "raw", _read_only(raw))
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """raw / raw.sum(), read-only; computed on the first read."""
+        return _read_only(self.raw / self.raw.sum())
 
     def __len__(self) -> int:
         return self.raw.shape[0]
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    # a view of a read-only array cannot be made writeable again
+    return values.view()
 
 
 def check_weights(weights) -> None:
@@ -114,7 +126,7 @@ def check_weights(weights) -> None:
 
 
 def make_weight_vector(N: int, w: Callable) -> WeightVector:
-    """Sample a taper w (vectorised over arrays) at n/N, n = 0..N-1, and normalize.
+    """Sample a taper w (vectorised over arrays) at n/N, n = 0..N-1, as a WeightVector.
 
     Raises:
         SizeError: N not an integer >= 2.
@@ -125,7 +137,7 @@ def make_weight_vector(N: int, w: Callable) -> WeightVector:
     x = np.arange(N, dtype=float)
     x /= N
     raw = np.asarray(w(x), dtype=float)
-    del x  # three N-sample arrays at most while the vector copies and normalizes
+    del x  # two N-sample arrays at most while the vector copies raw
     if raw.shape != (N,):
         raise DegenerateWeightError(
             f"weight profile returned shape {raw.shape}, expected ({N},)")

@@ -1,3 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,3 +32,17 @@ def synth_monthly_csv(path, n_years=96, seed=0):
         lines.append(f"{year},{month},{x[i]:.6f}")
     path.write_text("\n".join(lines) + "\n")
     return x
+
+
+@contextmanager
+def traced_memory():
+    """Trace the allocations of the with-block.  On exit the yielded record
+    holds `peak`, the most bytes traced at once, and `current`, the bytes
+    still held by what the block kept."""
+    record = SimpleNamespace()
+    tracemalloc.start()
+    try:
+        yield record
+        record.current, record.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

@@ -133,6 +133,16 @@ class TestTrajectoryRoundTrip:
         assert back.seed == 42
         assert back.meta["system"] == "demo"
 
+    def test_roundtrip_is_bit_for_bit(self, tmp_path):
+        g = np.random.default_rng(2)
+        states = g.standard_normal((30, 2)) * 10.0 ** g.integers(-300, 300, (30, 2))
+        traj = Trajectory(states, dt=np.float64(1.0) / 3.0, seed=np.int64(-2**40))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        back = read_trajectory_csv(path)
+        assert back.states.tobytes() == traj.states.tobytes()
+        assert (back.dt, back.seed) == (1.0 / 3.0, -2**40)
+
     def test_inconsistent_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n")

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import synth_monthly_csv, traced_memory
 from taperdyn import (
     ConditioningError,
     ConfigError,
@@ -258,13 +258,9 @@ class TestAutoBandwidth:
         # former pair buffer (1.14 x) would exceed
         m = min(n, forecast_module._BANDWIDTH_SUBSAMPLE)
         pts = np.random.default_rng(p).standard_normal((n, p))
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             _auto_bandwidth(pts, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.27 * (m * (m - 1) // 2 * 8)
+        assert mem.peak < 0.27 * (m * (m - 1) // 2 * 8)
 
     @pytest.mark.parametrize("n", [8000, 2048])
     def test_caller_rng_draws_the_subsample_only(self, n):
@@ -409,13 +405,9 @@ class TestKernelLower:
         # a full n x n product would exceed
         n = 2000
         pts = np.random.default_rng(3).standard_normal((n, 3))
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             K = forecast_module._kernel_matrix(pts, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - _stored_bytes(K) < 2e6
+        assert mem.peak - _stored_bytes(K) < 2e6
 
 
 class TestKrylovEigenpairs:
@@ -682,14 +674,10 @@ class TestDiffusionBasis:
         monkeypatch.setattr(forecast_module, "_kernel_matrix",
                             lambda *a: builds.append(1) or kernel_matrix(*a))
         pts = delay_embed(_ou_training(n + 2)[:, 0], 3)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             diffusion_basis(pts, M=6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert builds == [1]
-        assert peak < 0.65 * n * n * 8
+        assert mem.peak < 0.65 * n * n * 8
 
     def test_low_rank_route_needs_no_kernel_memory(self, monkeypatch, no_dense_kernel):
         monkeypatch.setattr(forecast_module, "_physical_memory_bytes",
@@ -1363,9 +1351,6 @@ class TestSkill:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             skill(np.ones((3, 2)), np.ones((3, 3)))
-
-
-from conftest import synth_monthly_csv
 
 
 class TestMonthlyPipeline:

@@ -1,12 +1,12 @@
 import importlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_memory
 from taperdyn import (
     RngStream,
     ShapeError,
@@ -210,13 +210,9 @@ class TestTsqrAgainstSvd:
         orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (200_001, 2))
         mats = build_dictionary_matrices(orbit, fourier_dictionary(1, dim=2))
         wv = make_weight_vector(mats.n_pairs, eval_bump)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             edmd(mats, wv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.0e6
+        assert mem.peak <= 4.0e6
 
     def test_pinv_lstsq_peak_allocation_is_small(self):
         # 1e5 x 9 complex arrays, as dmd, sindy and shift_matrix pass them:
@@ -226,13 +222,9 @@ class TestTsqrAgainstSvd:
         orbit = np.random.default_rng(3).uniform(0, 2 * np.pi, (100_001, 2))
         full = fourier_dictionary(1, dim=2)(orbit)
         wv = make_weight_vector(100_000, eval_bump)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             pinv_lstsq(full[:-1], full[1:], wv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert mem.peak <= 8 * 2**20
 
 
 class TestPinvLstsq:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_memory
 from taperdyn import (
     ConfigError,
     DegenerateWeightError,
@@ -197,6 +198,26 @@ class TestWeightVector:
     def test_normalized_is_raw_over_its_sum(self):
         raw = np.random.default_rng(3).uniform(0.0, 1.0, 1001)
         assert np.array_equal(WeightVector(raw).normalized, raw / float(raw.sum()))
+
+    def test_holds_one_array_until_normalized_is_read(self):
+        # 10**6 samples: 8.0 MB held after the build (numpy 2.4), where a
+        # normalization stored beside raw would hold 16 MB
+        with traced_memory() as mem:
+            wv = make_weight_vector(10**6, eval_bump)
+        assert mem.current <= 8e6 + 1e5
+        with traced_memory() as mem:
+            normalized = wv.normalized
+        assert mem.current <= 8e6 + 1e5
+        assert not normalized.flags.writeable
+        assert normalized.tobytes() == (wv.raw / wv.raw.sum()).tobytes()
+        assert wv.normalized is normalized
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = WeightVector([1.0, 2.0]), WeightVector([1.0, 2.0])
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        a.normalized  # the kept normalization stays out of equality and hashing
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_sampled_and_direct_vectors_agree(self):
         sampled = make_weight_vector(100, eval_bump)
