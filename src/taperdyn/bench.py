@@ -436,8 +436,7 @@ def criterion_13() -> BenchResult:
         outs = []
         for sub in ("a", "b"):
             outdir = Path(tmp) / sub
-            cmd = [sys.executable, "-m", "taperdyn.cli", "average",
-                   "--system", "driven-logistic", "--eps", "0.01",
+            cmd = [sys.executable, "-m", "taperdyn.cli", "average", "--eps", "0.01",
                    "--N", "2000", "--sweep", "--sweep-n", "100,400,1600",
                    "--seed", "9", "--outdir", str(outdir)]
             proc = subprocess.run(cmd, capture_output=True, text=True, env=_cli_env())

@@ -109,7 +109,6 @@ _COMMON = [
 
 OPTIONS: dict[str, list[Option]] = {
     "average": _COMMON + [
-        Option("system", str, "driven-logistic", "data source (driven-logistic)"),
         Option("eps", float, 0.0, "forcing strength (>= 0)"),
         Option("x0", float, 0.25, "initial x"),
         Option("theta0", float, 0.0, "initial phase"),
@@ -251,8 +250,6 @@ def _weight_fn(cfg):
 
 
 def _run_average(cfg) -> dict:
-    if cfg["system"] != "driven-logistic":
-        raise ConfigError(f"unknown system {cfg['system']!r}")
     as_integer(cfg["N"], "N", ConfigError, 2)  # driven_logistic checks eps
     orbit = driven_logistic(cfg["eps"], cfg["x0"], cfg["theta0"], cfg["N"])
     w = _weight_fn(cfg)

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all taperdyn modules, and the count checks
-that raise it."""
+"""Exception hierarchy shared by all taperdyn modules, and the count and
+real-argument checks that raise it."""
 
+import math
 import operator
+from numbers import Real
 
 import numpy as np
 
@@ -54,6 +56,36 @@ def as_integer(value, name: str, error: type[Exception], minimum: int | None = N
         return checked
     bound = "" if minimum is None else f" >= {minimum}"
     raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def as_real(value, name: str, error: type[Exception], minimum: float | None = None,
+            strict: bool = False) -> float:
+    """value as a finite float of at least minimum (above it when strict); a
+    bool, a value that is not a numbers.Real, NaN, +-inf, or one below
+    minimum raises error."""
+    checked = math.nan
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            checked = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if math.isfinite(checked) and (minimum is None or checked > minimum
+                                   or (checked == minimum and not strict)):
+        return checked
+    bound = "" if minimum is None else f" and {'>' if strict else '>='} {minimum:g}"
+    raise error(f"{name} must be finite{bound}, got {value!r}")
+
+
+def as_length(value, name: str, error: type[Exception]) -> float:
+    """value as a float length scale h: finite and > 0, with h^2 and 1/h^2
+    finite and nonzero, so a step or kernel width never divides by 0 or
+    overflows on its own; anything else raises error."""
+    h = as_real(value, name, error, 0.0, strict=True)
+    square = h * h
+    if 0.0 < square < math.inf and 1.0 / square < math.inf:
+        return h
+    raise error(f"{name} must be finite and > 0 with a finite, nonzero square and "
+                f"reciprocal square, got {value!r}")
 
 
 def as_windows(N_values, minimum: int, benchmark_N=None) -> list[int]:

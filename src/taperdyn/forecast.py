@@ -30,6 +30,7 @@ from .errors import (
     ShapeError,
     SizeError,
     as_integer,
+    as_length,
 )
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -563,15 +564,19 @@ def diffusion_basis(
 
     Raises:
         ShapeError: training points that are not 1-D or 2-D.
-        DomainError: non-finite training points.
+        DomainError: non-finite training points, or points whose squared
+            norms (times 8) overflow, checked before the bandwidth pass.
         SizeError: M not an integer in 1..N, or, on the dense path, a kernel
             triangle larger than the machine's physical memory.
         NumericalError: the dense path's eigensolver does not converge
             (see _krylov_eigenpairs).
         ConditioningError: an eigensolve or factorization fails on either
             route (see _krylov_eigenpairs and _gram_eigenpairs).
-        ConfigError: rng neither a Generator nor None, non-finite or
-            non-positive bandwidth, degenerate data under auto bandwidth,
+        ConfigError: rng neither a Generator nor None, a bandwidth (given or
+            automatic) that is not a length scale (errors.as_length: finite
+            and > 0, with a finite, nonzero square and reciprocal square; a
+            bool or a string included) or so small that 8 max |x|^2 / eps^2
+            overflows, degenerate data under auto bandwidth,
             or, on the dense path, a bandwidth that isolates M or more
             points (see _dense_eigenpairs).
     """
@@ -586,6 +591,11 @@ def diffusion_basis(
         raise ShapeError(f"training points must be 1-D or 2-D, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("training points contain non-finite values")
+    with np.errstate(over="ignore"):
+        # every partial sum of _augmented's products is within 4 max |x|^2; 8 leaves room to round
+        reach = 8.0 * float(np.max((pts * pts).sum(axis=1), initial=0.0))
+    if not math.isfinite(reach):
+        raise DomainError("training points so large that their squared distances overflow")
     n = pts.shape[0]
     M = as_integer(M, "M", SizeError, 1)
     if M > n:
@@ -594,11 +604,11 @@ def diffusion_basis(
         warnings.warn(
             f"M={M} basis functions: high-order eigenfunctions are often "
             "poorly resolved and can degrade tapered forecasts")
-    if bandwidth is None:
-        bandwidth = _auto_bandwidth(pts, rng)
-    bandwidth = float(bandwidth)
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ConfigError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    bandwidth = as_length(_auto_bandwidth(pts, rng) if bandwidth is None else bandwidth,
+                          "bandwidth", ConfigError)
+    if not math.isfinite(reach / bandwidth**2):  # _kernel_matrix's W / eps^2 and its products
+        raise ConfigError(f"bandwidth {bandwidth!r} is too small for training points of squared "
+                          f"norm up to {reach / 8.0:.3g}: their scaled distances overflow")
 
     # the low-rank route needs M <= rank <= cap, so past the cap it is not tried
     cap = max(n // _LOWRANK_CAP_DIV, 1)
@@ -622,7 +632,7 @@ def diffusion_basis(
     phi *= signs
     if factor is not None:
         factor = (pts[piv], T_inv, h, np.sqrt(n) * AtV * signs / lam)
-    return DiffusionBasis(phi=phi, kernel_eigenvalues=lam, bandwidth=float(bandwidth),
+    return DiffusionBasis(phi=phi, kernel_eigenvalues=lam, bandwidth=bandwidth,
                           points=pts, scaling=s, factor=factor)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .edmd import monomial_dictionary
-from .errors import ConfigError, ShapeError, as_integer, as_windows
+from .errors import ConfigError, ShapeError, as_integer, as_real, as_windows
 from .systems import RngStream, harmonic_series
 from .weights import WeightVector, eval_bump, make_weight_vector
 
@@ -69,7 +69,8 @@ def stlsq(
         max_iter: defaults to L + 1, which suffices under cumulative pruning.
 
     Raises:
-        ConfigError: eta negative or NaN, or max_iter not an integer >= 1.
+        ConfigError: eta not a finite real >= 0 (a bool, a string, NaN or
+            inf included), or max_iter not an integer >= 1.
         ShapeError: Psi not 2-D, targets neither 1-D nor 2-D, or a
             sample-count mismatch between Psi, targets, or weights.
         DomainError: Psi or the targets hold NaN or infinity.
@@ -77,8 +78,7 @@ def stlsq(
     Psi = np.asarray(Psi)
     T = np.asarray(targets)
     T = T[:, None] if T.ndim == 1 else T
-    if not eta >= 0:  # NaN too: it would prune nothing and report convergence
-        raise ConfigError(f"eta must be >= 0, got {eta}")
+    eta = as_real(eta, "eta", ConfigError, 0.0)
     if Psi.ndim != 2 or T.ndim != 2 or T.shape[0] != Psi.shape[0]:
         raise ShapeError(f"Psi {Psi.shape} and targets {T.shape} must be N x L and N x d")
     (N, L), d = Psi.shape, T.shape[1]

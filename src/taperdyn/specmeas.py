@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError, as_integer
+from .errors import DomainError, ShapeError, SizeError, as_integer, as_real
 from .weights import eval_bump, make_weight_vector
 
 __all__ = [
@@ -62,7 +62,8 @@ def autocorrelations(
     are filled by conjugate symmetry, which therefore holds exactly.
 
     Raises:
-        DomainError: M not an integer >= 0, or the series holds NaN or inf.
+        DomainError: M not an integer >= 0, the series holds NaN or inf, or
+            a lag product or lag sum overflows.
         SizeError: M >= N - 1, so some window would have fewer than 2 samples.
     """
     s = np.asarray(series, dtype=complex).ravel()
@@ -74,18 +75,21 @@ def autocorrelations(
         raise DomainError("series contains non-finite values")
     values = np.zeros(2 * M + 1, dtype=complex)
     for n in range(M + 1):
-        window = s[: N - n] * np.conj(s[n:N])
-        if weighted:
-            window *= make_weight_vector(N - n, w).normalized
-            a_n = np.sum(window) / TWO_PI
-        else:
-            a_n = np.mean(window) / TWO_PI
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            window = s[: N - n] * np.conj(s[n:N])
+            if weighted:
+                window *= make_weight_vector(N - n, w).normalized
+                a_n = np.sum(window) / TWO_PI
+            else:
+                a_n = np.mean(window) / TWO_PI
         if n == 0:
             # s conj(s) is |s|^2: real by definition (fused multiplies can
             # leave a one-ulp imaginary residue)
             a_n = complex(a_n.real, 0.0)
         values[M + n] = a_n
         values[M - n] = np.conj(a_n)
+    if not np.isfinite(values).all():
+        raise DomainError("the series is so large that a lag product or lag sum overflows")
     return AutocorrelationSet(values=values, M=M)
 
 
@@ -225,11 +229,11 @@ def peak_report(
 
     Raises:
         SizeError: grid_size not an integer >= 16.
-        DomainError: min_prominence negative or not finite.
+        DomainError: min_prominence not a finite real >= 0 (a bool or a
+            string included).
     """
     grid_size = as_integer(grid_size, "grid_size", SizeError, 16)
-    if not (np.isfinite(min_prominence) and min_prominence >= 0):
-        raise DomainError(f"min_prominence must be finite and >= 0, got {min_prominence}")
+    min_prominence = as_real(min_prominence, "min_prominence", DomainError, 0.0)
     grid = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
     vals = dens.eval_grid(grid)
     half = grid_size // 2

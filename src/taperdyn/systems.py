@@ -10,11 +10,10 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SizeError, as_integer
+from .errors import ConfigError, DomainError, ShapeError, SizeError, as_integer, as_length, as_real
 
 __all__ = [
     "Trajectory",
@@ -81,8 +80,8 @@ class Trajectory:
 
     Raises:
         SizeError: fewer than 2 states.
-        ConfigError: a non-finite state, dt not finite and > 0, or seed
-            neither None nor an integer.
+        ConfigError: a non-finite state, dt not a finite real > 0 (a bool
+            or a string included), or seed neither None nor an integer.
     """
 
     states: np.ndarray
@@ -91,10 +90,7 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dt = self.dt
-        if isinstance(dt, bool) or not (isinstance(dt, Real) and math.isfinite(dt) and dt > 0):
-            raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
-        object.__setattr__(self, "dt", float(dt))
+        object.__setattr__(self, "dt", as_real(self.dt, "dt", ConfigError, 0.0, strict=True))
         if self.seed is not None:
             object.__setattr__(self, "seed", as_integer(self.seed, "seed", ConfigError))
         states = np.asarray(self.states, dtype=float)
@@ -126,13 +122,18 @@ def driven_logistic(eps: float, x0: float, theta0: float, N: int) -> Trajectory:
     eps = 0 gives the plain period-4 logistic regime, eps = 0.01 a
     quasiperiodic response, eps = 0.1 chaos.  The loop runs on Python
     floats: a numpy-scalar x0 would make every step numpy scalar arithmetic.
+
+    Raises:
+        SizeError: N not an integer >= 2.
+        ConfigError: eps, x0 or theta0 not a finite real (bools and strings
+            included), eps < 0 or so large that the drive 3.5 (1 + eps)
+            overflows, or an orbit that escapes to infinity.
     """
     N = as_integer(N, "N", SizeError, 2)
-    x0 = float(x0)
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ConfigError(f"eps must be finite and >= 0, got {eps}")
-    if not (math.isfinite(x0) and math.isfinite(theta0)):
-        raise ConfigError(f"non-finite initial condition: x0={x0}, theta0={theta0}")
+    eps = as_real(eps, "eps", ConfigError, 0.0)
+    if not math.isfinite(3.5 * (1.0 + eps)):
+        raise ConfigError(f"eps must keep the drive 3.5 (1 + eps) finite, got {eps!r}")
+    x0, theta0 = as_real(x0, "x0", ConfigError), as_real(theta0, "theta0", ConfigError)
     theta = (theta0 + SQRT2 * np.arange(N)) % 1.0
     drive = 3.5 * (1.0 + eps * np.cos(TWO_PI * theta))
     x = array("d", [0.0]) * N
@@ -153,10 +154,7 @@ def _lambda(lambda_mode, rng: RngStream | None):
         if rng is None:
             raise ConfigError("uniform_resample mode requires an RngStream")
         return None
-    lam = float(lambda_mode)
-    if not math.isfinite(lam):
-        raise ConfigError(f"invalid lambda: {lambda_mode!r}")
-    return lam
+    return as_real(lambda_mode, "lambda", ConfigError)
 
 
 def _orbit_steps(kicks, cp: float, cth: float, p, theta, n: int):
@@ -203,8 +201,9 @@ def standard_map(
 
     Raises:
         SizeError: N not an integer >= 2.
-        ConfigError: unknown mode, stochastic mode without rng, or a
-            non-finite lambda or initial condition.
+        ConfigError: unknown mode, stochastic mode without rng, a lambda
+            that is not a finite real (a bool included), or a non-finite
+            initial condition.
     """
     states = standard_map_batch(lambda_mode, [p0], [theta0], N, rng)[:, 0, :]
     meta = {"system": "standard_map",
@@ -299,21 +298,23 @@ def harmonic_series(
 
     Raises:
         SizeError: N not an integer >= 3.
-        ConfigError: before any draw, naming a scalar out of range, or noise without rng.
+        ConfigError: before any draw, naming a scalar that is not a finite
+            real (amplitude, phase), a finite real >= 0 (noise_sigma) or a
+            length scale (dt, see second_difference), or noise without rng.
+        DomainError: positions or their second differences overflow.
     """
     N = as_integer(N, "N", SizeError, 3)
-    for name, value in (("amplitude", amplitude), ("phase", phase)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    _check_step(dt)
+    amplitude = as_real(amplitude, "amplitude", ConfigError)
+    phase = as_real(phase, "phase", ConfigError)
+    noise_sigma = as_real(noise_sigma, "noise_sigma", ConfigError, 0.0)
+    dt = as_length(dt, "dt", ConfigError)
     n = np.arange(N + 2)
     x = amplitude * np.cos(n * dt + phase)
     if noise_sigma > 0:
         if rng is None:
             raise ConfigError("noise_sigma > 0 requires an RngStream")
-        x = x + noise_sigma * rng.generator().standard_normal(N + 2)
+        with np.errstate(over="ignore"):  # second_difference refuses an infinite position
+            x = x + noise_sigma * rng.generator().standard_normal(N + 2)
     xdd = second_difference(x, dt)
     meta = {
         "system": "harmonic_series",
@@ -325,20 +326,20 @@ def harmonic_series(
                           second_derivative=xdd, dt=dt, meta=meta)
 
 
-def _check_step(dt: float) -> None:
-    # a step whose square is 0 or inf would turn every difference into inf or 0
-    if not (dt > 0 and 0.0 < dt * dt < math.inf):
-        raise ConfigError(f"dt must be > 0 with a finite nonzero square, got {dt}")
-
-
 def second_difference(x: np.ndarray, dt: float) -> np.ndarray:
     """(x_{n+1} + x_{n-1} - 2 x_n) / dt^2 at n = 1..N of samples x_0..x_{N+1}.
 
     Raises:
-        ConfigError: dt is not > 0, or dt^2 is 0 or infinite (NaN included).
+        ConfigError: dt not a length scale (errors.as_length): finite and
+            > 0, with dt^2 and 1/dt^2 finite and nonzero.
+        DomainError: x holds NaN or inf, or a second difference overflows.
     """
-    _check_step(dt)
-    return (x[2:] + x[:-2] - 2.0 * x[1:-1]) / dt**2
+    dt = as_length(dt, "dt", ConfigError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xdd = (x[2:] + x[:-2] - 2.0 * x[1:-1]) / dt**2
+    if not np.isfinite(xdd).all():
+        raise DomainError("positions hold NaN or inf, or their second differences overflow")
+    return xdd
 
 
 def ou_sample(
@@ -357,15 +358,16 @@ def ou_sample(
 
     Raises:
         SizeError: N not an integer >= 2.
-        ConfigError: substeps not an integer >= 1, a non-finite argument, theta_rate,
-            diffusion or dt <= 0, or 1 - theta_rate*dt/substeps <= 0 (unstable step).
+        ConfigError: substeps not an integer >= 1; theta_rate, diffusion or dt
+            not a finite real > 0, or x0 not a finite real (bools and strings
+            included); 1 - theta_rate*dt/substeps <= 0 (unstable step); or a
+            path that overflows.
     """
     N = as_integer(N, "N", SizeError, 2)
     substeps = as_integer(substeps, "substeps", ConfigError, 1)
-    if not (all(map(math.isfinite, (theta_rate, diffusion, x0, dt)))
-            and theta_rate > 0 and diffusion > 0 and dt > 0):
-        raise ConfigError("theta_rate, diffusion and dt must be finite and > 0, and x0 "
-                          f"finite, got {theta_rate}, {diffusion}, {dt} and {x0}")
+    theta_rate = as_real(theta_rate, "theta_rate", ConfigError, 0.0, strict=True)
+    diffusion = as_real(diffusion, "diffusion", ConfigError, 0.0, strict=True)
+    dt, x0 = as_real(dt, "dt", ConfigError, 0.0, strict=True), as_real(x0, "x0", ConfigError)
     h = dt / substeps
     decay = 1.0 - theta_rate * h
     if decay <= 0.0:

@@ -29,7 +29,7 @@ def read_lines(path):
 class TestAverage:
     def test_sweep_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "run"
-        code = run(["average", "--system", "driven-logistic", "--eps", "0",
+        code = run(["average", "--eps", "0",
                     "--N", "5000", "--sweep", "--sweep-n", "100,500,2000",
                     "--outdir", str(out)])
         assert code == EXIT_OK

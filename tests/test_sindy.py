@@ -147,7 +147,7 @@ class TestStlsq:
 
     @pytest.mark.parametrize("eta", [-0.1, np.nan])
     def test_eta_must_be_non_negative(self, gen, eta):
-        with pytest.raises(ConfigError, match="eta must be >= 0"):
+        with pytest.raises(ConfigError, match="eta must be finite and >= 0"):
             stlsq(gen.standard_normal((30, 4)), gen.standard_normal(30), eta=eta)
 
     def test_max_iter_termination_state(self, gen):

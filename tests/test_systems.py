@@ -184,7 +184,7 @@ class TestDrivenLogistic:
                                                  (0.1, 0.25, -math.inf)])
     def test_rejects_non_finite_arguments(self, eps, x0, theta0):
         # rejected up front, not by the trajectory's own check after the loop
-        with pytest.raises(ConfigError, match="eps|initial condition"):
+        with pytest.raises(ConfigError, match="(eps|x0|theta0) must be finite"):
             driven_logistic(eps, x0, theta0, 10)
 
 
@@ -248,7 +248,7 @@ class TestStandardMap:
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_batch_rejects_non_finite_lambda(self, lam):
-        with pytest.raises(ConfigError, match="invalid lambda"):
+        with pytest.raises(ConfigError, match="lambda must be finite"):
             standard_map_batch(lam, [0.5], [1.0], 5)
 
     @pytest.mark.parametrize("p0, th0", [([float("nan")], [1.0]),
@@ -376,7 +376,7 @@ class TestSecondDifference:
     def test_step_without_a_finite_nonzero_square_is_refused(self, dt):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="dt must be > 0"):
+            with pytest.raises(ConfigError, match="dt must be finite and > 0"):
                 second_difference(np.arange(6.0), dt)
 
 
